@@ -53,12 +53,14 @@ from .minors import (
 )
 from .spectral import (
     ConvergenceError,
+    InvariantError,
     NikiforovBounds,
     NonEquitablePartitionError,
     QuotientMatrix,
     SpectralResult,
     alpha_index,
     alpha_matrix,
+    certify_top,
     f_inequality,
     jacobi_eigh,
     join_quotient_index,

@@ -19,7 +19,7 @@ from .canonical import canonical_data, canonical_form, canonical_graph
 from .graph6 import iter_graph6_file, parse_graph6, write_graph6
 from .graphs import CapacityError, Graph, extremal_fs, extremal_qt, friendship, make_empty, quadrangle_book
 from .minors import DEFAULT_NODE_CAP, has_minor
-from .spectral import TIE_TOL, alpha_index
+from .spectral import TIE_TOL, InvariantError, alpha_index
 
 MAX_GENERATED_ORDER = 9
 
@@ -181,10 +181,11 @@ class SearchReport:
     wall_time: float
 
 
-def _pick_argmax(entries: list[TieEntry]) -> TieEntry:
-    # exact float max, then lexicographically smallest canonical encoding:
-    # stable under any stream or shard order
-    return min(entries, key=lambda e: (-e.rho, e.graph6))
+def _pick_argmax(ties: list[TieEntry]) -> TieEntry:
+    # the lexicographically smallest canonical encoding among the ties,
+    # ignoring their float order: independent of solver rounding and of
+    # stream or shard order
+    return min(ties, key=lambda e: e.graph6)
 
 
 def _finalize_report(n: int, alpha: float, family: Family, total: int,
@@ -265,7 +266,11 @@ def search_extremal(n: int, alpha: float, family: Family,
         construction = None
     if construction is not None and stream.shard is None and stream.source == "generated" \
             and not stream.connected_only and is_minor_free(construction, family, node_cap):
-        assert report.max_rho >= alpha_index(construction, alpha).rho - tie_tol
+        construction_rho = alpha_index(construction, alpha).rho
+        if not report.max_rho >= construction_rho - tie_tol:
+            raise InvariantError(
+                f"exhaustive maximum {report.max_rho!r} at n={n}, alpha={alpha} is below "
+                f"the index {construction_rho!r} of the minor-free {family} construction")
     return report
 
 

@@ -1,11 +1,19 @@
 """A_alpha matrices, certified largest-eigenvalue computation, and the
 closed-form spectral bounds.
 
-The primary eigensolver is cyclic Jacobi on the full dense symmetric
-matrix (orders are <= 64 here), stopping when the off-diagonal Frobenius
-norm falls below 1e-13 relative to the matrix scale.  Every result is
-certified by its residual, and a shifted power iteration serves as an
-independent cross-check of the largest eigenvalue.
+The eigensolver is LAPACK, through ``numpy.linalg.eigh`` of the full dense
+symmetric matrix (orders are <= 64 here).  Each result is certified by a
+two-sided a-posteriori bracket on the largest eigenvalue that needs no
+second solver (see ``certify_top``): the Rayleigh quotient of the top
+vector from below (Courant-Fischer), and Bauer-Fike applied to the whole
+computed decomposition from above, which bounds every eigenvalue of the
+matrix, including any the solver missed.  Other solves whose vector is
+not needed go through ``numpy.linalg.eigvalsh``.
+
+``jacobi_eigh`` (cyclic Jacobi) and ``power_iteration`` are kept only as
+test oracles: they share no code with LAPACK, so agreement with them is
+an independent check of the solver and its certificate.  No code path of
+the package calls them.
 """
 
 from __future__ import annotations
@@ -17,16 +25,10 @@ import numpy as np
 
 from .graphs import Graph
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
 DEFAULT_TOL = 1e-10
 OFF_DIAGONAL_TOL = 1e-13
 TIE_TOL = 1e-9
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class ConvergenceError(ArithmeticError):
@@ -37,6 +39,10 @@ class ConvergenceError(ArithmeticError):
         self.residual = residual
 
 
+class InvariantError(ArithmeticError):
+    """A computed quantity broke a bound that holds in exact arithmetic."""
+
+
 def _off_norm(a: np.ndarray) -> float:
     """Frobenius norm of the off-diagonal part, summed directly (never by
     subtracting the diagonal, which cancels catastrophically near zero)."""
@@ -44,12 +50,25 @@ def _off_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(od))
 
 
-def _jacobi_kernel_py(a: np.ndarray, v: np.ndarray, threshold: float, max_sweeps: int) -> int:
-    """Cyclic Jacobi sweeps, vectorized row/column rotations."""
+def jacobi_eigh(m: np.ndarray, off_tol: float = OFF_DIAGONAL_TOL,
+                max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray, int]:
+    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi with
+    vectorized row/column rotations.  A test oracle independent of LAPACK.
+
+    Returns (eigenvalues ascending, eigenvector columns, sweep count).
+    """
+    a = np.array(m, dtype=np.float64)
     n = a.shape[0]
+    if n == 0:
+        return np.empty(0), np.empty((0, 0)), 0
+    v = np.eye(n)
+    scale = math.sqrt((a * a).sum())
+    threshold = off_tol * max(1.0, scale)
+    sweeps = max_sweeps
     for sweep in range(max_sweeps):
         if _off_norm(a) <= threshold:
-            return sweep
+            sweeps = sweep
+            break
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p, q]
@@ -73,69 +92,6 @@ def _jacobi_kernel_py(a: np.ndarray, v: np.ndarray, threshold: float, max_sweeps
                 vq = v[:, q].copy()
                 v[:, p] = c * vp - s * vq
                 v[:, q] = s * vp + c * vq
-    return max_sweeps
-
-
-def _jacobi_kernel_scalar(a, v, threshold, max_sweeps):
-    """Same sweeps with scalar loops; the numba-compiled hot path."""
-    n = a.shape[0]
-    for sweep in range(max_sweeps):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off += a[i, j] * a[i, j]
-        if math.sqrt(2.0 * off) <= threshold:
-            return sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= threshold / (4.0 * n):
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                sign = 1.0 if theta >= 0.0 else -1.0
-                t = sign / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                for i in range(n):
-                    aip = a[p, i]
-                    aiq = a[q, i]
-                    a[p, i] = c * aip - s * aiq
-                    a[q, i] = s * aip + c * aiq
-                for i in range(n):
-                    aip = a[i, p]
-                    aiq = a[i, q]
-                    a[i, p] = c * aip - s * aiq
-                    a[i, q] = s * aip + c * aiq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                for i in range(n):
-                    vip = v[i, p]
-                    viq = v[i, q]
-                    v[i, p] = c * vip - s * viq
-                    v[i, q] = s * vip + c * viq
-    return max_sweeps
-
-
-if _HAVE_NUMBA:
-    _jacobi_kernel = njit(cache=True)(_jacobi_kernel_scalar)
-else:  # pragma: no cover
-    _jacobi_kernel = _jacobi_kernel_py
-
-
-def jacobi_eigh(m: np.ndarray, off_tol: float = OFF_DIAGONAL_TOL,
-                max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray, int]:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi.
-
-    Returns (eigenvalues ascending, eigenvector columns, sweep count).
-    """
-    a = np.array(m, dtype=np.float64)
-    n = a.shape[0]
-    if n == 0:
-        return np.empty(0), np.empty((0, 0)), 0
-    v = np.eye(n)
-    scale = math.sqrt((a * a).sum())
-    threshold = off_tol * max(1.0, scale)
-    sweeps = _jacobi_kernel(a, v, threshold, max_sweeps)
     off = _off_norm(a)
     if off > threshold:
         raise ConvergenceError("Jacobi sweeps did not reach the off-diagonal threshold", off)
@@ -146,7 +102,8 @@ def jacobi_eigh(m: np.ndarray, off_tol: float = OFF_DIAGONAL_TOL,
 
 def power_iteration(m: np.ndarray, shift: float, tol: float = DEFAULT_TOL,
                     max_iter: int = 200_000) -> tuple[float, np.ndarray, int]:
-    """Dominant eigenpair of m via power iteration on m + shift*I.
+    """Dominant eigenpair of m via power iteration on m + shift*I.  A test
+    oracle independent of LAPACK.
 
     The shift must make the largest eigenvalue of m strictly dominant in
     magnitude; any positive shift does for entrywise-nonnegative m.
@@ -192,12 +149,14 @@ def alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Largest eigenvalue with a certified unit eigenvector."""
+    """Largest eigenvalue with a certified unit eigenvector and a bracket
+    lower <= lambda_max <= upper."""
 
     rho: float
     vector: np.ndarray
     residual: float
-    method_iterations: int
+    lower: float
+    upper: float
 
     def perron_scaled(self) -> np.ndarray:
         """The eigenvector rescaled so its maximum entry is 1."""
@@ -207,41 +166,65 @@ class SpectralResult:
         return self.vector / top
 
 
-def alpha_index(g: Graph, alpha: float, tol: float = DEFAULT_TOL,
-                cross_check: bool = True) -> SpectralResult:
-    """Largest eigenvalue of A_alpha(G), Jacobi primary, power-iteration checked."""
+def certify_top(m: np.ndarray, w: np.ndarray, v: np.ndarray, tol: float) -> SpectralResult:
+    """Certify a computed eigendecomposition m ~ v diag(w) v^T (w ascending)
+    by a two-sided bracket on the largest eigenvalue of the symmetric m.
+
+    lower is the Rayleigh quotient of the top column, a lower bound for any
+    vector (Courant-Fischer).  upper is w_max + |R| sqrt(1+d)/(1-d), where
+    R = m v - v diag(w) and d = |v^T v - I| (Frobenius norms, which dominate
+    the 2-norms): with v square and d < 1, Bauer-Fike puts every eigenvalue
+    of m within that distance of some w_i.  Both bounds are widened by an
+    n*eps*|m| slack for the rounding of their own evaluation.
+    Raises ConvergenceError when the top residual or the bracket width
+    exceeds tol, or when v is not a full square basis.
+    """
+    n = m.shape[0]
+    if w.shape != (n,) or v.shape != (n, n):
+        raise ConvergenceError(
+            f"decomposition of shape {w.shape}, {v.shape} does not cover order {n}", math.inf)
+    rho = float(w[-1])
+    x = v[:, -1].copy()
+    # orient so the dominant entry is positive (Perron sign convention)
+    top = int(np.argmax(np.abs(x)))
+    if x[top] < 0:
+        x = -x
+    mx = m @ x
+    residual = float(np.linalg.norm(mx - rho * x))
+    if residual > tol:
+        raise ConvergenceError("top eigenpair failed residual certification", residual)
+    slack = n * _EPS * float(np.linalg.norm(m))
+    lower = float(x @ mx) / float(x @ x) - slack
+    delta = float(np.linalg.norm(v.T @ v - np.eye(n)))
+    if not delta < 1.0:
+        raise ConvergenceError(
+            f"eigenvector basis far from orthonormal (|V^T V - I| = {delta:.3e})", residual)
+    spread = float(np.linalg.norm(m @ v - v * w))
+    upper = float(np.max(w)) + spread * math.sqrt(1.0 + delta) / (1.0 - delta) + slack
+    if not upper - lower <= tol:
+        raise ConvergenceError(
+            f"certificate bracket [{lower!r}, {upper!r}] is wider than {tol:.3e}", residual)
+    return SpectralResult(rho=rho, vector=x, residual=residual, lower=lower, upper=upper)
+
+
+def alpha_index(g: Graph, alpha: float, tol: float = DEFAULT_TOL) -> SpectralResult:
+    """Largest eigenvalue of A_alpha(G) by one LAPACK solve, certified by
+    certify_top."""
     if g.n < 1:
         raise ValueError("alpha_index needs at least one vertex")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     m = alpha_matrix(g, alpha)
-    w, vecs, sweeps = jacobi_eigh(m)
-    rho = float(w[-1])
-    x = vecs[:, -1].copy()
-    # orient so the dominant entry is positive (Perron sign convention)
-    top = int(np.argmax(np.abs(x)))
-    if x[top] < 0:
-        x = -x
-    residual = float(np.linalg.norm(m @ x - rho * x))
-    if residual > tol:
-        raise ConvergenceError("Jacobi result failed residual certification", residual)
-    if cross_check:
-        rho_pi, _, _ = power_iteration(m, shift=alpha * g.n + 1.0, tol=tol)
-        if abs(rho_pi - rho) > 10.0 * tol:
-            raise ConvergenceError(
-                f"Jacobi/power-iteration disagreement {abs(rho_pi - rho):.3e}", residual
-            )
-    return SpectralResult(rho=rho, vector=x, residual=residual, method_iterations=sweeps)
+    w, v = np.linalg.eigh(m)
+    return certify_top(m, w, v, tol)
 
 
 def signless_laplacian_index(g: Graph, tol: float = DEFAULT_TOL) -> float:
     """Largest eigenvalue of D+A, computed as 2*rho_{1/2} and verified directly."""
     q = 2.0 * alpha_index(g, 0.5, tol).rho
-    direct = alpha_matrix(g, 0.5) * 2.0
-    w, _, _ = jacobi_eigh(direct)
-    if abs(q - float(w[-1])) > 2.0 * tol:
-        raise ConvergenceError("signless Laplacian consistency check failed",
-                               abs(q - float(w[-1])))
+    direct = float(np.linalg.eigvalsh(alpha_matrix(g, 0.5) * 2.0)[-1])
+    if abs(q - direct) > 2.0 * tol:
+        raise ConvergenceError("signless Laplacian consistency check failed", abs(q - direct))
     return q
 
 
@@ -252,7 +235,10 @@ def join_quotient_index(n: int, s: int, alpha: float) -> float:
     """Index of K_s joined with n-s independent vertices, from its 2x2 quotient.
 
     Largest root of x^2 - (alpha*n + s - 1)x + (2*alpha*n - alpha*s - alpha
-    - n + s)s, evaluated with the cancellation-safe quadratic form.
+    - n + s)s, evaluated with the cancellation-safe quadratic form.  The
+    discriminant is taken as (p - q)^2 + 4*(1-alpha)^2*s*(n-s), where p and
+    q are the quotient's diagonal entries: b^2 - 4c cancels to a negative
+    number near alpha = 1 when n = s + 1.
     """
     if not n > s >= 1:
         raise ValueError(f"need n > s >= 1, got n={n}, s={s}")
@@ -260,8 +246,11 @@ def join_quotient_index(n: int, s: int, alpha: float) -> float:
         raise ValueError(f"alpha must lie in [0,1], got {alpha}")
     b = -(alpha * n + s - 1.0)
     c = (2.0 * alpha * n - alpha * s - alpha - n + s) * s
-    disc = b * b - 4.0 * c
-    assert disc >= 0.0, f"negative discriminant {disc} for n={n}, s={s}, alpha={alpha}"
+    gap = alpha * (n - 1 - s) + (1.0 - alpha) * (s - 1)
+    disc = gap * gap + 4.0 * (1.0 - alpha) ** 2 * s * (n - s)
+    if not 0.0 <= disc < math.inf:
+        raise InvariantError(f"discriminant {disc} is not a finite nonnegative number "
+                             f"for n={n}, s={s}, alpha={alpha}")
     if b == 0.0:
         return math.sqrt(disc) / 2.0
     qq = -(b + math.copysign(math.sqrt(disc), b)) / 2.0
@@ -334,10 +323,12 @@ class QuotientMatrix:
         scale = np.sqrt(sizes)
         m = self.alpha_weighted(alpha)
         sym = m * scale[:, None] / scale[None, :]
-        assert np.max(np.abs(sym - sym.T)) < 1e-9, "symmetrization failed"
+        asymmetry = float(np.max(np.abs(sym - sym.T)))
+        if not asymmetry < 1e-9:
+            raise NonEquitablePartitionError(
+                f"counts do not symmetrize by the cell sizes (asymmetry {asymmetry:.3e})")
         sym = (sym + sym.T) / 2.0
-        w, _, _ = jacobi_eigh(sym)
-        return float(w[-1])
+        return float(np.linalg.eigvalsh(sym)[-1])
 
 
 def quotient_matrix(g: Graph, cells) -> QuotientMatrix:

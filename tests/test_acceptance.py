@@ -45,7 +45,7 @@ def report(num: int, ok: bool, detail: str, seconds: float) -> None:
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_solver():
-    # first eigensolve triggers the JIT compile; keep it out of the timings
+    # keep the first LAPACK call's set-up out of the timings
     alpha_index(make_complete(3), 0.5)
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -52,6 +53,13 @@ def test_alpha_index_bad_graph6(capsys):
     assert code == 2
 
 
+def test_alpha_index_uncertifiable_tolerance_is_usage_error(capsys):
+    code = main(["alpha-index", "--g6", "Dhc", "--tol", "1e-300"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_minor_check_with_oracle_and_certificates(capsys, tmp_path):
     cert = tmp_path / "cert.json"
     code, out = run(capsys, "minor-check", "--g6", "D~{", "--minor-family", "fs",
@@ -69,10 +77,12 @@ def test_minor_check_with_oracle_and_certificates(capsys, tmp_path):
 
 
 def test_verify_theorem_exit_codes(capsys, tmp_path):
-    code, out = run(capsys, "verify-theorem", "--family", "fs", "--s", "1",
-                    "--n-from", "4", "--n-to", "5", "--alpha", "0.5",
-                    "--require-from", "4")
+    code = main(["verify-theorem", "--family", "fs", "--s", "1", "--n-from", "4",
+                 "--n-to", "5", "--alpha", "0.5", "--require-from", "4"])
+    out, err = capsys.readouterr()
     assert code == 0
+    # a run duration, not the time of day
+    assert re.fullmatch(r"verify-theorem: 2 reports, 0 failures in \d+\.\d\ds\n", err)
     assert out.splitlines()[0] == ("graph6,n,alpha,family,rho,residual,"
                                    "minor_free,matches_construction,unique,ties")
     # every 5-vertex graph avoids the 7-vertex pattern qt(2): K_5 wins

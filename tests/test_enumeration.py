@@ -7,6 +7,7 @@ from alphax import (
     CapacityError,
     Family,
     GraphStream,
+    InvariantError,
     canonical_form,
     edge_density_profile,
     enumerate_graphs,
@@ -14,6 +15,7 @@ from alphax import (
     is_minor_free,
     join_quotient_index,
     make_complete_bipartite,
+    make_path,
     merge_reports,
     minor_closure_oracle,
     parse_graph6,
@@ -23,6 +25,7 @@ from alphax import (
     write_graph6,
 )
 from alphax.canonical import are_isomorphic
+from alphax.enumeration import TieEntry, _finalize_report
 from alphax.graphs import friendship
 
 ALL_GRAPHS = [1, 1, 2, 4, 11, 34, 156, 1044, 12346]       # per order 0..8
@@ -133,6 +136,30 @@ def test_search_matches_closed_form_when_construction_wins():
         if r.matches_construction:
             assert abs(r.max_rho - join_quotient_index(n, 1, 0.5)) <= 1e-9
             assert f_inequality(r.max_rho, n, 1, 0.5)
+
+
+def test_argmax_among_ties_ignores_float_order():
+    # D~_ is the float maximum, D}o (the construction) the smaller graph6
+    ties = [TieEntry("D~_", 3.1861406616346, 0.0), TieEntry("D}o", 3.1861406616345, 0.0)]
+    for candidates in (ties, ties[::-1]):
+        r = _finalize_report(5, 0.5, Family("fs", 2), 34, candidates, 1e-9, 0.0)
+        assert r.argmax_graph6 == "D}o" and r.matches_construction and not r.unique
+        assert r.max_rho == 3.1861406616346
+
+
+def test_search_fs2_n5_half_picks_construction_among_ties():
+    r = search_extremal(5, 0.5, Family("fs", 2))
+    assert [t.graph6 for t in r.ties] == ["D}o", "D~_"]
+    assert r.argmax_graph6 == "D}o"
+    assert r.matches_construction and not r.unique
+    assert abs(r.max_rho - 3.18614066163) < 1e-9
+
+
+def test_search_below_construction_raises():
+    # a stream that claims to be generated but misses the construction
+    stream = GraphStream(order=4, source="generated", graphs=(make_path(4),))
+    with pytest.raises(InvariantError):
+        search_extremal(4, 0.5, Family("fs", 1), stream)
 
 
 def test_merge_matches_unsharded():

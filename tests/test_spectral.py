@@ -5,9 +5,12 @@ import pytest
 
 from alphax import (
     ConvergenceError,
+    InvariantError,
     NonEquitablePartitionError,
+    QuotientMatrix,
     alpha_index,
     alpha_matrix,
+    certify_top,
     disjoint_union,
     enumerate_graphs,
     extremal_fs,
@@ -25,7 +28,6 @@ from alphax import (
     quotient_matrix,
     signless_laplacian_index,
 )
-from alphax.spectral import _jacobi_kernel_py
 from conftest import random_graph
 
 
@@ -71,6 +73,7 @@ def test_result_certificates(rng):
         assert abs(np.linalg.norm(r.vector) - 1.0) < 1e-12
         assert np.linalg.norm(m @ r.vector - r.rho * r.vector) <= 1e-10
         assert -1e-12 <= r.rho <= g.n - 1 + 1e-12
+        assert r.lower <= r.rho <= r.upper and r.upper - r.lower <= 1e-10
 
 
 def test_perron_positive_connected():
@@ -89,11 +92,54 @@ def test_jacobi_kernels_agree_with_numpy(rng):
         w, v, _ = jacobi_eigh(m)
         assert np.allclose(w, np.linalg.eigvalsh(m), atol=1e-9)
         assert np.allclose(v @ np.diag(w) @ v.T, m, atol=1e-9)
-        # pure python fallback kernel reaches the same spectrum
-        a = m.copy()
-        vv = np.eye(n)
-        _jacobi_kernel_py(a, vv, 1e-13 * max(1.0, np.linalg.norm(m)), 60)
-        assert np.allclose(np.sort(np.diag(a)), w, atol=1e-9)
+        assert np.allclose(v.T @ v, np.eye(n), atol=1e-12)
+
+
+def test_alpha_index_agrees_with_independent_solvers(rng):
+    hosts = [random_graph(64, rng.random(), rng)]
+    hosts += [random_graph(rng.randint(1, 64), rng.random(), rng) for _ in range(20)]
+    # disconnected: at alpha = 0 the top component of K_4 + K_{1,5} is K_4,
+    # not the star of larger maximum degree; at alpha = 1/2 the two tie
+    hosts.append(disjoint_union(make_complete(4), make_complete_bipartite(1, 5)))
+    hosts.append(disjoint_union(make_complete(4), make_complete(4)))
+    hosts.append(disjoint_union(random_graph(20, 0.3, rng), random_graph(30, 0.2, rng)))
+    for g in hosts:
+        for a in (0.0, 0.001, 0.5, 0.999, 1.0):
+            m = alpha_matrix(g, a)
+            r = alpha_index(g, a)
+            top = float(np.linalg.eigvalsh(m)[-1])
+            assert abs(r.rho - top) <= 1e-9
+            assert r.lower <= top <= r.upper
+            assert r.upper - r.lower <= 1e-12 * max(1.0, r.rho)
+            if a == 0.999:
+                # top gaps of order (1 - alpha)^2 leave power iteration far
+                # from 1e-10 after 200k steps; Jacobi is the LAPACK-free oracle
+                oracle = float(jacobi_eigh(m)[0][-1])
+            else:
+                oracle = power_iteration(m, shift=1.0)[0]
+            assert abs(r.rho - oracle) <= 1e-9
+
+
+def test_certificate_rejects_corrupted_decompositions(rng):
+    g = random_graph(12, 0.5, rng)
+    m = alpha_matrix(g, 0.3)
+    w, v = np.linalg.eigh(m)
+    r = certify_top(m, w, v, 1e-10)  # positive control
+    assert r.lower <= r.rho <= r.upper
+    bad_top_value = w.copy()
+    bad_top_value[-1] += 1e-7
+    bad_low_value = w.copy()  # top pair intact: only the Bauer-Fike bound sees it
+    bad_low_value[0] -= 1e-7
+    bad_top_vector = v.copy()
+    bad_top_vector[:, -1] += 1e-7 * np.array([rng.gauss(0, 1) for _ in range(12)])
+    missed_top = v.copy()  # the top pair replaced by a copy of the next one
+    missed_top[:, -1] = v[:, -2]
+    missed_w = w.copy()
+    missed_w[-1] = w[-2]
+    for ww, vv in ((bad_top_value, v), (bad_low_value, v), (w, bad_top_vector),
+                   (w, v[:, 1:]), (w[1:], v[:, 1:]), (missed_w, missed_top)):
+        with pytest.raises(ConvergenceError):
+            certify_top(m, ww, vv, 1e-10)
 
 
 def test_power_iteration_cross_checks(rng):
@@ -162,6 +208,14 @@ def test_join_quotient_index_hand_values():
         join_quotient_index(3, 3, 0.5)
 
 
+def test_join_quotient_index_near_alpha_one():
+    # b^2 - 4c cancelled to a negative discriminant here
+    for k in (20, 27, 40):
+        assert join_quotient_index(2, 1, 1.0 - 2.0 ** -k) == 1.0
+    with pytest.raises(InvariantError):
+        join_quotient_index(math.inf, 1, 0.5)
+
+
 def test_f_inequality():
     with pytest.raises(ValueError):
         f_inequality(1.0, 5, 1, 0.0)
@@ -205,6 +259,13 @@ def test_quotient_matrix_join_partitions():
     g = extremal_qt(10, 2)
     q = quotient_matrix(g, [tuple(range(2)), tuple(range(2, 10))])
     assert abs(q.alpha_index(0.6) - alpha_index(g, 0.6).rho) < 1e-9
+
+
+def test_quotient_symmetrization_failure_raises():
+    # counts no equitable partition into cells of sizes 1 and 2 can have
+    q = QuotientMatrix(cells=((0,), (1, 2)), counts=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(NonEquitablePartitionError):
+        q.alpha_index(0.5)
 
 
 def test_quotient_matrix_errors():
