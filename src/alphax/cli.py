@@ -60,7 +60,6 @@ from .spectral import (
     ConvergenceError,
     InvariantError,
     alpha_index,
-    alpha_matrix,
     join_quotient_index,
     nikiforov_lower_bound,
     signless_laplacian_index,
@@ -155,21 +154,23 @@ def _usage_error(message: str):
 def cmd_alpha_index(args) -> int:
     graphs = _load_graphs(args)
     alphas = _parse_alphas(args.alpha)
+    header = ["graph6", "n", "alpha", "rho", "residual"]
+    if args.signless_laplacian:
+        header.append("q")
+    # every row is computed before the output is opened, so an error
+    # leaves no truncated CSV behind
+    rows = []
+    for g in graphs:
+        g6 = write_graph6(g)
+        q = [_fmt(signless_laplacian_index(g, tol=args.tol))] if args.signless_laplacian else []
+        for a in alphas:
+            r = alpha_index(g, a, tol=args.tol)
+            rows.append([g6, str(g.n), _fmt(a), _fmt(r.rho), _fmt(r.residual)] + q)
     out, close = _out_stream(args.out)
     try:
         writer = csv.writer(out, lineterminator="\n")
-        header = ["graph6", "n", "alpha", "rho", "residual"]
-        if args.signless_laplacian:
-            header.append("q")
         writer.writerow(header)
-        for g in graphs:
-            g6 = write_graph6(g)
-            for a in alphas:
-                r = alpha_index(g, a, tol=args.tol)
-                row = [g6, str(g.n), _fmt(a), _fmt(r.rho), _fmt(r.residual)]
-                if args.signless_laplacian:
-                    row.append(_fmt(signless_laplacian_index(g, tol=args.tol)))
-                writer.writerow(row)
+        writer.writerows(rows)
     finally:
         if close:
             out.close()
@@ -327,7 +328,8 @@ def cmd_verify_theorem(args) -> int:
     reports: list[SearchReport] = []
     for group_start in range(0, len(items), shards):
         parts = results[group_start:group_start + shards]
-        reports.append(parts[0] if shards == 1 else merge_reports(parts))
+        reports.append(parts[0] if shards == 1
+                       else merge_reports(parts, source=args.graphs or "generated"))
 
     out, close = _out_stream(args.csv)
     try:
@@ -408,15 +410,29 @@ def _suite_nikiforov(grid_n: int):
     return checks, bad, first, ""
 
 
+def _line_graph_index(g: Graph) -> float:
+    """Largest adjacency eigenvalue of the line graph L(G); G needs an edge."""
+    ends = [1 << u | 1 << v for u, v in g.edges()]
+    a = np.zeros((len(ends), len(ends)))
+    for i, e in enumerate(ends):
+        for j in range(i):
+            if e & ends[j]:  # the two edges share an endpoint
+                a[i, j] = a[j, i] = 1.0
+    return float(np.linalg.eigvalsh(a)[-1])
+
+
 def _suite_signless(max_n: int):
+    # Q = D + A = R R^T and R^T R = 2I + A(L(G)) for the vertex-edge
+    # incidence matrix R, so q = 2 + lambda_max(A(L(G))) when G has an edge
     checks = 0
     bad = 0
     first = None
     worst = 0.0
     for n in range(1, max_n + 1):
         for g in enumerate_graphs(n):
-            q = 2.0 * alpha_index(g, 0.5).rho
-            diff = abs(q - float(np.linalg.eigvalsh(alpha_matrix(g, 0.5) * 2.0)[-1]))
+            q = signless_laplacian_index(g)
+            want = 2.0 + _line_graph_index(g) if g.edge_count() else 0.0
+            diff = abs(q - want)
             worst = max(worst, diff)
             checks += 1
             if diff > 2e-10:

@@ -4,10 +4,12 @@ search over minor-free families.
 Generation extends each (n-1)-vertex representative by one new vertex per
 neighborhood mask and accepts a child only when the new vertex lies in the
 orbit of the canonically-last vertex, so each isomorphism class appears
-through exactly one parent class.  Children of the same parent that
-collide are deduplicated by canonical form, keeping the smallest mask as
-the representative.  Counts are pinned to the published sequences in the
-tests.
+through exactly one parent class.  That orbit lies among the vertices of
+minimum degree (see canonical), so a child whose new vertex has a larger
+degree than some other vertex is rejected before its canonical form is
+computed.  Children of the same parent that collide are deduplicated by
+canonical form, keeping the smallest mask as the representative.  Counts
+are pinned to the published sequences in the tests.
 """
 
 from __future__ import annotations
@@ -83,10 +85,15 @@ def _generate_level(n: int) -> tuple[Graph, ...]:
     else:
         out = []
         for parent in _generate_level(n - 1):
+            degrees = parent.degrees()
             accepted: dict[bytes, Graph] = {}
             for mask in range(1 << (n - 1)):
+                # the new vertex must have minimum degree in the child
+                new_degree = mask.bit_count()
+                if any(d + (mask >> v & 1) < new_degree for v, d in enumerate(degrees)):
+                    continue
                 child = parent.add_vertex(mask)
-                cbytes, last_orbit, _ = canonical_data(child)
+                cbytes, last_orbit = canonical_data(child)
                 if n - 1 in last_orbit and cbytes not in accepted:
                     object.__setattr__(child, "_canon", cbytes)
                     accepted[cbytes] = child
@@ -274,12 +281,14 @@ def search_extremal(n: int, alpha: float, family: Family,
     return report
 
 
-def merge_reports(parts: list[SearchReport], tie_tol: float = TIE_TOL) -> SearchReport:
+def merge_reports(parts: list[SearchReport], tie_tol: float = TIE_TOL,
+                  source: str = "generated") -> SearchReport:
     """Associative merge of shard reports for the same (n, alpha, family).
 
     Graph and minor-free counts are summed over all parts.  A part with no
     minor-free graph has no ties and so takes no part in the argmax; if no
-    part has one, ValueError is raised."""
+    part has one, ValueError is raised, naming the stream ``source`` the
+    parts were read from."""
     if not parts:
         raise ValueError("nothing to merge")
     head = parts[0]
@@ -287,10 +296,11 @@ def merge_reports(parts: list[SearchReport], tie_tol: float = TIE_TOL) -> Search
         if (p.n, p.alpha, p.family) != (head.n, head.alpha, head.family):
             raise ValueError("cannot merge reports for different (n, alpha, family)")
     candidates = [e for p in parts for e in p.ties]
-    if not candidates:
-        raise ValueError(f"no {head.family}-minor-free graph in any of the "
-                         f"{len(parts)} parts at n={head.n}")
     total = sum(p.total_graphs for p in parts)
+    if not candidates:
+        raise ValueError(f"stream {source!r} of order {head.n} holds no "
+                         f"{head.family}-minor-free graph ({total} graphs read "
+                         f"in {len(parts)} shards)")
     minor_free = sum(p.minor_free_count for p in parts)
     wall = sum(p.wall_time for p in parts)
     merged = _finalize_report(head.n, head.alpha, Family.parse(head.family),

@@ -220,12 +220,8 @@ def alpha_index(g: Graph, alpha: float, tol: float = DEFAULT_TOL) -> SpectralRes
 
 
 def signless_laplacian_index(g: Graph, tol: float = DEFAULT_TOL) -> float:
-    """Largest eigenvalue of D+A, computed as 2*rho_{1/2} and verified directly."""
-    q = 2.0 * alpha_index(g, 0.5, tol).rho
-    direct = float(np.linalg.eigvalsh(alpha_matrix(g, 0.5) * 2.0)[-1])
-    if abs(q - direct) > 2.0 * tol:
-        raise ConvergenceError("signless Laplacian consistency check failed", abs(q - direct))
-    return q
+    """Largest eigenvalue of D+A = 2*A_{1/2}, as twice the certified rho_{1/2}."""
+    return 2.0 * alpha_index(g, 0.5, tol).rho
 
 
 # -- closed forms -------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 
 from alphax import (
     Graph,
+    enumerate_graphs,
     are_isomorphic,
     canonical_form,
     canonical_graph,
@@ -29,6 +30,17 @@ def brute_force_key(g: Graph) -> tuple:
         if best is None or key < best:
             best = key
     return best
+
+
+def _uncached(g: Graph) -> Graph:
+    # a copy without the canonical form cached on it, so the next
+    # canonical_form call runs the search again
+    return Graph.from_rows(g.n, g.rows)
+
+
+def _random_graphs(rng, count, max_n):
+    for _ in range(count):
+        yield random_graph(rng.randint(0, max_n), rng.random(), rng)
 
 
 def test_p4_labelings_single_form():
@@ -82,9 +94,30 @@ def test_canonical_graph_is_stable_relabeling(rng):
         assert are_isomorphic(g, h)
         assert canonical_graph(g) == canonical_graph(h)
         assert are_isomorphic(canonical_graph(g), g)
+    for g in _random_graphs(rng, 80, 12):
+        base = canonical_graph(g)
+        for _ in range(4):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_graph(g.relabel(perm)) == base
 
 
 def test_empty_and_tiny():
     assert canonical_form(Graph(0)) == canonical_form(Graph(0))
     assert canonical_form(Graph(1)) != canonical_form(Graph(0))
     assert canonical_form(Graph(2)) != canonical_form(make_complete(2))
+
+
+def test_canonical_graph_is_a_fixed_point(rng):
+    graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    for g in graphs + list(_random_graphs(rng, 200, 12)):
+        h = canonical_graph(_uncached(g))
+        assert canonical_graph(_uncached(h)) == h
+
+
+def test_canonical_graph_decodes_to_the_same_form(rng):
+    for g in _random_graphs(rng, 300, 12):
+        h = canonical_graph(g)
+        assert canonical_form(_uncached(h)) == canonical_form(_uncached(g))
+        assert h.edge_count() == g.edge_count()
+        assert sorted(h.degrees()) == sorted(g.degrees())

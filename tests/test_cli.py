@@ -4,6 +4,7 @@ import re
 import pytest
 
 from alphax import are_isomorphic, friendship, make_complete_bipartite, parse_graph6, validate_model
+from alphax import cli
 from alphax.cli import main
 from alphax.minors import MinorModel
 
@@ -53,11 +54,39 @@ def test_alpha_index_bad_graph6(capsys):
     assert code == 2
 
 
-def test_alpha_index_uncertifiable_tolerance_is_usage_error(capsys):
+def test_alpha_index_uncertifiable_tolerance_is_usage_error(capsys, tmp_path):
     code = main(["alpha-index", "--g6", "Dhc", "--tol", "1e-300"])
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""  # no header, no partial rows
+    path = tmp_path / "rows.csv"
+    code = main(["alpha-index", "--g6", "C~", "--g6", "Dhc", "--tol", "1e-300",
+                 "--out", str(path)])
+    assert code == 2 and not path.exists()
+
+
+def test_alpha_index_signless_once_per_graph(capsys, monkeypatch):
+    calls = []
+    original = cli.signless_laplacian_index
+
+    def counted(g, tol):
+        calls.append(g)
+        return original(g, tol=tol)
+
+    monkeypatch.setattr(cli, "signless_laplacian_index", counted)
+    code, out = run(capsys, "alpha-index", "--g6", "Dhc", "--g6", "C~",
+                    "--alpha", "0.1,0.5,0.9", "--signless-laplacian")
+    assert code == 0 and len(calls) == 2
+    q = [line.split(",")[-1] for line in out.strip().splitlines()[1:]]
+    assert q == ["4"] * 3 + ["6"] * 3
+
+
+def test_signless_suite_rejects_a_wrong_index(monkeypatch):
+    assert cli._suite_signless(4)[:3] == (18, 0, None)
+    monkeypatch.setattr(cli, "signless_laplacian_index", lambda g: g.edge_count() / 2)
+    checks, bad, first, _ = cli._suite_signless(4)
+    assert checks == 18 and bad > 0 and first is not None
 
 
 def test_minor_check_with_oracle_and_certificates(capsys, tmp_path):
@@ -115,6 +144,16 @@ def test_verify_theorem_no_minor_free_graph_is_usage_error(capsys, tmp_path):
     path.write_text("Bw\n")  # K_3 contains fs(1) = K_3
     code = main(["verify-theorem", "--family", "fs", "--s", "1", "--n-from", "3",
                  "--n-to", "3", "--alpha", "0.5", "--graphs", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "fs(1)" in err and "triangle.g6" in err
+
+
+def test_verify_theorem_sharded_file_without_minor_free_graph_names_it(capsys, tmp_path):
+    path = tmp_path / "triangle.g6"
+    path.write_text("Bw\n")
+    code = main(["verify-theorem", "--family", "fs", "--s", "1", "--n-from", "3",
+                 "--n-to", "3", "--alpha", "0.5", "--graphs", str(path), "--shards", "2"])
     err = capsys.readouterr().err
     assert code == 2
     assert "fs(1)" in err and "triangle.g6" in err

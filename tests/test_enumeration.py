@@ -24,7 +24,7 @@ from alphax import (
     stream_from_graph6_file,
     write_graph6,
 )
-from alphax.canonical import are_isomorphic
+from alphax.canonical import are_isomorphic, canonical_data
 from alphax.enumeration import TieEntry, _finalize_report
 from alphax.graphs import friendship
 
@@ -32,10 +32,26 @@ ALL_GRAPHS = [1, 1, 2, 4, 11, 34, 156, 1044, 12346]       # per order 0..8
 CONNECTED_GRAPHS = [1, 1, 1, 2, 6, 21, 112, 853, 11117]
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_counts_match_published(n):
     assert len(enumerate_graphs(n)) == ALL_GRAPHS[n]
     assert len(enumerate_graphs(n, connected_only=True)) == CONNECTED_GRAPHS[n]
+
+
+def test_degree_pretest_is_sound():
+    # generation skips a child whose new vertex has a larger degree than
+    # some other vertex; the canonical search must never put such a
+    # vertex in the last orbit, or the skip would lose classes
+    children = rejected = 0
+    for n in range(2, 8):
+        for parent in enumerate_graphs(n - 1):
+            for mask in range(1 << (n - 1)):
+                child = parent.add_vertex(mask)
+                children += 1
+                if child.degree(n - 1) > min(child.degrees()):
+                    rejected += 1
+                    assert n - 1 not in canonical_data(child)[1]
+    assert (children, rejected) == (11290, 8159)
 
 
 def test_no_duplicate_classes():
@@ -192,6 +208,8 @@ def test_merge_skips_shard_without_minor_free_graph():
         direct, wall_time=0.0)
     with pytest.raises(ValueError, match=r"fs\(1\)"):
         merge_reports([empty, empty])
+    with pytest.raises(ValueError, match=r"'hosts\.g6' of order 6 .*\(24 graphs read in 2 shards"):
+        merge_reports([empty, empty], source="hosts.g6")
 
 
 def test_minor_free_cache_consistency():
