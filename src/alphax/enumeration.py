@@ -26,7 +26,7 @@ from .spectral import TIE_TOL, InvariantError, alpha_index
 MAX_GENERATED_ORDER = 9
 
 _LEVELS: dict[int, tuple[Graph, ...]] = {}
-_MINOR_FREE_CACHE: dict[tuple[str, bytes], bool] = {}
+_MINOR_FREE_CACHE: dict[tuple[str, int, tuple[int, ...]], bool] = {}
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,11 @@ class Family:
 
 
 def is_minor_free(g: Graph, family: Family, node_cap: int = DEFAULT_NODE_CAP) -> bool:
-    """Family predicate with a canonical-form verdict cache (shared across
-    alpha values and repeated searches)."""
-    key = (str(family), canonical_form(g))
+    """Family predicate with a verdict cache keyed on the labelled graph
+    (shared across alpha values and repeated searches over the same
+    graphs).  An isomorphic copy under other labels is searched again,
+    which costs less than a canonical form for every host."""
+    key = (str(family), g.n, g.rows)
     hit = _MINOR_FREE_CACHE.get(key)
     if hit is None:
         hit = not has_minor(g, family.pattern(), node_cap).contains

@@ -194,21 +194,23 @@ class Graph:
         return seen == self.vertex_mask()
 
     def component_masks(self) -> list[int]:
-        remaining = self.vertex_mask()
-        comps = []
-        while remaining:
-            start = remaining & -remaining
-            seen = start
-            frontier = start
-            while frontier:
-                grow = 0
-                for v in bits(frontier):
-                    grow |= self.rows[v]
-                frontier = grow & remaining & ~seen
-                seen |= frontier
-            comps.append(seen)
-            remaining &= ~seen
-        return comps
+        return component_masks_within(self.rows, self.vertex_mask())
+
+
+def component_masks_within(rows: Sequence[int], mask: int) -> list[int]:
+    """Vertex masks of the connected components of the graph induced on mask."""
+    comps = []
+    while mask:
+        seen = frontier = mask & -mask
+        while frontier:
+            grow = 0
+            for v in bits(frontier):
+                grow |= rows[v]
+            frontier = grow & mask & ~seen
+            seen |= frontier
+        comps.append(seen)
+        mask &= ~seen
+    return comps
 
 
 # -- constructors -----------------------------------------------------

@@ -4,22 +4,51 @@ closure oracle, and structural checks on minor-free graphs.
 has_minor searches for a minor model directly: each H-vertex receives a
 connected branch set of G, branch sets are pairwise disjoint, and every
 H-edge must be realized by a G-edge between the corresponding sets.  The
-search is exhaustive (correctness over speed at desk scale); the only
-prunes are sound ones: leftover-vertex counting, the out-edge count of a
-candidate branch set, reachability of still-untouched neighbor sets, and
-a min-vertex ordering constraint between interchangeable (twin) H-vertices.
+search is exhaustive (correctness over speed at desk scale).  Its prunes
+are sound ones: leftover-vertex counting, reachability of still-untouched
+neighbor sets, and symmetry breaking.  It runs only on the parts of G
+that can hold the pattern.  Each reduction is decided from the pattern
+alone, by a plan built once per pattern:
+
+- 2-core, when H has minimum degree >= 2: a leaf of G alone would give
+  its H-vertex degree <= 1, and inside a larger branch set it touches no
+  other set and can leave without disconnecting its own.
+- blocks, when H is 2-connected: a cut vertex c of G inside branch set
+  B_x would make x a cut vertex of H if whole branch sets lay on both
+  sides of c, so all other sets lie on one side, and the part of B_x
+  beyond c can be dropped; what remains lies in one block.
+- components, when H is connected: the branch sets and the edges that
+  realize H form one connected subgraph of G.
+- size: a piece with fewer vertices or edges than H cannot hold it.
+- twins: branch sets of interchangeable H-vertices (swapping them is an
+  automorphism) are taken in ascending order of their roots.
+- Aut(H): only root tuples that are lex-minimal in their orbit under
+  the stabilizer of the assigned prefix are explored.
+- Aut(G): the first root ranges over one vertex per discovered orbit of
+  the piece, but only when every automorphism of H fixes the first
+  embedding position (the centre of F_s and Q_t, s, t >= 2).  Then a
+  host automorphism moves any model's first root onto its orbit's
+  representative, and a pattern automorphism, which keeps position 0,
+  brings the model into the form the twin and lex-min constraints admit.
+  For vertex-transitive patterns (K_3, C_4) the pattern automorphism may
+  move the first root again, and the combination is unsound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
+from typing import Iterator
 
 from .canonical import canonical_form
-from .graphs import Graph, bits, friendship, mask_of, quadrangle_book
+from .graphs import Graph, bits, component_masks_within, friendship, mask_of, quadrangle_book
 
 DEFAULT_NODE_CAP = 100_000_000
 MAX_MINOR_ORDER = 12
+# hosts below this order are searched without their Aut(G) orbits: the
+# search tree is too small to repay the automorphism set-up
+HOST_ORBIT_ORDER = 10
 
 
 class SearchLimitError(RuntimeError):
@@ -66,43 +95,36 @@ def _embedding_order(h: Graph) -> list[int]:
     return order
 
 
-def _automorphisms(h: Graph, cap: int = 10_000) -> list[list[int]]:
-    """All automorphisms of h (as vertex permutations), up to a count cap.
+def _automorphisms(h: Graph) -> Iterator[list[int]]:
+    """All automorphisms of h (as vertex permutations), generated lazily.
 
-    Backtracking over degree-compatible images; any subset of Aut(h) yields
-    sound symmetry pruning, so hitting the cap only costs speed.
+    Backtracking over degree-compatible images in embedding order.  The
+    first-ordered vertex tries itself as its image last, so the first
+    automorphism yielded moves it unless every automorphism fixes it.
+    Any subset of Aut(h) yields sound symmetry pruning, so callers may
+    stop early at the cost of speed only.
     """
     n = h.n
     degs = h.degrees()
     order = _embedding_order(h)
-    found: list[list[int]] = []
     image = [-1] * n
 
-    def extend(i: int, used: int) -> bool:
-        if len(found) >= cap:
-            return True
+    def extend(i: int, used: int) -> Iterator[list[int]]:
         if i == n:
-            found.append(image.copy())
-            return len(found) >= cap
+            yield image.copy()
+            return
         v = order[i]
-        for w in range(n):
+        targets = range(n) if i else [w for w in range(n) if w != v] + [v]
+        for w in targets:
             if used >> w & 1 or degs[w] != degs[v]:
                 continue
-            ok = True
-            for j in range(i):
-                u = order[j]
-                if (h.rows[v] >> u & 1) != (h.rows[w] >> image[u] & 1):
-                    ok = False
-                    break
-            if ok:
+            if all((h.rows[v] >> order[j] & 1) == (h.rows[w] >> image[order[j]] & 1)
+                   for j in range(i)):
                 image[v] = w
-                if extend(i + 1, used | 1 << w):
-                    return True
+                yield from extend(i + 1, used | 1 << w)
                 image[v] = -1
-        return False
 
-    extend(0, 0)
-    return found
+    yield from extend(0, 0)
 
 
 def _twin_classes(h: Graph) -> list[int]:
@@ -131,39 +153,90 @@ def _twin_classes(h: Graph) -> list[int]:
     return [find(v) for v in range(h.n)]
 
 
-def has_minor(g: Graph, h: Graph, node_cap: int = DEFAULT_NODE_CAP) -> MinorVerdict:
-    """Exact test whether h is a minor of g, with a validating certificate.
+# -- host pieces ----------------------------------------------------------
 
-    H-vertices are assigned single-vertex branch sets (roots) in descending
-    degree order; branch sets grow lazily, only when an H-edge between two
-    assigned sets is not yet realized.  A missing edge is realized by a
-    simple connector path through unused vertices, whose prefix joins one
-    side and suffix the other, so total growth is bounded by the vertex
-    slack |V(G)| - |V(H)|.
-    """
-    if h.n > MAX_MINOR_ORDER:
-        raise ValueError(f"minor pattern order {h.n} exceeds limit {MAX_MINOR_ORDER}")
-    if h.n == 0:
-        return MinorVerdict(True, MinorModel(()), 0)
-    if h.n > g.n or h.edge_count() > g.edge_count():
-        return MinorVerdict(False, None, 0)
 
+def _two_core(rows, mask: int) -> int:
+    """The vertices of mask left after repeatedly deleting those with
+    fewer than two neighbors in mask."""
+    while True:
+        low = 0
+        for v in bits(mask):
+            if (rows[v] & mask).bit_count() < 2:
+                low |= 1 << v
+        if not low:
+            return mask
+        mask &= ~low
+
+
+def _blocks(rows, mask: int) -> list[int]:
+    """Vertex masks of the blocks with at least one edge of the graph
+    induced on mask (Hopcroft-Tarjan low points)."""
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    blocks: list[int] = []
+
+    def visit(v: int, parent: int) -> None:
+        disc[v] = low[v] = len(disc)
+        stack.append(v)
+        for w in bits(rows[v] & mask):
+            if w not in disc:
+                visit(w, v)
+                low[v] = min(low[v], low[w])
+                if low[w] >= disc[v]:  # v separates w's subtree: pop a block
+                    block = 1 << v
+                    while True:
+                        x = stack.pop()
+                        block |= 1 << x
+                        if x == w:
+                            break
+                    blocks.append(block)
+            elif w != parent:
+                low[v] = min(low[v], disc[w])
+
+    for v in bits(mask):
+        if v not in disc:
+            visit(v, -1)
+            stack.pop()
+    return blocks
+
+
+# -- pattern plan ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _PatternPlan:
+    """Everything the search needs from the pattern, in embedding order."""
+
+    order: tuple[int, ...]
+    earlier: tuple[tuple[int, ...], ...]  # earlier H-neighbors of each position
+    twin_earlier: tuple[tuple[int, ...], ...]  # earlier positions of its twin class
+    stabilizers: tuple[tuple[tuple[int, ...], ...], ...]  # checkable at each position
+    min_degree_2: bool
+    connected: bool
+    biconnected: bool
+    fixes_first: bool  # every automorphism of H fixes position 0
+
+
+@lru_cache(maxsize=64)
+def _pattern_plan(h: Graph) -> _PatternPlan:
     k = h.n
     order = _embedding_order(h)
     pos_of = {v: i for i, v in enumerate(order)}
-    earlier = [[pos_of[u] for u in bits(h.rows[v]) if pos_of[u] < i]
-               for i, v in enumerate(order)]
+    earlier = tuple(tuple(pos_of[u] for u in bits(h.rows[v]) if pos_of[u] < i)
+                    for i, v in enumerate(order))
     twin = _twin_classes(h)
-    twin_earlier = [[j for j in range(i) if twin[order[j]] == twin[order[i]]]
-                    for i in range(k)]
+    twin_earlier = tuple(tuple(j for j in range(i) if twin[order[j]] == twin[order[i]])
+                         for i in range(k))
 
     # Aut(H) symmetry breaking: explore only assignments whose root tuple
     # is lex-minimal in its orbit.  A position permutation becomes
     # checkable once it stabilizes the assigned prefix.
-    stabilizers: list[list[list[int]]] = [[] for _ in range(k)]
-    for sigma in _automorphisms(h):
-        tau = [pos_of[sigma[order[i]]] for i in range(k)]
-        if tau == list(range(k)):
+    stabilizers: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
+    for sigma in islice(_automorphisms(h), 10_000):
+        tau = tuple(pos_of[sigma[order[i]]] for i in range(k))
+        if tau == tuple(range(k)):
             continue
         top = -1
         for i in range(k):
@@ -171,18 +244,90 @@ def has_minor(g: Graph, h: Graph, node_cap: int = DEFAULT_NODE_CAP) -> MinorVerd
             if top == i:
                 stabilizers[i].append(tau)
 
+    full = h.vertex_mask()
+    connected = h.is_connected()
+    return _PatternPlan(
+        order=tuple(order),
+        earlier=earlier,
+        twin_earlier=twin_earlier,
+        stabilizers=tuple(tuple(s) for s in stabilizers),
+        min_degree_2=min(h.degrees()) >= 2,
+        connected=connected,
+        biconnected=k >= 3 and connected and _blocks(h.rows, full) == [full],
+        fixes_first=next(_automorphisms(h))[order[0]] == order[0],
+    )
+
+
+def _host_pieces(g: Graph, plan: _PatternPlan) -> list[int]:
+    """Vertex masks of the parts of g that the search must visit."""
+    mask = g.vertex_mask()
+    if plan.min_degree_2:
+        mask = _two_core(g.rows, mask)
+    if plan.biconnected:
+        return _blocks(g.rows, mask)
+    if plan.connected:
+        return component_masks_within(g.rows, mask)
+    return [mask]
+
+
+def has_minor(g: Graph, h: Graph, node_cap: int = DEFAULT_NODE_CAP) -> MinorVerdict:
+    """Exact test whether h is a minor of g, with a validating certificate.
+
+    Each piece of g that is large enough (see the module docstring) is
+    searched in turn, and a model found in one is mapped back to g's
+    labels.  node_cap bounds the nodes explored over all pieces, which
+    nodes_explored sums.
+    """
+    if h.n > MAX_MINOR_ORDER:
+        raise ValueError(f"minor pattern order {h.n} exceeds limit {MAX_MINOR_ORDER}")
+    if h.n == 0:
+        return MinorVerdict(True, MinorModel(()), 0)
+    h_edges = h.edge_count()
+    if h.n > g.n or h_edges > g.edge_count():
+        return MinorVerdict(False, None, 0)
+
+    plan = _pattern_plan(h)
+    nodes = 0
+    for mask in _host_pieces(g, plan):
+        keep = list(bits(mask))
+        if len(keep) < h.n:
+            continue
+        if sum((g.rows[v] & mask).bit_count() for v in keep) < 2 * h_edges:
+            continue
+        piece = g if mask == g.vertex_mask() else g.induced(keep)
+        branch, nodes = _search(piece, plan, nodes, node_cap)
+        if branch is not None:
+            sets = [frozenset()] * h.n
+            for i, v in enumerate(plan.order):
+                sets[v] = frozenset(keep[x] for x in bits(branch[i]))
+            return MinorVerdict(True, MinorModel(tuple(sets)), nodes)
+    return MinorVerdict(False, None, nodes)
+
+
+def _search(g: Graph, plan: _PatternPlan, nodes: int,
+            node_cap: int) -> tuple[list[int] | None, int]:
+    """Search g for a model of the planned pattern, counting on from nodes.
+
+    H-vertices are assigned single-vertex branch sets (roots) in embedding
+    order; branch sets grow lazily, only when an H-edge between two
+    assigned sets is not yet realized.  A missing edge is realized by a
+    simple connector path through unused vertices, whose prefix joins one
+    side and suffix the other, so total growth is bounded by the vertex
+    slack |V(G)| - |V(H)|.  Returns the branch masks by position, or None,
+    and the node count.
+    """
+    k = len(plan.order)
+    earlier, twin_earlier, stabilizers = plan.earlier, plan.twin_earlier, plan.stabilizers
     rows = g.rows
     full = g.vertex_mask()
     branch = [0] * k
     nbr = [0] * k  # neighborhood mask of each branch set
     roots = [0] * k
-    nodes = 0
 
     # Host-side symmetry: the first root only needs one representative per
-    # discovered Aut(G) vertex orbit.  Worth the setup cost only when the
-    # host is large enough for the search tree to dominate.
+    # discovered Aut(G) vertex orbit (sound only when Aut(H) fixes it).
     first_root_mask = full
-    if g.n >= 10:
+    if plan.fixes_first and g.n >= HOST_ORBIT_ORDER:
         orbit = list(range(g.n))
 
         def orep(x):
@@ -191,7 +336,7 @@ def has_minor(g: Graph, h: Graph, node_cap: int = DEFAULT_NODE_CAP) -> MinorVerd
                 x = orbit[x]
             return x
 
-        for sigma in _automorphisms(g, cap=3000):
+        for sigma in islice(_automorphisms(g), 3000):
             for v, w in enumerate(sigma):
                 a, b = orep(v), orep(w)
                 if a != b:
@@ -297,12 +442,7 @@ def has_minor(g: Graph, h: Graph, node_cap: int = DEFAULT_NODE_CAP) -> MinorVerd
         return False
 
     found = assign(0, 0)
-    if not found:
-        return MinorVerdict(False, None, nodes)
-    sets = [frozenset()] * k
-    for i, v in enumerate(order):
-        sets[v] = frozenset(bits(branch[i]))
-    return MinorVerdict(True, MinorModel(tuple(sets)), nodes)
+    return (branch if found else None), nodes
 
 
 def validate_model(g: Graph, h: Graph, model: MinorModel) -> bool:

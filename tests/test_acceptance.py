@@ -30,6 +30,7 @@ from alphax import (
     nikiforov_lower_bound,
     quadrangle_book,
     search_extremal,
+    validate_model,
     write_graph6,
 )
 from alphax.cli import main as cli_main
@@ -129,8 +130,20 @@ def test_c05_construction_minor_freeness():
             assert not has_minor(extremal_fs(n, p), friendship(p)).contains, (n, p)
             assert not has_minor(extremal_qt(n, p), quadrangle_book(p)).contains, (n, p)
             checked += 2
+    # positive controls where the host-side orbit reduction is active: one
+    # edge inside the independent part, or one joining two matching edges,
+    # creates the minor, so a search answering "free" everywhere fails here
+    controls = 0
+    for p in (1, 2, 3):
+        for n in range(10, 13):
+            for g, h in ((extremal_fs(n, p).with_edge(p, p + 1), friendship(p)),
+                         (extremal_qt(n, p).with_edge(p + 1, p + 2), quadrangle_book(p))):
+                v = has_minor(g, h)
+                assert v.contains and validate_model(g, h, v.model), (n, p, h.n)
+                controls += 1
     dt = time.perf_counter() - t0
-    report(5, True, f"{checked} extremal constructions are minor-free", dt)
+    report(5, True, f"{checked} extremal constructions are minor-free, "
+                    f"{controls} one-edge extensions are not", dt)
 
 
 def _theorem_sweep(num: int, family: Family, ns: range, budget: float):

@@ -15,6 +15,7 @@ from alphax import (
     has_minor,
     is_fs_minor_free,
     is_qt_minor_free,
+    join,
     make_complete,
     make_complete_bipartite,
     make_cycle,
@@ -26,6 +27,8 @@ from alphax import (
     validate_model,
     write_graph6,
 )
+from alphax import minors
+from alphax.graphs import MAX_VERTICES, disjoint_union
 from conftest import random_graph
 
 PATTERNS = [
@@ -150,6 +153,28 @@ def test_node_cap_raises():
         has_minor(extremal_qt(12, 3), quadrangle_book(3), node_cap=500)
 
 
+def test_node_cap_bounds_the_total_over_all_pieces():
+    # each copy is searched as its own component, under the cap alone and
+    # over it together
+    h = friendship(2)
+    one = extremal_fs(9, 2)
+    nodes = has_minor(one, h).nodes_explored
+    assert nodes > 0
+    cap = nodes + nodes // 2
+    assert not has_minor(one, h, node_cap=cap).contains
+    with pytest.raises(SearchLimitError) as err:
+        has_minor(disjoint_union(one, one), h, node_cap=cap)
+    assert err.value.cap == cap
+
+
+def test_no_piece_large_enough_explores_nothing():
+    # a tree's 2-core is empty; a triangle cactus has no block beyond K_3
+    v = has_minor(make_path(12), make_complete(3))
+    assert not v.contains and v.nodes_explored == 0
+    v = has_minor(extremal_qt(11, 1), make_cycle(4))
+    assert not v.contains and v.nodes_explored == 0
+
+
 def test_search_counters_reported():
     v = has_minor(make_complete(6), make_complete(3))
     assert v.nodes_explored > 0
@@ -235,3 +260,139 @@ def test_clique_completion_preserves_minor_freeness(rng):
                     completed = completed.with_edge(i, j)
         assert is_fs_minor_free(completed, s), (n, s, sorted(g.edges()))
     assert trials == 30
+
+
+# -- host reductions --------------------------------------------------------
+
+
+def test_pattern_plan_flags():
+    for h in (make_complete(3), make_cycle(4)):
+        plan = minors._pattern_plan(h)
+        assert plan.min_degree_2 and plan.connected and plan.biconnected
+        assert not plan.fixes_first
+    for p in (2, 3):
+        for h in (friendship(p), quadrangle_book(p)):
+            plan = minors._pattern_plan(h)
+            assert plan.min_degree_2 and plan.connected
+            assert not plan.biconnected
+            assert plan.fixes_first
+            # no twin or lex-min constraint involves the first root
+            assert all(0 not in twins for twins in plan.twin_earlier)
+            assert all(tau[0] == 0 for taus in plan.stabilizers for tau in taus)
+    assert not minors._pattern_plan(make_path(3)).min_degree_2
+    assert not minors._pattern_plan(make_empty(2)).connected
+
+
+def test_pattern_plan_built_once():
+    minors._pattern_plan.cache_clear()
+    for n in (6, 7, 8):
+        has_minor(make_cycle(n), friendship(2))  # equal patterns, new objects
+    info = minors._pattern_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+@pytest.mark.parametrize("n", range(10, 21))
+def test_cycles_contain_triangle_and_quadrangle(n):
+    # relabelled copies too: which vertex represents an orbit depends on
+    # the labels, and an unsound orbit reduction fails on most of them
+    rng = random.Random(n)
+    hosts = [make_cycle(n)]
+    for _ in range(3):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        hosts.append(make_cycle(n).relabel(perm))
+    for g in hosts:
+        for h in (make_complete(3), make_cycle(4)):
+            v = has_minor(g, h)
+            assert v.contains, (write_graph6(g), h)
+            assert validate_model(g, h, v.model)
+
+
+def _is_forest(g: Graph) -> bool:
+    """K_3-minor-free exactly when acyclic."""
+    return g.edge_count() == g.n - len(g.component_masks())
+
+
+def _is_triangle_cactus(g: Graph) -> bool:
+    """C_4-minor-free exactly when every block is K_2 or K_3, that is, when
+    the triangles are pairwise edge-disjoint and as many as the cycle rank
+    (then they form a basis of the cycle space, so every cycle is one)."""
+    seen = set()
+    for u, v in g.edges():
+        for w in range(v + 1, g.n):
+            if g.has_edge(u, w) and g.has_edge(v, w):
+                for e in ((u, v), (u, w), (v, w)):
+                    if e in seen:
+                        return False
+                    seen.add(e)
+    rank = g.edge_count() - g.n + len(g.component_masks())
+    return len(seen) == 3 * rank
+
+
+def _sparse_host(n: int, extra: int, rng: random.Random) -> Graph:
+    """A random forest on n vertices plus up to `extra` random edges."""
+    edges = {(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.9}
+    for _ in range(extra):
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    return Graph(n, edges)
+
+
+def test_linear_time_oracles_on_known_graphs():
+    assert _is_forest(make_path(5)) and not _is_forest(make_cycle(5))
+    assert _is_triangle_cactus(extremal_qt(9, 1))
+    assert _is_triangle_cactus(make_path(4))
+    assert not _is_triangle_cactus(make_cycle(4))
+    assert not _is_triangle_cactus(make_complete(4))
+    assert not _is_triangle_cactus(friendship(1).with_edge(0, 1).add_vertex(0b110))
+
+
+def test_sparse_hosts_agree_with_linear_time_oracles():
+    rng = random.Random(5)
+    checked = {True: 0, False: 0}
+    for n in range(3, 31):
+        for _ in range(12):
+            g = _sparse_host(n, rng.randrange(5), rng)
+            for h, oracle in ((make_complete(3), _is_forest),
+                              (make_cycle(4), _is_triangle_cactus)):
+                v = has_minor(g, h)
+                assert v.contains == (not oracle(g)), (write_graph6(g), write_graph6(h))
+                if v.contains:
+                    assert validate_model(g, h, v.model)
+                checked[v.contains] += 1
+    assert min(checked.values()) > 150
+
+
+def _circulant(n: int, steps) -> Graph:
+    return Graph(n, {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps})
+
+
+def _prism(half: int) -> Graph:
+    """Two cycles of length half joined by a perfect matching."""
+    cycle = [(i, (i + 1) % half) for i in range(half)]
+    return Graph(2 * half, cycle + [(half + u, half + v) for u, v in cycle]
+                 + [(i, half + i) for i in range(half)])
+
+
+def test_host_orbit_reduction_agrees_with_plain_search(monkeypatch):
+    rng = random.Random(11)
+    hosts = [make_complete_bipartite(2, 8)]
+    for n in range(10, 14):
+        hosts += [make_cycle(n), _circulant(n, (1, 2)), _circulant(n, (1, 3)),
+                  join(make_complete(1), make_cycle(n - 1)), extremal_qt(n, 1)]
+        if n % 2 == 0:
+            hosts.append(_prism(n // 2))
+        hosts += [random_graph(n, rng.uniform(0.2, 0.4), rng) for _ in range(12)]
+    patterns = (friendship(2), quadrangle_book(2), friendship(3))
+    verdicts = []
+    for g in hosts:
+        for h in patterns:
+            v = has_minor(g, h)
+            if v.contains:
+                assert validate_model(g, h, v.model)
+            verdicts.append(v.contains)
+    monkeypatch.setattr(minors, "HOST_ORBIT_ORDER", MAX_VERTICES + 1)  # never
+    plain = [has_minor(g, h).contains for g in hosts for h in patterns]
+    assert verdicts == plain
+    assert len(verdicts) >= 200
+    assert 0 < sum(verdicts) < len(verdicts)
