@@ -22,6 +22,7 @@ import numpy as np
 
 from .canonical import canonical_form
 from .enumeration import (
+    MAX_GENERATED_ORDER,
     Family,
     GraphStream,
     SearchReport,
@@ -30,6 +31,7 @@ from .enumeration import (
     is_minor_free,
     merge_reports,
     search_extremal,
+    search_extremal_alphas,
     stream_from_graph6_file,
 )
 from .graph6 import Graph6ParseError, parse_graph6, write_graph6
@@ -236,24 +238,23 @@ def cmd_minor_check(args) -> int:
 # -- verify-theorem -------------------------------------------------------
 
 
-def _theorem_stream(n: int, source: str | None, shards: int, index: int) -> GraphStream:
+def _theorem_stream(n: int, source: str | None, parts: int, index: int) -> GraphStream:
     if source is None:
-        shard = (index, shards) if shards > 1 else None
-        return enumerate_graphs(n, shard=shard)
+        return enumerate_graphs(n, shard=(index, parts))
     stream = stream_from_graph6_file(source)
     if stream.order != n:
         raise ValueError(f"graph file order {stream.order} does not match n={n}")
-    if shards > 1:
-        graphs = tuple(g for g in stream.graphs if g.rows[n - 1] % shards == index)
-        return GraphStream(order=n, source=stream.source, graphs=graphs,
-                           shard=(index, shards))
-    return stream
+    graphs = tuple(g for g in stream.graphs if g.rows[n - 1] % parts == index)
+    return GraphStream(order=n, source=stream.source, graphs=graphs, shard=(index, parts))
 
 
-def _theorem_task(item) -> SearchReport:
-    n, alpha, family_text, shards, index, source = item
-    stream = _theorem_stream(n, source, shards, index)
-    return search_extremal(n, alpha, Family.parse(family_text), stream)
+def _theorem_unit(item) -> tuple[list[SearchReport], int]:
+    """One work unit: part `index` of `parts` of the order-n stream,
+    searched at every alpha.  A worker that did not inherit the levels
+    below n from its parent process generates them."""
+    n, index, parts, alphas, family_text, source = item
+    stream = _theorem_stream(n, source, parts, index)
+    return search_extremal_alphas(n, alphas, Family.parse(family_text), stream)
 
 
 def _report_row(r: SearchReport) -> list[str]:
@@ -310,26 +311,36 @@ def cmd_verify_theorem(args) -> int:
     for a in alphas:
         if not 0.0 < a < 1.0:
             _usage_error(f"theorem verification needs 0 < alpha < 1, got {a}")
-    ns = list(range(args.n_from, args.n_to + 1))
-    shards = args.shards
-    items = [(n, a, str(family), shards, idx, args.graphs)
-             for n in ns for a in alphas for idx in range(shards)]
-
+    if not 1 <= args.n_from <= args.n_to:
+        _usage_error(f"need 1 <= --n-from <= --n-to, got {args.n_from} and {args.n_to}")
+    if args.graphs is None and args.n_to > MAX_GENERATED_ORDER:
+        raise CapacityError(f"generation is limited to n <= {MAX_GENERATED_ORDER}; "
+                            f"pass --graphs for larger orders")
+    ns = range(args.n_from, args.n_to + 1)
     workers = _worker_count()
-    if workers > 1 and len(items) > 1:
-        # warm the generation cache so forked workers inherit it
-        if args.graphs is None:
-            enumerate_graphs(min(max(ns), 9) if max(ns) <= 9 else 9)
-        with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-            results = list(pool.map(_theorem_task, items))
-    else:
-        results = [_theorem_task(item) for item in items]
+    parts = workers if args.shards is None else args.shards
+    if parts < 1:
+        _usage_error(f"--shards must be >= 1, got {parts}")
+    # largest order first: its units take longest
+    items = [(n, index, parts, alphas, str(family), args.graphs)
+             for n in reversed(ns) for index in range(parts)]
 
-    reports: list[SearchReport] = []
-    for group_start in range(0, len(items), shards):
-        parts = results[group_start:group_start + shards]
-        reports.append(parts[0] if shards == 1
-                       else merge_reports(parts, source=args.graphs or "generated"))
+    if workers > 1 and len(items) > 1:
+        if args.graphs is None and ns[-1] > 1:
+            # the levels below the top one, for workers that inherit them
+            enumerate_graphs(ns[-1] - 1)
+        with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+            results = list(pool.map(_theorem_unit, items))
+    else:
+        results = [_theorem_unit(item) for item in items]
+
+    units = {item[:2]: unit_reports for item, (unit_reports, _) in zip(items, results)}
+    searches = sum(count for _, count in results)
+    reports: list[SearchReport] = [
+        merge_reports([units[n, index][j] for index in range(parts)],
+                      source=args.graphs or "generated")
+        for n in ns for j in range(len(alphas))
+    ]
 
     out, close = _out_stream(args.csv)
     try:
@@ -364,8 +375,8 @@ def cmd_verify_theorem(args) -> int:
             f"construction {write_graph6(cons)}",
             file=sys.stderr,
         )
-    print(f"verify-theorem: {len(reports)} reports, {len(failures)} failures "
-          f"in {time.perf_counter() - start:.2f}s", file=sys.stderr)
+    print(f"verify-theorem: {len(reports)} reports, {len(failures)} failures, "
+          f"{searches} minor searches in {time.perf_counter() - start:.2f}s", file=sys.stderr)
     return 1 if failures else 0
 
 
@@ -590,7 +601,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-to", type=int, required=True)
     p.add_argument("--alpha", default="0.1,0.3,0.5,0.7,0.9")
     p.add_argument("--graphs", help="graph6 file stream instead of generation")
-    p.add_argument("--shards", type=int, default=1)
+    p.add_argument("--shards", type=int,
+                   help="split each order's graphs into this many parts, the pool's "
+                        "work units (default: one per worker, see ALPHAX_THREADS); "
+                        "the reports do not depend on it")
     p.add_argument("--require-from", type=int,
                    help="fail (exit 1) on mismatch at any n >= this value")
     p.add_argument("--csv", help="CSV output path (default stdout)")

@@ -10,12 +10,19 @@ degree than some other vertex is rejected before its canonical form is
 computed.  Children of the same parent that collide are deduplicated by
 canonical form, keeping the smallest mask as the representative.  Counts
 are pinned to the published sequences in the tests.
+
+A level is split into parts by parent, as geng's res/mod splits its
+output: part i of k holds the children of parents i, i + k, i + 2k, ...
+of the level below.  The parts partition the level, and a part can be
+generated from the level below without generating the rest.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from .canonical import canonical_data, canonical_form, canonical_graph
 from .graph6 import iter_graph6_file, parse_graph6, write_graph6
@@ -26,6 +33,8 @@ from .spectral import TIE_TOL, InvariantError, alpha_index
 MAX_GENERATED_ORDER = 9
 
 _LEVELS: dict[int, tuple[Graph, ...]] = {}
+# level n grouped by parent: one brood per graph of level n - 1, in order
+_BROODS: dict[int, tuple[tuple[Graph, ...], ...]] = {}
 _MINOR_FREE_CACHE: dict[tuple[str, int, tuple[int, ...]], bool] = {}
 
 
@@ -78,31 +87,48 @@ def is_minor_free(g: Graph, family: Family, node_cap: int = DEFAULT_NODE_CAP) ->
     return hit
 
 
+def _brood(parent: Graph) -> tuple[Graph, ...]:
+    """The accepted children of one parent, in mask order."""
+    n = parent.n + 1
+    degrees = parent.degrees()
+    accepted: dict[bytes, Graph] = {}
+    for mask in range(1 << (n - 1)):
+        # the new vertex must have minimum degree in the child
+        new_degree = mask.bit_count()
+        if any(d + (mask >> v & 1) < new_degree for v, d in enumerate(degrees)):
+            continue
+        child = parent.add_vertex(mask)
+        cbytes, last_orbit = canonical_data(child)
+        if n - 1 in last_orbit and cbytes not in accepted:
+            object.__setattr__(child, "_canon", cbytes)
+            accepted[cbytes] = child
+    return tuple(accepted.values())
+
+
 def _generate_level(n: int) -> tuple[Graph, ...]:
     cached = _LEVELS.get(n)
     if cached is not None:
         return cached
     if n == 1:
-        result = (make_empty(1),)
+        broods = ((make_empty(1),),)
     else:
-        out = []
-        for parent in _generate_level(n - 1):
-            degrees = parent.degrees()
-            accepted: dict[bytes, Graph] = {}
-            for mask in range(1 << (n - 1)):
-                # the new vertex must have minimum degree in the child
-                new_degree = mask.bit_count()
-                if any(d + (mask >> v & 1) < new_degree for v, d in enumerate(degrees)):
-                    continue
-                child = parent.add_vertex(mask)
-                cbytes, last_orbit = canonical_data(child)
-                if n - 1 in last_orbit and cbytes not in accepted:
-                    object.__setattr__(child, "_canon", cbytes)
-                    accepted[cbytes] = child
-            out.extend(accepted.values())
-        result = tuple(out)
-    _LEVELS[n] = result
+        broods = tuple(_brood(parent) for parent in _generate_level(n - 1))
+    _BROODS[n] = broods
+    result = _LEVELS[n] = tuple(chain.from_iterable(broods))
     return result
+
+
+def _level_part(n: int, index: int, count: int) -> tuple[Graph, ...]:
+    """Part `index` of `count` of level n: the children of parents index,
+    index + count, ... of level n - 1.  Taken from level n when it is
+    cached; otherwise generated from those parents alone."""
+    if not (count >= 1 and 0 <= index < count):
+        raise ValueError(f"bad shard spec {(index, count)}")
+    if count == 1 or n == 1 or n in _LEVELS:
+        _generate_level(n)
+        return tuple(chain.from_iterable(_BROODS[n][index::count]))
+    parents = _generate_level(n - 1)[index::count]
+    return tuple(chain.from_iterable(_brood(parent) for parent in parents))
 
 
 @dataclass(frozen=True)
@@ -125,8 +151,10 @@ class GraphStream:
 def enumerate_graphs(n: int, connected_only: bool = False,
                      shard: tuple[int, int] | None = None) -> GraphStream:
     """One representative per isomorphism class of order n, generated by
-    canonical augmentation.  Shards split deterministically on the
-    neighborhood mask of the last added vertex."""
+    canonical augmentation.  ``shard=(i, k)`` keeps part i of k of the
+    level: the children of every k-th graph of level n - 1, starting at
+    the i-th.  The k parts partition the level, and part i can be
+    generated without the others."""
     if n < 1:
         raise ValueError(f"generation needs n >= 1, got {n}")
     if n > MAX_GENERATED_ORDER:
@@ -134,12 +162,7 @@ def enumerate_graphs(n: int, connected_only: bool = False,
             f"in-process generation is limited to n <= {MAX_GENERATED_ORDER}; "
             f"ingest a graph6 file for larger orders"
         )
-    graphs = _generate_level(n)
-    if shard is not None:
-        index, count = shard
-        if not (count >= 1 and 0 <= index < count):
-            raise ValueError(f"bad shard spec {shard}")
-        graphs = tuple(g for g in graphs if g.rows[n - 1] % count == index)
+    graphs = _generate_level(n) if shard is None else _level_part(n, *shard)
     if connected_only:
         graphs = tuple(g for g in graphs if g.is_connected())
     return GraphStream(order=n, source="generated", graphs=graphs,
@@ -243,54 +266,79 @@ def search_extremal(n: int, alpha: float, family: Family,
     A sharded stream may hold no minor-free graph; its report then carries
     no argmax (see SearchReport) and is meant for merge_reports.  An
     unsharded stream with no minor-free graph raises ValueError."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"theorem searches need 0 < alpha < 1, got {alpha}")
+    (report,), _ = search_extremal_alphas(n, (alpha,), family, stream, tie_tol, node_cap)
+    return report
+
+
+def search_extremal_alphas(n: int, alphas: Sequence[float], family: Family,
+                           stream: GraphStream | None = None,
+                           tie_tol: float = TIE_TOL,
+                           node_cap: int = DEFAULT_NODE_CAP) -> tuple[list[SearchReport], int]:
+    """search_extremal at every alpha in turn over one pass of the stream:
+    each minor verdict is decided, and each canonical graph6 written, once
+    per graph.  Returns one report per alpha and the number of minor
+    searches made, which leaves out verdicts already in the cache."""
+    for alpha in alphas:
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"theorem searches need 0 < alpha < 1, got {alpha}")
     if stream is None:
         stream = enumerate_graphs(n)
     if stream.order != n:
         raise ValueError(f"stream order {stream.order} does not match n={n}")
     start = time.perf_counter()
-    candidates: list[TieEntry] = []
-    total = 0
-    for g in stream:
-        total += 1
-        if not is_minor_free(g, family, node_cap):
-            continue
-        result = alpha_index(g, alpha)
-        candidates.append(TieEntry(
-            graph6=write_graph6(canonical_graph(g)),
-            rho=result.rho,
-            residual=result.residual,
-        ))
-    wall = time.perf_counter() - start
-    if not candidates and stream.shard is None:
+    cached = len(_MINOR_FREE_CACHE)
+    free = [g for g in stream if is_minor_free(g, family, node_cap)]
+    searches = len(_MINOR_FREE_CACHE) - cached  # each search caches one verdict
+    if not free and stream.shard is None:
         raise ValueError(f"stream {stream.source!r} of order {n} holds no "
-                         f"{family}-minor-free graph ({total} graphs read)")
-    report = _finalize_report(n, alpha, family, total, candidates, tie_tol, wall)
-    # sanity: the construction, when itself minor-free and in range, can
-    # never beat the exhaustive maximum
+                         f"{family}-minor-free graph ({len(stream)} graphs read)")
+    graph6s = [write_graph6(canonical_graph(g)) for g in free]
+    complete_level = (stream.shard is None and stream.source == "generated"
+                      and not stream.connected_only)
+    shared = time.perf_counter() - start
+    reports = []
+    for alpha in alphas:
+        start = time.perf_counter()
+        candidates = []
+        for g, g6 in zip(free, graph6s):
+            result = alpha_index(g, alpha)
+            candidates.append(TieEntry(graph6=g6, rho=result.rho, residual=result.residual))
+        report = _finalize_report(n, alpha, family, len(stream), candidates, tie_tol,
+                                  shared + time.perf_counter() - start)
+        if complete_level:
+            _check_construction_bound(report, family, tie_tol, node_cap)
+        reports.append(report)
+    return reports, searches
+
+
+def _check_construction_bound(report: SearchReport, family: Family, tie_tol: float,
+                              node_cap: int = DEFAULT_NODE_CAP) -> None:
+    """Sanity check of a report over a whole generated level: the
+    construction, when itself minor-free and in range, can never beat the
+    exhaustive maximum."""
     try:
-        construction = family.construction(n)
+        construction = family.construction(report.n)
     except ValueError:
-        construction = None
-    if construction is not None and stream.shard is None and stream.source == "generated" \
-            and not stream.connected_only and is_minor_free(construction, family, node_cap):
-        construction_rho = alpha_index(construction, alpha).rho
-        if not report.max_rho >= construction_rho - tie_tol:
-            raise InvariantError(
-                f"exhaustive maximum {report.max_rho!r} at n={n}, alpha={alpha} is below "
-                f"the index {construction_rho!r} of the minor-free {family} construction")
-    return report
+        return
+    if not is_minor_free(construction, family, node_cap):
+        return
+    construction_rho = alpha_index(construction, report.alpha).rho
+    if not report.max_rho >= construction_rho - tie_tol:
+        raise InvariantError(
+            f"exhaustive maximum {report.max_rho!r} at n={report.n}, alpha={report.alpha} "
+            f"is below the index {construction_rho!r} of the minor-free {family} construction")
 
 
 def merge_reports(parts: list[SearchReport], tie_tol: float = TIE_TOL,
                   source: str = "generated") -> SearchReport:
-    """Associative merge of shard reports for the same (n, alpha, family).
+    """Merge of shard reports for the same (n, alpha, family).
 
     Graph and minor-free counts are summed over all parts.  A part with no
     minor-free graph has no ties and so takes no part in the argmax; if no
     part has one, ValueError is raised, naming the stream ``source`` the
-    parts were read from."""
+    parts were read from.  Parts of the "generated" source are taken to
+    cover the whole level of order n, so the merged report must pass the
+    construction's sanity bound (InvariantError otherwise)."""
     if not parts:
         raise ValueError("nothing to merge")
     head = parts[0]
@@ -305,8 +353,10 @@ def merge_reports(parts: list[SearchReport], tie_tol: float = TIE_TOL,
                          f"in {len(parts)} shards)")
     minor_free = sum(p.minor_free_count for p in parts)
     wall = sum(p.wall_time for p in parts)
-    merged = _finalize_report(head.n, head.alpha, Family.parse(head.family),
-                              total, candidates, tie_tol, wall)
+    family = Family.parse(head.family)
+    merged = _finalize_report(head.n, head.alpha, family, total, candidates, tie_tol, wall)
+    if source == "generated":
+        _check_construction_bound(merged, family, tie_tol)
     # shard tie lists only retain near-maximal entries; restore true counts
     return replace(merged, minor_free_count=minor_free)
 

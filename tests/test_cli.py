@@ -1,5 +1,9 @@
 import json
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -7,6 +11,8 @@ from alphax import are_isomorphic, friendship, make_complete_bipartite, parse_gr
 from alphax import cli
 from alphax.cli import main
 from alphax.minors import MinorModel
+
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -111,7 +117,8 @@ def test_verify_theorem_exit_codes(capsys, tmp_path):
     out, err = capsys.readouterr()
     assert code == 0
     # a run duration, not the time of day
-    assert re.fullmatch(r"verify-theorem: 2 reports, 0 failures in \d+\.\d\ds\n", err)
+    assert re.fullmatch(r"verify-theorem: 2 reports, 0 failures, \d+ minor searches "
+                        r"in \d+\.\d\ds\n", err)
     assert out.splitlines()[0] == ("graph6,n,alpha,family,rho,residual,"
                                    "minor_free,matches_construction,unique,ties")
     # every 5-vertex graph avoids the 7-vertex pattern qt(2): K_5 wins
@@ -131,12 +138,52 @@ def test_verify_theorem_deterministic_and_shard_stable(capsys, tmp_path, monkeyp
     argv = ["verify-theorem", "--family", "fs", "--s", "1", "--n-from", "4",
             "--n-to", "6", "--alpha", "0.3,0.7"]
     outs = []
-    # with 4 shards, shard (3, 4) holds no forest at any n
-    for shards in ("1", "1", "3", "4"):
-        code, out = run(capsys, *argv, "--shards", shards)
+    # with 4 parts, part 3 of n = 4 holds no forest
+    for shards in ([], ["--shards", "1"], ["--shards", "3"], ["--shards", "4"]):
+        code, out = run(capsys, *argv, *shards)
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1] == outs[2] == outs[3]
+
+
+THEOREM_GEN = ["verify-theorem", "--family", "fs(2)", "--n-from", "4", "--n-to", "7",
+               "--alpha", "0.1,0.5,0.9"]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_verify_theorem_decides_each_minor_verdict_once(tmp_path, threads):
+    # a fresh interpreter, so that no verdict is cached before the run;
+    # levels 4..7 hold 11 + 34 + 156 + 1044 graphs
+    env = dict(os.environ, ALPHAX_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "alphax.cli", *THEOREM_GEN,
+                           "--csv", str(tmp_path / "r.csv")],
+                          env=env, capture_output=True, text=True, check=True)
+    assert re.fullmatch(r"verify-theorem: 12 reports, 0 failures, 1245 minor searches "
+                        r"in \d+\.\d\ds\n", proc.stderr)
+
+
+def _theorem_reports(capsys, tmp_path, family, tag) -> tuple[str, str]:
+    jpath = tmp_path / f"{family}-{tag}.json"
+    code = main(["verify-theorem", "--family", family, "--n-from", "4", "--n-to", "7",
+                 "--alpha", "0.1,0.5,0.9", "--json", str(jpath)])
+    assert code == 0
+    return capsys.readouterr().out, jpath.read_text()
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_verify_theorem_pool_matches_one_worker(capsys, tmp_path, monkeypatch, method):
+    previous = multiprocessing.get_start_method(allow_none=True)
+    for family in ("fs(1)", "qt(1)"):
+        monkeypatch.setenv("ALPHAX_THREADS", "1")
+        single = _theorem_reports(capsys, tmp_path, family, "single")
+        monkeypatch.setenv("ALPHAX_THREADS", "2")
+        multiprocessing.set_start_method(method, force=True)
+        try:
+            pooled = _theorem_reports(capsys, tmp_path, family, method)
+        finally:
+            multiprocessing.set_start_method(previous, force=True)
+        assert pooled == single
 
 
 def test_verify_theorem_no_minor_free_graph_is_usage_error(capsys, tmp_path):
@@ -157,6 +204,16 @@ def test_verify_theorem_sharded_file_without_minor_free_graph_names_it(capsys, t
     err = capsys.readouterr().err
     assert code == 2
     assert "fs(1)" in err and "triangle.g6" in err
+
+
+@pytest.mark.parametrize("bad", [["--n-from", "5", "--n-to", "4"],
+                                 ["--n-from", "0", "--n-to", "4"],
+                                 ["--n-from", "4", "--n-to", "4", "--shards", "0"],
+                                 ["--n-from", "9", "--n-to", "10"]])
+def test_verify_theorem_rejects_bad_ranges_before_any_work(capsys, bad):
+    code = main(["verify-theorem", "--family", "fs(1)", "--alpha", "0.5", *bad])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_verify_theorem_rejects_bad_alpha(capsys):

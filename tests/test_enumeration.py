@@ -24,8 +24,9 @@ from alphax import (
     stream_from_graph6_file,
     write_graph6,
 )
+from alphax import enumeration
 from alphax.canonical import are_isomorphic, canonical_data
-from alphax.enumeration import TieEntry, _finalize_report
+from alphax.enumeration import TieEntry, _finalize_report, search_extremal_alphas
 from alphax.graphs import friendship
 
 ALL_GRAPHS = [1, 1, 2, 4, 11, 34, 156, 1044, 12346]       # per order 0..8
@@ -74,11 +75,18 @@ def test_generation_domain_errors():
     assert "graph6" in str(exc.value)
 
 
-def test_shards_partition_the_stream():
-    full = set(enumerate_graphs(6).graphs)
-    parts = [set(enumerate_graphs(6, shard=(i, 3)).graphs) for i in range(3)]
-    assert set.union(*parts) == full
-    assert sum(len(p) for p in parts) == len(full)
+def test_shards_partition_the_stream(monkeypatch):
+    full = enumerate_graphs(6).graphs
+    parts = [enumerate_graphs(6, shard=(i, 3)).graphs for i in range(3)]
+    assert sorted(full, key=canonical_form) == sorted(sum(parts, ()), key=canonical_form)
+    # part i holds the children of parents i, i + 3, ...: the same graphs,
+    # in the same order, when the level is not cached and only that part
+    # is generated
+    monkeypatch.setattr(enumeration, "_LEVELS", {n: enumeration._LEVELS[n] for n in range(1, 6)})
+    monkeypatch.setattr(enumeration, "_BROODS", {n: enumeration._BROODS[n] for n in range(1, 6)})
+    assert [enumerate_graphs(6, shard=(i, 3)).graphs for i in range(3)] == parts
+    assert 6 not in enumeration._LEVELS
+    assert enumerate_graphs(1, shard=(1, 2)).graphs == ()
     with pytest.raises(ValueError):
         enumerate_graphs(5, shard=(3, 3))
 
@@ -193,13 +201,15 @@ def test_merge_matches_unsharded():
 
 
 def test_merge_skips_shard_without_minor_free_graph():
-    # shard (3, 4) at n = 6 holds 12 graphs, none of them a forest
+    # part 3 of 4 at n = 4 holds the 4 children of K_3, none of them a forest
     fam = Family("fs", 1)
-    direct = search_extremal(6, 0.5, fam)
-    parts = [search_extremal(6, 0.5, fam, enumerate_graphs(6, shard=(i, 4)))
+    assert len(enumerate_graphs(4, shard=(3, 4))) == 4
+    assert not any(is_minor_free(g, fam) for g in enumerate_graphs(4, shard=(3, 4)))
+    direct = search_extremal(4, 0.5, fam)
+    parts = [search_extremal(4, 0.5, fam, enumerate_graphs(4, shard=(i, 4)))
              for i in range(4)]
     empty = parts[3]
-    assert empty.total_graphs == 12
+    assert empty.total_graphs == 4
     assert empty.minor_free_count == 0 and empty.ties == ()
     assert empty.argmax_graph6 is None and empty.max_rho is None
     assert not empty.matches_construction and not empty.unique
@@ -208,8 +218,38 @@ def test_merge_skips_shard_without_minor_free_graph():
         direct, wall_time=0.0)
     with pytest.raises(ValueError, match=r"fs\(1\)"):
         merge_reports([empty, empty])
-    with pytest.raises(ValueError, match=r"'hosts\.g6' of order 6 .*\(24 graphs read in 2 shards"):
+    with pytest.raises(ValueError, match=r"'hosts\.g6' of order 4 .*\(8 graphs read in 2 shards"):
         merge_reports([empty, empty], source="hosts.g6")
+
+
+def test_merge_of_generated_parts_checks_the_construction_bound():
+    # the star K_1 ∨ 5K_1 is the fs(1) construction at n = 6; merging every
+    # part but the one that holds it loses the maximum
+    fam = Family("fs", 1)
+    star = canonical_form(fam.construction(6))
+    parts = [search_extremal(6, 0.5, fam, enumerate_graphs(6, shard=(i, 3)))
+             for i in range(3)]
+    holders = [i for i in range(3)
+               if any(canonical_form(g) == star for g in enumerate_graphs(6, shard=(i, 3)))]
+    assert holders == [0]
+    rest = parts[1:]
+    assert all(p.minor_free_count for p in rest)
+    with pytest.raises(InvariantError, match="construction"):
+        merge_reports(rest)
+    # a file stream makes no claim to be complete
+    assert merge_reports(rest, source="hosts.g6").max_rho < merge_reports(parts).max_rho
+
+
+def test_search_extremal_alphas_matches_one_alpha_at_a_time():
+    fam = Family("qt", 1)
+    alphas = (0.1, 0.5, 0.9)
+    reports, searches = search_extremal_alphas(6, alphas, fam)
+    assert 0 <= searches <= len(enumerate_graphs(6))
+    for alpha, report in zip(alphas, reports):
+        assert dataclasses.replace(report, wall_time=0.0) == dataclasses.replace(
+            search_extremal(6, alpha, fam), wall_time=0.0)
+    with pytest.raises(ValueError):
+        search_extremal_alphas(6, (0.5, 1.0), fam)
 
 
 def test_minor_free_cache_consistency():
