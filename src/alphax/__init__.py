@@ -46,8 +46,6 @@ from .minors import (
     check_fs_structure,
     check_qt_structure,
     has_minor,
-    is_fs_minor_free,
-    is_qt_minor_free,
     minor_closure_oracle,
     subgraph_contains,
     validate_model,

@@ -1,5 +1,9 @@
 """Command-line entry point: constructions, spectral reports, minor
-checks, and the theorem/lemma verification pipelines.
+checks, and the theorem and lemma verification pipelines; the lemma
+suites are in alphax.lemmas.  verify-theorem splits each order into
+--shards parts, the pool's work units: every k-th graph of a --graphs
+file, or the children of every k-th graph of the level below.  The
+merged reports do not depend on k.
 
 Exit codes: 0 all requested checks passed, 1 a mathematical counterexample
 or check failure was found, 2 usage or resource errors.  Reports are
@@ -13,14 +17,11 @@ import argparse
 import csv
 import json
 import os
-import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
-
-from .canonical import canonical_form
+from . import lemmas
 from .enumeration import (
     MAX_GENERATED_ORDER,
     Family,
@@ -28,9 +29,7 @@ from .enumeration import (
     SearchReport,
     edge_density_profile,
     enumerate_graphs,
-    is_minor_free,
     merge_reports,
-    search_extremal,
     search_extremal_alphas,
     stream_from_graph6_file,
 )
@@ -42,7 +41,6 @@ from .graphs import (
     extremal_fs,
     extremal_qt,
     friendship,
-    intersection_lower_bound,
     join,
     make_complete,
     make_complete_bipartite,
@@ -51,21 +49,8 @@ from .graphs import (
     matching_graph,
     quadrangle_book,
 )
-from .minors import (
-    SearchLimitError,
-    check_fs_structure,
-    check_qt_structure,
-    has_minor,
-    minor_closure_oracle,
-)
-from .spectral import (
-    ConvergenceError,
-    InvariantError,
-    alpha_index,
-    join_quotient_index,
-    nikiforov_lower_bound,
-    signless_laplacian_index,
-)
+from .minors import SearchLimitError, has_minor, minor_closure_oracle
+from .spectral import ConvergenceError, InvariantError, alpha_index, signless_laplacian_index
 
 THEOREM_COLUMNS = ["graph6", "n", "alpha", "family", "rho", "residual",
                    "minor_free", "matches_construction", "unique", "ties"]
@@ -185,15 +170,10 @@ def cmd_alpha_index(args) -> int:
 def _minor_pattern(args) -> tuple[str, Graph]:
     if args.minor_g6:
         return args.minor_g6, parse_graph6(args.minor_g6)
-    if args.minor_family == "fs":
-        if args.s is None:
-            _usage_error("--s required with --minor-family fs")
-        return f"fs({args.s})", friendship(args.s)
-    if args.minor_family == "qt":
-        if args.t is None:
-            _usage_error("--t required with --minor-family qt")
-        return f"qt({args.t})", quadrangle_book(args.t)
-    _usage_error("pass --minor-g6 or --minor-family")
+    if args.minor_family is None:
+        _usage_error("pass --minor-g6 or --minor-family")
+    family = _resolve_family(args.minor_family, args.s, args.t, "--minor-family")
+    return str(family), family.pattern()
 
 
 def cmd_minor_check(args) -> int:
@@ -241,11 +221,10 @@ def cmd_minor_check(args) -> int:
 def _theorem_stream(n: int, source: str | None, parts: int, index: int) -> GraphStream:
     if source is None:
         return enumerate_graphs(n, shard=(index, parts))
-    stream = stream_from_graph6_file(source)
+    stream = stream_from_graph6_file(source, shard=(index, parts))
     if stream.order != n:
         raise ValueError(f"graph file order {stream.order} does not match n={n}")
-    graphs = tuple(g for g in stream.graphs if g.rows[n - 1] % parts == index)
-    return GraphStream(order=n, source=stream.source, graphs=graphs, shard=(index, parts))
+    return stream
 
 
 def _theorem_unit(item) -> tuple[list[SearchReport], int]:
@@ -289,24 +268,24 @@ def _report_json(r: SearchReport) -> dict:
     }
 
 
-def _resolve_family(args) -> Family:
-    text = args.family
+def _resolve_family(text: str, s: int | None, t: int | None,
+                    option: str = "--family") -> Family:
     if "(" in text:
         return Family.parse(text)
     if text == "fs":
-        if args.s is None:
-            _usage_error("--s required with --family fs")
-        return Family("fs", args.s)
+        if s is None:
+            _usage_error(f"--s required with {option} fs")
+        return Family("fs", s)
     if text == "qt":
-        if args.t is None:
-            _usage_error("--t required with --family qt")
-        return Family("qt", args.t)
+        if t is None:
+            _usage_error(f"--t required with {option} qt")
+        return Family("qt", t)
     _usage_error(f"unknown family {text!r}")
 
 
 def cmd_verify_theorem(args) -> int:
     start = time.perf_counter()
-    family = _resolve_family(args)
+    family = _resolve_family(args.family, args.s, args.t)
     alphas = _parse_alphas(args.alpha)
     for a in alphas:
         if not 0.0 < a < 1.0:
@@ -383,158 +362,32 @@ def cmd_verify_theorem(args) -> int:
 # -- verify-lemmas --------------------------------------------------------
 
 
-def _suite_closed_form(grid_n: int):
-    checks = 0
-    worst = 0.0
-    first = None
-    for s in (1, 2, 3):
-        for n in range(s + 1, grid_n + 1):
-            for ak in range(1, 10):
-                a = ak / 10.0
-                got = alpha_index(extremal_fs(n, s), a).rho
-                want = join_quotient_index(n, s, a)
-                checks += 1
-                diff = abs(got - want)
-                worst = max(worst, diff)
-                if diff > 1e-9 and first is None:
-                    first = f"s={s} n={n} alpha={a}: |{got}-{want}|={diff:.2e}"
-    return checks, (0 if worst <= 1e-9 else 1), first, f"worst |diff|={worst:.2e}"
-
-
-def _suite_nikiforov(grid_n: int):
-    checks = 0
-    bad = 0
-    first = None
-    for k in (1, 2, 3):
-        for n in range(k + 1, grid_n + 1):
-            for ak in range(1, 10):
-                a = ak / 10.0
-                rho = alpha_index(extremal_fs(n, k), a).rho
-                b = nikiforov_lower_bound(n, k, a)
-                checks += 1
-                fail = rho < b.basic - 1e-9 or (
-                    b.strong is not None and rho < b.strong - 1e-9)
-                if fail:
-                    bad += 1
-                    if first is None:
-                        first = f"k={k} n={n} alpha={a}: rho={rho} basic={b.basic} strong={b.strong}"
-    return checks, bad, first, ""
-
-
-def _line_graph_index(g: Graph) -> float:
-    """Largest adjacency eigenvalue of the line graph L(G); G needs an edge."""
-    ends = [1 << u | 1 << v for u, v in g.edges()]
-    a = np.zeros((len(ends), len(ends)))
-    for i, e in enumerate(ends):
-        for j in range(i):
-            if e & ends[j]:  # the two edges share an endpoint
-                a[i, j] = a[j, i] = 1.0
-    return float(np.linalg.eigvalsh(a)[-1])
-
-
-def _suite_signless(max_n: int):
-    # Q = D + A = R R^T and R^T R = 2I + A(L(G)) for the vertex-edge
-    # incidence matrix R, so q = 2 + lambda_max(A(L(G))) when G has an edge
-    checks = 0
-    bad = 0
-    first = None
-    worst = 0.0
-    for n in range(1, max_n + 1):
-        for g in enumerate_graphs(n):
-            q = signless_laplacian_index(g)
-            want = 2.0 + _line_graph_index(g) if g.edge_count() else 0.0
-            diff = abs(q - want)
-            worst = max(worst, diff)
-            checks += 1
-            if diff > 2e-10:
-                bad += 1
-                if first is None:
-                    first = f"{write_graph6(g)}: diff={diff:.2e}"
-    return checks, bad, first, f"worst |diff|={worst:.2e}"
-
-
-def _suite_intersection(trials: int, seed: int):
-    rng = random.Random(seed)
-    bad = 0
-    first = None
-    for _ in range(trials):
-        k = rng.randint(1, 6)
-        universe = rng.randint(1, 20)
-        sets = [frozenset(v for v in range(universe) if rng.random() < rng.random())
-                or frozenset({rng.randrange(universe)}) for _ in range(k)]
-        lhs, rhs = intersection_lower_bound(sets)
-        if lhs < rhs:
-            bad += 1
-            if first is None:
-                first = f"sets={sets}: lhs={lhs} rhs={rhs}"
-    return trials, bad, first, ""
-
-
-def _suite_structure(max_n: int):
-    checks = 0
-    bad = 0
-    first = None
-    for n in range(2, max_n + 1):
-        for g in enumerate_graphs(n):
-            for kind in ("fs", "qt"):
-                fam = Family(kind, 1)
-                min_b = 2 if kind == "fs" else 3
-                hubs = [v for v in range(n) if g.degree(v) >= min_b]
-                if not hubs or not is_minor_free(g, fam):
-                    continue
-                for v in hubs:
-                    b = g.neighbors(v)
-                    checks += 1
-                    rep = (check_fs_structure(g, 1, [v], b) if kind == "fs"
-                           else check_qt_structure(g, 1, [v], b))
-                    if not rep.ok:
-                        bad += 1
-                        if first is None:
-                            first = f"{kind}(1) {write_graph6(g)} hub={v}: {rep.violations[0]}"
-    return checks, bad, first, ""
-
-
-def _suite_corollary(max_n: int):
-    checks = 0
-    bad = 0
-    first = None
-    for fam, start in ((Family("fs", 1), 4), (Family("qt", 1), 5)):
-        for n in range(start, max_n + 1):
-            r = search_extremal(n, 0.5, fam)
-            checks += 1
-            if not (r.matches_construction and r.unique):
-                bad += 1
-                if first is None:
-                    first = f"{fam} n={n}: argmax {r.argmax_graph6} ties={len(r.ties)}"
-    return checks, bad, first, "signless Laplacian extremality (alpha = 1/2)"
-
-
 def cmd_verify_lemmas(args) -> int:
     suites = [
-        ("closed-form-quotient", lambda: _suite_closed_form(args.grid_n)),
-        ("nikiforov-bounds", lambda: _suite_nikiforov(args.grid_n)),
-        ("signless-identity", lambda: _suite_signless(args.max_n)),
-        ("intersection-bound", lambda: _suite_intersection(args.trials, args.seed)),
-        ("minor-free-structure", lambda: _suite_structure(args.max_n)),
-        ("extremal-at-half", lambda: _suite_corollary(args.max_n)),
+        ("closed-form-quotient", lambda: lemmas.closed_form(args.grid_n)),
+        ("nikiforov-bounds", lambda: lemmas.nikiforov(args.grid_n)),
+        ("signless-identity", lambda: lemmas.signless(args.max_n)),
+        ("intersection-bound", lambda: lemmas.intersection(args.trials, args.seed)),
+        ("minor-free-structure", lambda: lemmas.structure(args.max_n)),
+        ("extremal-at-half", lambda: lemmas.corollary(args.max_n)),
     ]
     total_bad = 0
     rows = []
     for name, fn in suites:
         t0 = time.perf_counter()
-        checks, bad, first, note = fn()
+        tally = fn()
         dt = time.perf_counter() - t0
-        total_bad += bad
-        status = "pass" if bad == 0 else "FAIL"
-        line = f"{name}: {status} ({checks} checks, {bad} violations)"
-        if note:
-            line += f" [{note}]"
+        total_bad += tally.violations
+        status = "pass" if tally.violations == 0 else "FAIL"
+        line = f"{name}: {status} ({tally.checks} checks, {tally.violations} violations)"
+        if tally.note:
+            line += f" [{tally.note}]"
         print(line)
-        if first:
-            print(f"  first counterexample: {first}")
+        if tally.first:
+            print(f"  first counterexample: {tally.first}")
         print(f"  {dt:.1f}s", file=sys.stderr)
-        rows.append({"suite": name, "checks": checks, "violations": bad,
-                     "first_counterexample": first})
+        rows.append({"suite": name, "checks": tally.checks, "violations": tally.violations,
+                     "first_counterexample": tally.first})
     for fam in (Family("fs", 1), Family("qt", 1)):
         profiles = [edge_density_profile(n, fam) for n in range(2, args.max_n + 1)]
         budget = ", ".join(f"n={p.n}:{p.max_edges}" for p in profiles)
@@ -629,11 +482,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (Graph6ParseError, CapacityError, SearchLimitError, ConvergenceError,
-            InvariantError, ValueError, OSError) as exc:
+    except (_UsageError, Graph6ParseError, CapacityError, SearchLimitError,
+            ConvergenceError, InvariantError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

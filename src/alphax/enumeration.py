@@ -11,15 +11,16 @@ computed.  Children of the same parent that collide are deduplicated by
 canonical form, keeping the smallest mask as the representative.  Counts
 are pinned to the published sequences in the tests.
 
-A level is split into parts by parent, as geng's res/mod splits its
-output: part i of k holds the children of parents i, i + k, i + 2k, ...
-of the level below.  The parts partition the level, and a part can be
-generated from the level below without generating the rest.
+A stream is split into parts by one rule: part i of k keeps every k-th
+item from the i-th on.  For a graph6 file the items are its graphs.  For
+a generated level they are the parents in the level below, as geng's
+res/mod splits its output: part i of k holds the children of parents i,
+i + k, i + 2k, ...  The parts partition the stream, and a part of a
+level can be generated from the level below without generating the rest.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -118,12 +119,16 @@ def _generate_level(n: int) -> tuple[Graph, ...]:
     return result
 
 
+def _check_shard(index: int, count: int) -> None:
+    if not (count >= 1 and 0 <= index < count):
+        raise ValueError(f"bad shard spec {(index, count)}")
+
+
 def _level_part(n: int, index: int, count: int) -> tuple[Graph, ...]:
     """Part `index` of `count` of level n: the children of parents index,
     index + count, ... of level n - 1.  Taken from level n when it is
     cached; otherwise generated from those parents alone."""
-    if not (count >= 1 and 0 <= index < count):
-        raise ValueError(f"bad shard spec {(index, count)}")
+    _check_shard(index, count)
     if count == 1 or n == 1 or n in _LEVELS:
         _generate_level(n)
         return tuple(chain.from_iterable(_BROODS[n][index::count]))
@@ -153,8 +158,9 @@ def enumerate_graphs(n: int, connected_only: bool = False,
     """One representative per isomorphism class of order n, generated by
     canonical augmentation.  ``shard=(i, k)`` keeps part i of k of the
     level: the children of every k-th graph of level n - 1, starting at
-    the i-th.  The k parts partition the level, and part i can be
-    generated without the others."""
+    the i-th, as stream_from_graph6_file keeps every k-th graph of a
+    file.  The k parts partition the level, and part i can be generated
+    without the others."""
     if n < 1:
         raise ValueError(f"generation needs n >= 1, got {n}")
     if n > MAX_GENERATED_ORDER:
@@ -169,7 +175,11 @@ def enumerate_graphs(n: int, connected_only: bool = False,
                        connected_only=connected_only, shard=shard)
 
 
-def stream_from_graph6_file(path: str) -> GraphStream:
+def stream_from_graph6_file(path: str, shard: tuple[int, int] | None = None) -> GraphStream:
+    """The graphs of a graph6 file, all of one order, in file order.
+    ``shard=(i, k)`` keeps every k-th graph of the file, starting at the
+    i-th, as enumerate_graphs keeps the children of every k-th parent.
+    The whole file is read and checked either way."""
     graphs = tuple(iter_graph6_file(path))
     if not graphs:
         raise ValueError(f"no graphs in {path}")
@@ -177,7 +187,10 @@ def stream_from_graph6_file(path: str) -> GraphStream:
     for g in graphs:
         if g.n != order:
             raise ValueError(f"mixed orders in {path}: {order} and {g.n}")
-    return GraphStream(order=order, source=path, graphs=graphs)
+    if shard is not None:
+        _check_shard(*shard)
+        graphs = graphs[shard[0]::shard[1]]
+    return GraphStream(order=order, source=path, graphs=graphs, shard=shard)
 
 
 # -- extremal search ------------------------------------------------------
@@ -210,7 +223,6 @@ class SearchReport:
     ties: tuple[TieEntry, ...]
     matches_construction: bool
     unique: bool
-    wall_time: float
 
 
 def _pick_argmax(ties: list[TieEntry]) -> TieEntry:
@@ -221,14 +233,13 @@ def _pick_argmax(ties: list[TieEntry]) -> TieEntry:
 
 
 def _finalize_report(n: int, alpha: float, family: Family, total: int,
-                     candidates: list[TieEntry], tie_tol: float,
-                     wall_time: float) -> SearchReport:
+                     candidates: list[TieEntry], tie_tol: float) -> SearchReport:
     if not candidates:
         return SearchReport(
             n=n, alpha=alpha, family=str(family), total_graphs=total,
             minor_free_count=0, max_rho=None, argmax_canonical=None,
             argmax_graph6=None, argmax_residual=None, ties=(),
-            matches_construction=False, unique=False, wall_time=wall_time,
+            matches_construction=False, unique=False,
         )
     max_rho = max(e.rho for e in candidates)
     ties = sorted((e for e in candidates if e.rho >= max_rho - tie_tol),
@@ -252,7 +263,6 @@ def _finalize_report(n: int, alpha: float, family: Family, total: int,
         ties=tuple(ties),
         matches_construction=construction_canon == argmax_canon,
         unique=len(ties) == 1,
-        wall_time=wall_time,
     )
 
 
@@ -285,7 +295,6 @@ def search_extremal_alphas(n: int, alphas: Sequence[float], family: Family,
         stream = enumerate_graphs(n)
     if stream.order != n:
         raise ValueError(f"stream order {stream.order} does not match n={n}")
-    start = time.perf_counter()
     cached = len(_MINOR_FREE_CACHE)
     free = [g for g in stream if is_minor_free(g, family, node_cap)]
     searches = len(_MINOR_FREE_CACHE) - cached  # each search caches one verdict
@@ -295,16 +304,13 @@ def search_extremal_alphas(n: int, alphas: Sequence[float], family: Family,
     graph6s = [write_graph6(canonical_graph(g)) for g in free]
     complete_level = (stream.shard is None and stream.source == "generated"
                       and not stream.connected_only)
-    shared = time.perf_counter() - start
     reports = []
     for alpha in alphas:
-        start = time.perf_counter()
         candidates = []
         for g, g6 in zip(free, graph6s):
             result = alpha_index(g, alpha)
             candidates.append(TieEntry(graph6=g6, rho=result.rho, residual=result.residual))
-        report = _finalize_report(n, alpha, family, len(stream), candidates, tie_tol,
-                                  shared + time.perf_counter() - start)
+        report = _finalize_report(n, alpha, family, len(stream), candidates, tie_tol)
         if complete_level:
             _check_construction_bound(report, family, tie_tol, node_cap)
         reports.append(report)
@@ -352,9 +358,8 @@ def merge_reports(parts: list[SearchReport], tie_tol: float = TIE_TOL,
                          f"{head.family}-minor-free graph ({total} graphs read "
                          f"in {len(parts)} shards)")
     minor_free = sum(p.minor_free_count for p in parts)
-    wall = sum(p.wall_time for p in parts)
     family = Family.parse(head.family)
-    merged = _finalize_report(head.n, head.alpha, family, total, candidates, tie_tol, wall)
+    merged = _finalize_report(head.n, head.alpha, family, total, candidates, tie_tol)
     if source == "generated":
         _check_construction_bound(merged, family, tie_tol)
     # shard tie lists only retain near-maximal entries; restore true counts

@@ -42,7 +42,7 @@ from itertools import islice
 from typing import Iterator
 
 from .canonical import canonical_form
-from .graphs import Graph, bits, component_masks_within, friendship, mask_of, quadrangle_book
+from .graphs import Graph, bits, component_masks_within, mask_of
 
 DEFAULT_NODE_CAP = 100_000_000
 MAX_MINOR_ORDER = 12
@@ -540,19 +540,6 @@ def minor_closure_oracle(g: Graph, h: Graph) -> bool:
     if g.n > 7:
         raise ValueError(f"closure oracle limited to 7 vertices, got {g.n}")
     return any(subgraph_contains(member, h) for member in _closure_members(g))
-
-
-# -- minor-free family predicates ----------------------------------------
-
-
-def is_fs_minor_free(g: Graph, s: int, node_cap: int = DEFAULT_NODE_CAP) -> bool:
-    """No minor isomorphic to s triangles sharing a vertex."""
-    return not has_minor(g, friendship(s), node_cap).contains
-
-
-def is_qt_minor_free(g: Graph, t: int, node_cap: int = DEFAULT_NODE_CAP) -> bool:
-    """No minor isomorphic to t quadrangles sharing a vertex."""
-    return not has_minor(g, quadrangle_book(t), node_cap).contains
 
 
 # -- structural lemma checks ----------------------------------------------

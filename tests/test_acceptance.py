@@ -21,22 +21,17 @@ from alphax import (
     extremal_qt,
     friendship,
     has_minor,
-    is_minor_free,
     jacobi_eigh,
-    join_quotient_index,
     make_complete,
     make_cycle,
     minor_closure_oracle,
-    nikiforov_lower_bound,
     quadrangle_book,
     search_extremal,
     validate_model,
     write_graph6,
 )
+from alphax import lemmas
 from alphax.cli import main as cli_main
-from alphax.minors import check_fs_structure, check_qt_structure
-
-GRID_ALPHAS = [k / 10.0 for k in range(1, 10)]
 
 
 def report(num: int, ok: bool, detail: str, seconds: float) -> None:
@@ -52,36 +47,23 @@ def warm_solver():
 
 def test_c01_closed_form_agreement():
     t0 = time.perf_counter()
-    worst = 0.0
-    for s in (1, 2, 3):
-        for n in range(s + 1, 31):
-            for a in GRID_ALPHAS:
-                diff = abs(alpha_index(extremal_fs(n, s), a).rho
-                           - join_quotient_index(n, s, a))
-                worst = max(worst, diff)
+    tally = lemmas.closed_form(30)
     dt = time.perf_counter() - t0
-    ok = worst <= 1e-9 and dt < 10.0
-    report(1, ok, f"eigensolver vs closed form, worst |diff|={worst:.2e}", dt)
-    assert worst <= 1e-9
+    ok = tally.violations == 0 and dt < 10.0
+    report(1, ok, f"eigensolver vs closed form on {tally.checks} grid points, {tally.note}", dt)
+    assert tally.checks == 756
+    assert tally.violations == 0, tally.first
     assert dt < 10.0
 
 
 def test_c02_nikiforov_bounds():
     t0 = time.perf_counter()
-    violations = 0
-    for k in (1, 2, 3):
-        for n in range(k + 1, 31):
-            for a in GRID_ALPHAS:
-                rho = alpha_index(extremal_fs(n, k), a).rho
-                b = nikiforov_lower_bound(n, k, a)
-                if rho < b.basic - 1e-9:
-                    violations += 1
-                if b.strong is not None and rho < b.strong - 1e-9:
-                    violations += 1
+    tally = lemmas.nikiforov(30)
     dt = time.perf_counter() - t0
-    report(2, violations == 0, f"lower bounds on the join construction, "
-                               f"{violations} violations", dt)
-    assert violations == 0
+    report(2, tally.violations == 0, f"lower bounds on the join construction at "
+                                     f"{tally.checks} grid points, {tally.violations} violations", dt)
+    assert tally.checks == 756
+    assert tally.violations == 0, tally.first
 
 
 def test_c03_signless_laplacian_identity():
@@ -203,30 +185,12 @@ def test_c08_subgraph_monotonicity():
 
 def test_c09_structure_lemmas():
     t0 = time.perf_counter()
-    violations = 0
-    configs = 0
-    for n in range(2, 8):
-        for g in enumerate_graphs(n):
-            for fam, min_b, checker in (
-                (Family("fs", 1), 2, check_fs_structure),
-                (Family("qt", 1), 3, check_qt_structure),
-            ):
-                hubs = [v for v in range(n) if g.degree(v) >= min_b]
-                if not hubs or not is_minor_free(g, fam):
-                    continue
-                for v in hubs:
-                    # maximal B = N(v); violations are monotone in B, so
-                    # this covers every complete bipartite sub-configuration
-                    rep = checker(g, 1, [v], g.neighbors(v))
-                    configs += 1
-                    if not rep.ok:
-                        violations += 1
-                        print(f"  violation: {write_graph6(g)} hub {v}: "
-                              f"{rep.violations[0]}")
+    tally = lemmas.structure(7)
     dt = time.perf_counter() - t0
-    report(9, violations == 0,
-           f"{configs} bipartite configurations, {violations} violations", dt)
-    assert violations == 0
+    report(9, tally.violations == 0,
+           f"{tally.checks} bipartite configurations, {tally.violations} violations", dt)
+    assert tally.checks == 285
+    assert tally.violations == 0, tally.first
 
 
 def test_c10_determinism_and_shard_merge(capsys, tmp_path, monkeypatch):

@@ -7,8 +7,16 @@ import sys
 
 import pytest
 
-from alphax import are_isomorphic, friendship, make_complete_bipartite, parse_graph6, validate_model
-from alphax import cli
+from alphax import (
+    are_isomorphic,
+    enumerate_graphs,
+    friendship,
+    make_complete_bipartite,
+    parse_graph6,
+    validate_model,
+    write_graph6,
+)
+from alphax import cli, lemmas, spectral
 from alphax.cli import main
 from alphax.minors import MinorModel
 
@@ -89,10 +97,11 @@ def test_alpha_index_signless_once_per_graph(capsys, monkeypatch):
 
 
 def test_signless_suite_rejects_a_wrong_index(monkeypatch):
-    assert cli._suite_signless(4)[:3] == (18, 0, None)
-    monkeypatch.setattr(cli, "signless_laplacian_index", lambda g: g.edge_count() / 2)
-    checks, bad, first, _ = cli._suite_signless(4)
-    assert checks == 18 and bad > 0 and first is not None
+    tally = lemmas.signless(4)
+    assert (tally.checks, tally.violations, tally.first) == (18, 0, None)
+    monkeypatch.setattr(spectral, "signless_laplacian_index", lambda g: g.edge_count() / 2)
+    tally = lemmas.signless(4)
+    assert tally.checks == 18 and tally.violations > 0 and tally.first is not None
 
 
 def test_minor_check_with_oracle_and_certificates(capsys, tmp_path):
@@ -184,6 +193,22 @@ def test_verify_theorem_pool_matches_one_worker(capsys, tmp_path, monkeypatch, m
         finally:
             multiprocessing.set_start_method(previous, force=True)
         assert pooled == single
+
+
+def test_verify_theorem_file_reports_do_not_depend_on_shards(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("ALPHAX_THREADS", "1")
+    path = tmp_path / "six.g6"
+    path.write_text("".join(write_graph6(g) + "\n" for g in enumerate_graphs(6)))
+    for family in ("fs(1)", "qt(1)"):
+        outs = []
+        for shards in ("1", "2", "3"):
+            jpath = tmp_path / f"{family}-{shards}.json"
+            code, out = run(capsys, "verify-theorem", "--family", family, "--n-from", "6",
+                            "--n-to", "6", "--alpha", "0.1,0.5,0.9", "--graphs", str(path),
+                            "--shards", shards, "--json", str(jpath))
+            assert code == 0
+            outs.append((out, jpath.read_text()))
+        assert outs[0] == outs[1] == outs[2], family
 
 
 def test_verify_theorem_no_minor_free_graph_is_usage_error(capsys, tmp_path):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from alphax import (
+    Family,
     Graph,
     MinorModel,
     SearchLimitError,
@@ -13,8 +14,7 @@ from alphax import (
     extremal_qt,
     friendship,
     has_minor,
-    is_fs_minor_free,
-    is_qt_minor_free,
+    is_minor_free,
     join,
     make_complete,
     make_complete_bipartite,
@@ -123,17 +123,17 @@ def test_minor_monotone_under_edge_addition(rng):
 
 
 def test_family_predicates():
-    assert is_fs_minor_free(extremal_fs(10, 2), 2)
-    assert is_qt_minor_free(extremal_qt(9, 1), 1)
-    assert not is_fs_minor_free(make_complete(5), 1)
-    assert not is_qt_minor_free(make_complete(5), 1)
+    assert is_minor_free(extremal_fs(10, 2), Family("fs", 2))
+    assert is_minor_free(extremal_qt(9, 1), Family("qt", 1))
+    assert not is_minor_free(make_complete(5), Family("fs", 1))
+    assert not is_minor_free(make_complete(5), Family("qt", 1))
 
 
 def test_extremal_constructions_minor_free_small():
     for p in (1, 2, 3):
         for n in range(p + 1, 10):
-            assert is_fs_minor_free(extremal_fs(n, p), p)
-            assert is_qt_minor_free(extremal_qt(n, p), p)
+            assert is_minor_free(extremal_fs(n, p), Family("fs", p))
+            assert is_minor_free(extremal_qt(n, p), Family("qt", p))
 
 
 @pytest.mark.parametrize("s", [1, 2])
@@ -141,7 +141,7 @@ def test_saturation_inside_independent_part(s):
     # every missing edge inside the independent part creates the forbidden minor
     for n in range(s + 3, 10):
         g = extremal_fs(n, s)
-        assert is_fs_minor_free(g, s)
+        assert is_minor_free(g, Family("fs", s))
         for u in range(s, n):
             for v in range(u + 1, n):
                 assert has_minor(g.with_edge(u, v), friendship(s)).contains, (n, s, u, v)
@@ -250,7 +250,7 @@ def test_clique_completion_preserves_minor_freeness(rng):
                 if w != u:
                     edges.append((min(u, w), max(u, w)))
         g = Graph(n, edges)
-        if not is_fs_minor_free(g, s):
+        if not is_minor_free(g, Family("fs", s)):
             continue
         trials += 1
         completed = g
@@ -258,7 +258,7 @@ def test_clique_completion_preserves_minor_freeness(rng):
             for j in a:
                 if i < j and not completed.has_edge(i, j):
                     completed = completed.with_edge(i, j)
-        assert is_fs_minor_free(completed, s), (n, s, sorted(g.edges()))
+        assert is_minor_free(completed, Family("fs", s)), (n, s, sorted(g.edges()))
     assert trials == 30
 
 
