@@ -7,6 +7,7 @@ from .enumeration import (
     DensityProfile,
     Family,
     GraphStream,
+    SearchPart,
     SearchReport,
     edge_density_profile,
     enumerate_graphs,

@@ -25,7 +25,7 @@ from . import lemmas
 from .enumeration import (
     MAX_GENERATED_ORDER,
     Family,
-    GraphStream,
+    SearchPart,
     SearchReport,
     edge_density_profile,
     enumerate_graphs,
@@ -33,7 +33,7 @@ from .enumeration import (
     search_extremal_alphas,
     stream_from_graph6_file,
 )
-from .graph6 import Graph6ParseError, parse_graph6, write_graph6
+from .graph6 import Graph6ParseError, iter_graph6_file, parse_graph6, write_graph6
 from .graphs import (
     CapacityError,
     Graph,
@@ -79,7 +79,7 @@ def _load_graphs(args) -> list[Graph]:
     for text in args.g6 or []:
         graphs.append(parse_graph6(text))
     if getattr(args, "graphs", None):
-        graphs.extend(stream_from_graph6_file(args.graphs).graphs)
+        graphs.extend(iter_graph6_file(args.graphs))
     if not graphs:
         raise ValueError("no input graphs; pass --g6 or --graphs")
     return graphs
@@ -179,31 +179,35 @@ def _minor_pattern(args) -> tuple[str, Graph]:
 def cmd_minor_check(args) -> int:
     graphs = _load_graphs(args)
     label, pattern = _minor_pattern(args)
+    header = ["graph6", "n", "minor", "contains", "nodes_explored"]
+    if args.oracle:
+        header.append("oracle_agrees")
+    # every row is computed before the output is opened, so an error
+    # leaves no truncated CSV behind
+    rows = []
     certificates = {}
     disagreement = False
+    for g in graphs:
+        g6 = write_graph6(g)
+        verdict = has_minor(g, pattern, node_cap=args.node_cap)
+        row = [g6, str(g.n), label, str(verdict.contains).lower(),
+               str(verdict.nodes_explored)]
+        if args.oracle:
+            if g.n > 7:
+                _usage_error(f"--oracle needs n <= 7, got {g.n}")
+            agrees = minor_closure_oracle(g, pattern) == verdict.contains
+            row.append(str(agrees).lower())
+            if not agrees:
+                disagreement = True
+                print(f"ORACLE DISAGREEMENT on {g6} vs {label}", file=sys.stderr)
+        if verdict.model is not None:
+            certificates[g6] = verdict.model.to_json()
+        rows.append(row)
     out, close = _out_stream(args.out)
     try:
         writer = csv.writer(out, lineterminator="\n")
-        header = ["graph6", "n", "minor", "contains", "nodes_explored"]
-        if args.oracle:
-            header.append("oracle_agrees")
         writer.writerow(header)
-        for g in graphs:
-            g6 = write_graph6(g)
-            verdict = has_minor(g, pattern, node_cap=args.node_cap)
-            row = [g6, str(g.n), label, str(verdict.contains).lower(),
-                   str(verdict.nodes_explored)]
-            if args.oracle:
-                if g.n > 7:
-                    _usage_error(f"--oracle needs n <= 7, got {g.n}")
-                agrees = minor_closure_oracle(g, pattern) == verdict.contains
-                row.append(str(agrees).lower())
-                if not agrees:
-                    disagreement = True
-                    print(f"ORACLE DISAGREEMENT on {g6} vs {label}", file=sys.stderr)
-            if verdict.model is not None:
-                certificates[g6] = verdict.model.to_json()
-            writer.writerow(row)
+        writer.writerows(rows)
     finally:
         if close:
             out.close()
@@ -218,21 +222,15 @@ def cmd_minor_check(args) -> int:
 # -- verify-theorem -------------------------------------------------------
 
 
-def _theorem_stream(n: int, source: str | None, parts: int, index: int) -> GraphStream:
-    if source is None:
-        return enumerate_graphs(n, shard=(index, parts))
-    stream = stream_from_graph6_file(source, shard=(index, parts))
-    if stream.order != n:
-        raise ValueError(f"graph file order {stream.order} does not match n={n}")
-    return stream
-
-
-def _theorem_unit(item) -> tuple[list[SearchReport], int]:
+def _theorem_unit(item) -> tuple[list[SearchPart], int]:
     """One work unit: part `index` of `parts` of the order-n stream,
     searched at every alpha.  A worker that did not inherit the levels
     below n from its parent process generates them."""
     n, index, parts, alphas, family_text, source = item
-    stream = _theorem_stream(n, source, parts, index)
+    if source is None:
+        stream = enumerate_graphs(n, shard=(index, parts))
+    else:
+        stream = stream_from_graph6_file(source, shard=(index, parts))
     return search_extremal_alphas(n, alphas, Family.parse(family_text), stream)
 
 
@@ -292,6 +290,9 @@ def cmd_verify_theorem(args) -> int:
             _usage_error(f"theorem verification needs 0 < alpha < 1, got {a}")
     if not 1 <= args.n_from <= args.n_to:
         _usage_error(f"need 1 <= --n-from <= --n-to, got {args.n_from} and {args.n_to}")
+    if args.graphs is not None and args.n_from != args.n_to:
+        _usage_error(f"a --graphs file holds one order; need --n-from = --n-to, "
+                     f"got {args.n_from} and {args.n_to}")
     if args.graphs is None and args.n_to > MAX_GENERATED_ORDER:
         raise CapacityError(f"generation is limited to n <= {MAX_GENERATED_ORDER}; "
                             f"pass --graphs for larger orders")

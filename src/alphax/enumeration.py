@@ -22,13 +22,13 @@ level can be generated from the level below without generating the rest.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 from .canonical import canonical_data, canonical_form, canonical_graph
 from .graph6 import iter_graph6_file, parse_graph6, write_graph6
 from .graphs import CapacityError, Graph, extremal_fs, extremal_qt, friendship, make_empty, quadrangle_book
-from .minors import DEFAULT_NODE_CAP, has_minor
+from .minors import has_minor
 from .spectral import TIE_TOL, InvariantError, alpha_index
 
 MAX_GENERATED_ORDER = 9
@@ -75,7 +75,7 @@ class Family:
         return extremal_qt(n, self.param)
 
 
-def is_minor_free(g: Graph, family: Family, node_cap: int = DEFAULT_NODE_CAP) -> bool:
+def is_minor_free(g: Graph, family: Family) -> bool:
     """Family predicate with a verdict cache keyed on the labelled graph
     (shared across alpha values and repeated searches over the same
     graphs).  An isomorphic copy under other labels is searched again,
@@ -83,7 +83,7 @@ def is_minor_free(g: Graph, family: Family, node_cap: int = DEFAULT_NODE_CAP) ->
     key = (str(family), g.n, g.rows)
     hit = _MINOR_FREE_CACHE.get(key)
     if hit is None:
-        hit = not has_minor(g, family.pattern(), node_cap).contains
+        hit = not has_minor(g, family.pattern()).contains
         _MINOR_FREE_CACHE[key] = hit
     return hit
 
@@ -143,7 +143,6 @@ class GraphStream:
     order: int
     source: str
     graphs: tuple[Graph, ...]
-    connected_only: bool = False
     shard: tuple[int, int] | None = None
 
     def __iter__(self):
@@ -171,8 +170,7 @@ def enumerate_graphs(n: int, connected_only: bool = False,
     graphs = _generate_level(n) if shard is None else _level_part(n, *shard)
     if connected_only:
         graphs = tuple(g for g in graphs if g.is_connected())
-    return GraphStream(order=n, source="generated", graphs=graphs,
-                       connected_only=connected_only, shard=shard)
+    return GraphStream(order=n, source="generated", graphs=graphs, shard=shard)
 
 
 def stream_from_graph6_file(path: str, shard: tuple[int, int] | None = None) -> GraphStream:
@@ -203,91 +201,69 @@ class TieEntry:
     residual: float
 
 
-@dataclass(frozen=True)
-class SearchReport:
-    """Outcome of one exhaustive (n, alpha, family) extremal search.
+def _near_max(entries: Sequence[TieEntry]) -> tuple[TieEntry, ...]:
+    """The entries within TIE_TOL of their maximum, sorted by graph6."""
+    if not entries:
+        return ()
+    top = max(e.rho for e in entries)
+    return tuple(sorted((e for e in entries if e.rho >= top - TIE_TOL), key=lambda e: e.graph6))
 
-    A report for one shard of a stream may hold no minor-free graph: then
-    ``minor_free_count`` is 0, ``ties`` is empty, the argmax fields are
-    None, and ``matches_construction`` and ``unique`` are False."""
+
+@dataclass(frozen=True)
+class SearchPart:
+    """One (n, alpha, family) search over a stream or a part of one, for
+    merge_reports.  ``ties`` holds the minor-free graphs within TIE_TOL of
+    the part's own maximum, sorted by graph6; it is empty when the part
+    holds no minor-free graph.  Every graph within TIE_TOL of the maximum
+    over all parts is within it of its own part's maximum, so the merge
+    loses no tie."""
 
     n: int
     alpha: float
     family: str
     total_graphs: int
     minor_free_count: int
-    max_rho: float | None
-    argmax_canonical: bytes | None
-    argmax_graph6: str | None
-    argmax_residual: float | None
+    ties: tuple[TieEntry, ...]
+
+
+@dataclass(frozen=True)
+class SearchReport:
+    """Outcome of one exhaustive (n, alpha, family) extremal search."""
+
+    n: int
+    alpha: float
+    family: str
+    total_graphs: int
+    minor_free_count: int
+    max_rho: float
+    argmax_canonical: bytes
+    argmax_graph6: str
+    argmax_residual: float
     ties: tuple[TieEntry, ...]
     matches_construction: bool
     unique: bool
 
 
-def _pick_argmax(ties: list[TieEntry]) -> TieEntry:
-    # the lexicographically smallest canonical encoding among the ties,
-    # ignoring their float order: independent of solver rounding and of
-    # stream or shard order
-    return min(ties, key=lambda e: e.graph6)
-
-
-def _finalize_report(n: int, alpha: float, family: Family, total: int,
-                     candidates: list[TieEntry], tie_tol: float) -> SearchReport:
-    if not candidates:
-        return SearchReport(
-            n=n, alpha=alpha, family=str(family), total_graphs=total,
-            minor_free_count=0, max_rho=None, argmax_canonical=None,
-            argmax_graph6=None, argmax_residual=None, ties=(),
-            matches_construction=False, unique=False,
-        )
-    max_rho = max(e.rho for e in candidates)
-    ties = sorted((e for e in candidates if e.rho >= max_rho - tie_tol),
-                  key=lambda e: e.graph6)
-    argmax = _pick_argmax(ties)
-    try:
-        construction_canon = canonical_form(family.construction(n))
-    except ValueError:
-        construction_canon = None
-    argmax_canon = canonical_form(parse_graph6(argmax.graph6))
-    return SearchReport(
-        n=n,
-        alpha=alpha,
-        family=str(family),
-        total_graphs=total,
-        minor_free_count=len(candidates),
-        max_rho=max_rho,
-        argmax_canonical=argmax_canon,
-        argmax_graph6=argmax.graph6,
-        argmax_residual=argmax.residual,
-        ties=tuple(ties),
-        matches_construction=construction_canon == argmax_canon,
-        unique=len(ties) == 1,
-    )
-
-
 def search_extremal(n: int, alpha: float, family: Family,
-                    stream: GraphStream | None = None,
-                    tie_tol: float = TIE_TOL,
-                    node_cap: int = DEFAULT_NODE_CAP) -> SearchReport:
-    """Filter the stream to the minor-free family, maximize the alpha-index,
-    and compare the argmax against the closed-form construction.
-
-    A sharded stream may hold no minor-free graph; its report then carries
-    no argmax (see SearchReport) and is meant for merge_reports.  An
-    unsharded stream with no minor-free graph raises ValueError."""
-    (report,), _ = search_extremal_alphas(n, (alpha,), family, stream, tie_tol, node_cap)
-    return report
+                    stream: GraphStream | None = None) -> SearchReport:
+    """Filter a whole stream (by default level n) to the minor-free
+    family, maximize the alpha-index, and compare the argmax against the
+    closed-form construction.  The parts of a sharded stream are searched
+    by search_extremal_alphas and merged by merge_reports."""
+    if stream is not None and stream.shard is not None:
+        raise ValueError(f"stream {stream.source!r} is part {stream.shard} of a stream; "
+                         f"search each part with search_extremal_alphas and merge "
+                         f"them with merge_reports")
+    (part,), _ = search_extremal_alphas(n, (alpha,), family, stream)
+    return merge_reports([part], "generated" if stream is None else stream.source)
 
 
 def search_extremal_alphas(n: int, alphas: Sequence[float], family: Family,
-                           stream: GraphStream | None = None,
-                           tie_tol: float = TIE_TOL,
-                           node_cap: int = DEFAULT_NODE_CAP) -> tuple[list[SearchReport], int]:
-    """search_extremal at every alpha in turn over one pass of the stream:
-    each minor verdict is decided, and each canonical graph6 written, once
-    per graph.  Returns one report per alpha and the number of minor
-    searches made, which leaves out verdicts already in the cache."""
+                           stream: GraphStream | None = None) -> tuple[list[SearchPart], int]:
+    """One search part per alpha over one pass of the stream: each minor
+    verdict is decided, and each canonical graph6 written, once per graph.
+    Returns the parts and the number of minor searches made, which leaves
+    out verdicts already in the cache."""
     for alpha in alphas:
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"theorem searches need 0 < alpha < 1, got {alpha}")
@@ -296,29 +272,21 @@ def search_extremal_alphas(n: int, alphas: Sequence[float], family: Family,
     if stream.order != n:
         raise ValueError(f"stream order {stream.order} does not match n={n}")
     cached = len(_MINOR_FREE_CACHE)
-    free = [g for g in stream if is_minor_free(g, family, node_cap)]
+    free = [g for g in stream if is_minor_free(g, family)]
     searches = len(_MINOR_FREE_CACHE) - cached  # each search caches one verdict
-    if not free and stream.shard is None:
-        raise ValueError(f"stream {stream.source!r} of order {n} holds no "
-                         f"{family}-minor-free graph ({len(stream)} graphs read)")
     graph6s = [write_graph6(canonical_graph(g)) for g in free]
-    complete_level = (stream.shard is None and stream.source == "generated"
-                      and not stream.connected_only)
-    reports = []
+    parts = []
     for alpha in alphas:
-        candidates = []
+        entries = []
         for g, g6 in zip(free, graph6s):
             result = alpha_index(g, alpha)
-            candidates.append(TieEntry(graph6=g6, rho=result.rho, residual=result.residual))
-        report = _finalize_report(n, alpha, family, len(stream), candidates, tie_tol)
-        if complete_level:
-            _check_construction_bound(report, family, tie_tol, node_cap)
-        reports.append(report)
-    return reports, searches
+            entries.append(TieEntry(graph6=g6, rho=result.rho, residual=result.residual))
+        parts.append(SearchPart(n=n, alpha=alpha, family=str(family), total_graphs=len(stream),
+                                minor_free_count=len(free), ties=_near_max(entries)))
+    return parts, searches
 
 
-def _check_construction_bound(report: SearchReport, family: Family, tie_tol: float,
-                              node_cap: int = DEFAULT_NODE_CAP) -> None:
+def _check_construction_bound(report: SearchReport, family: Family) -> None:
     """Sanity check of a report over a whole generated level: the
     construction, when itself minor-free and in range, can never beat the
     exhaustive maximum."""
@@ -326,44 +294,63 @@ def _check_construction_bound(report: SearchReport, family: Family, tie_tol: flo
         construction = family.construction(report.n)
     except ValueError:
         return
-    if not is_minor_free(construction, family, node_cap):
+    if not is_minor_free(construction, family):
         return
     construction_rho = alpha_index(construction, report.alpha).rho
-    if not report.max_rho >= construction_rho - tie_tol:
+    if not report.max_rho >= construction_rho - TIE_TOL:
         raise InvariantError(
             f"exhaustive maximum {report.max_rho!r} at n={report.n}, alpha={report.alpha} "
             f"is below the index {construction_rho!r} of the minor-free {family} construction")
 
 
-def merge_reports(parts: list[SearchReport], tie_tol: float = TIE_TOL,
-                  source: str = "generated") -> SearchReport:
-    """Merge of shard reports for the same (n, alpha, family).
+def merge_reports(parts: Sequence[SearchPart], source: str = "generated") -> SearchReport:
+    """The report of the search parts of one (n, alpha, family), read from
+    the stream ``source``.
 
-    Graph and minor-free counts are summed over all parts.  A part with no
-    minor-free graph has no ties and so takes no part in the argmax; if no
-    part has one, ValueError is raised, naming the stream ``source`` the
-    parts were read from.  Parts of the "generated" source are taken to
-    cover the whole level of order n, so the merged report must pass the
-    construction's sanity bound (InvariantError otherwise)."""
+    Graph and minor-free counts are summed over all parts.  The argmax is
+    the smallest canonical graph6 among the ties, whatever their float
+    order, so solver rounding cannot change it.  If no part holds a
+    minor-free graph, ValueError is raised.  Parts of the "generated"
+    source are taken to cover the whole level of order n (or every
+    connected graph of it, which holds the connected construction), so
+    the report must pass the construction's sanity bound (InvariantError
+    otherwise)."""
     if not parts:
         raise ValueError("nothing to merge")
     head = parts[0]
     for p in parts[1:]:
         if (p.n, p.alpha, p.family) != (head.n, head.alpha, head.family):
             raise ValueError("cannot merge reports for different (n, alpha, family)")
-    candidates = [e for p in parts for e in p.ties]
     total = sum(p.total_graphs for p in parts)
-    if not candidates:
+    ties = _near_max([e for p in parts for e in p.ties])
+    if not ties:
+        shards = f" in {len(parts)} shards" if len(parts) > 1 else ""
         raise ValueError(f"stream {source!r} of order {head.n} holds no "
-                         f"{head.family}-minor-free graph ({total} graphs read "
-                         f"in {len(parts)} shards)")
-    minor_free = sum(p.minor_free_count for p in parts)
+                         f"{head.family}-minor-free graph ({total} graphs read{shards})")
     family = Family.parse(head.family)
-    merged = _finalize_report(head.n, head.alpha, family, total, candidates, tie_tol)
+    argmax = ties[0]
+    argmax_canon = canonical_form(parse_graph6(argmax.graph6))
+    try:
+        construction_canon = canonical_form(family.construction(head.n))
+    except ValueError:
+        construction_canon = None
+    report = SearchReport(
+        n=head.n,
+        alpha=head.alpha,
+        family=head.family,
+        total_graphs=total,
+        minor_free_count=sum(p.minor_free_count for p in parts),
+        max_rho=max(e.rho for e in ties),
+        argmax_canonical=argmax_canon,
+        argmax_graph6=argmax.graph6,
+        argmax_residual=argmax.residual,
+        ties=ties,
+        matches_construction=construction_canon == argmax_canon,
+        unique=len(ties) == 1,
+    )
     if source == "generated":
-        _check_construction_bound(merged, family, tie_tol)
-    # shard tie lists only retain near-maximal entries; restore true counts
-    return replace(merged, minor_free_count=minor_free)
+        _check_construction_bound(report, family)
+    return report
 
 
 @dataclass(frozen=True)
@@ -376,19 +363,15 @@ class DensityProfile:
     max_edges_per_vertex: float
 
 
-def edge_density_profile(n: int, family: Family,
-                         stream: GraphStream | None = None,
-                         node_cap: int = DEFAULT_NODE_CAP) -> DensityProfile:
+def edge_density_profile(n: int, family: Family) -> DensityProfile:
     """Empirical support for the linear edge bound: the densest member of
     the minor-free family at order n."""
-    if stream is None:
-        stream = enumerate_graphs(n)
     best = 0
     total = 0
     free = 0
-    for g in stream:
+    for g in enumerate_graphs(n):
         total += 1
-        if not is_minor_free(g, family, node_cap):
+        if not is_minor_free(g, family):
             continue
         free += 1
         best = max(best, g.edge_count())

@@ -120,6 +120,37 @@ def test_minor_check_with_oracle_and_certificates(capsys, tmp_path):
     assert validate_model(g, friendship(1), MinorModel(sets))
 
 
+@pytest.mark.parametrize("argv", [
+    # the second graph is too large for the oracle
+    ["--g6", "C~", "--g6", "G?????", "--minor-family", "fs", "--s", "1", "--oracle"],
+    # the second graph, extremal_qt(12, 3), needs more than 500 search nodes
+    ["--g6", "C~", "--g6", "K~~fNB`wF?{?", "--minor-family", "qt", "--t", "3",
+     "--node-cap", "500"],
+], ids=["oracle-order", "node-cap"])
+def test_minor_check_error_leaves_no_csv(capsys, tmp_path, argv):
+    path = tmp_path / "r.csv"
+    code = main(["minor-check", *argv, "--out", str(path)])
+    assert code == 2 and capsys.readouterr().err.startswith("error: ")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("command", [["alpha-index"],
+                                     ["minor-check", "--minor-family", "fs", "--s", "1"]],
+                         ids=["alpha-index", "minor-check"])
+def test_graphs_file_may_mix_orders(capsys, tmp_path, command):
+    path = tmp_path / "mixed.g6"
+    path.write_text("C~\nD~{\n")
+    code, from_file = run(capsys, *command, "--graphs", str(path))
+    assert code == 0
+    code, from_args = run(capsys, *command, "--g6", "C~", "--g6", "D~{")
+    assert code == 0 and from_file == from_args
+    assert len(from_file.splitlines()) == 3
+    empty = tmp_path / "empty.g6"
+    empty.write_text("")
+    code = main([*command, "--graphs", str(empty)])
+    assert code == 2 and capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_theorem_exit_codes(capsys, tmp_path):
     code = main(["verify-theorem", "--family", "fs", "--s", "1", "--n-from", "4",
                  "--n-to", "5", "--alpha", "0.5", "--require-from", "4"])
@@ -234,8 +265,15 @@ def test_verify_theorem_sharded_file_without_minor_free_graph_names_it(capsys, t
 @pytest.mark.parametrize("bad", [["--n-from", "5", "--n-to", "4"],
                                  ["--n-from", "0", "--n-to", "4"],
                                  ["--n-from", "4", "--n-to", "4", "--shards", "0"],
-                                 ["--n-from", "9", "--n-to", "10"]])
-def test_verify_theorem_rejects_bad_ranges_before_any_work(capsys, bad):
+                                 ["--n-from", "9", "--n-to", "10"],
+                                 # a graph6 file holds one order
+                                 ["--n-from", "5", "--n-to", "6", "--graphs", "hosts.g6"]])
+def test_verify_theorem_rejects_bad_ranges_before_any_work(capsys, monkeypatch, bad):
+    def no_work(item):
+        raise AssertionError(f"work unit {item} started")
+
+    monkeypatch.setenv("ALPHAX_THREADS", "1")
+    monkeypatch.setattr(cli, "_theorem_unit", no_work)
     code = main(["verify-theorem", "--family", "fs(1)", "--alpha", "0.5", *bad])
     out, err = capsys.readouterr()
     assert code == 2 and out == "" and err.startswith("error: ")

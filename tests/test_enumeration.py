@@ -7,6 +7,7 @@ from alphax import (
     Family,
     GraphStream,
     InvariantError,
+    SearchPart,
     canonical_form,
     edge_density_profile,
     enumerate_graphs,
@@ -25,7 +26,7 @@ from alphax import (
 )
 from alphax import enumeration
 from alphax.canonical import are_isomorphic, canonical_data
-from alphax.enumeration import TieEntry, _finalize_report, search_extremal_alphas
+from alphax.enumeration import TieEntry, search_extremal_alphas
 from alphax.graphs import friendship
 
 ALL_GRAPHS = [1, 1, 2, 4, 11, 34, 156, 1044, 12346]       # per order 0..8
@@ -173,11 +174,13 @@ def test_search_matches_closed_form_when_construction_wins():
 
 def test_argmax_among_ties_ignores_float_order():
     # D~_ is the float maximum, D}o (the construction) the smaller graph6
-    ties = [TieEntry("D~_", 3.1861406616346, 0.0), TieEntry("D}o", 3.1861406616345, 0.0)]
-    for candidates in (ties, ties[::-1]):
-        r = _finalize_report(5, 0.5, Family("fs", 2), 34, candidates, 1e-9)
+    parts = [SearchPart(5, 0.5, "fs(2)", 17, 1, (TieEntry("D~_", 3.1861406616346, 0.0),)),
+             SearchPart(5, 0.5, "fs(2)", 17, 1, (TieEntry("D}o", 3.1861406616345, 0.0),))]
+    for ordered in (parts, parts[::-1]):
+        r = merge_reports(ordered)
         assert r.argmax_graph6 == "D}o" and r.matches_construction and not r.unique
         assert r.max_rho == 3.1861406616346
+        assert (r.total_graphs, r.minor_free_count) == (34, 2)
 
 
 def test_search_fs2_n5_half_picks_construction_among_ties():
@@ -195,17 +198,28 @@ def test_search_below_construction_raises():
         search_extremal(4, 0.5, Family("fs", 1), stream)
 
 
+def _parts(n, alpha, fam, count):
+    return [search_extremal_alphas(n, (alpha,), fam, enumerate_graphs(n, shard=(i, count)))[0][0]
+            for i in range(count)]
+
+
 def test_merge_matches_unsharded():
     fam = Family("qt", 1)
     direct = search_extremal(6, 0.5, fam)
-    parts = [search_extremal(6, 0.5, fam, enumerate_graphs(6, shard=(i, 3)))
-             for i in range(3)]
-    merged = merge_reports(parts)
-    assert merged == direct
+    parts = _parts(6, 0.5, fam, 3)
+    assert merge_reports(parts) == direct
+    # the report does not depend on the order of the parts
+    assert merge_reports(parts[::-1]) == direct
+    assert merge_reports([parts[1], parts[2], parts[0]]) == direct
     with pytest.raises(ValueError):
         merge_reports([])
     with pytest.raises(ValueError):
-        merge_reports([direct, search_extremal(5, 0.5, fam)])
+        merge_reports([parts[0], _parts(5, 0.5, fam, 1)[0]])
+
+
+def test_search_extremal_rejects_a_part():
+    with pytest.raises(ValueError, match="merge_reports"):
+        search_extremal(6, 0.5, Family("qt", 1), enumerate_graphs(6, shard=(0, 3)))
 
 
 def test_merge_skips_shard_without_minor_free_graph():
@@ -214,13 +228,10 @@ def test_merge_skips_shard_without_minor_free_graph():
     assert len(enumerate_graphs(4, shard=(3, 4))) == 4
     assert not any(is_minor_free(g, fam) for g in enumerate_graphs(4, shard=(3, 4)))
     direct = search_extremal(4, 0.5, fam)
-    parts = [search_extremal(4, 0.5, fam, enumerate_graphs(4, shard=(i, 4)))
-             for i in range(4)]
+    parts = _parts(4, 0.5, fam, 4)
     empty = parts[3]
     assert empty.total_graphs == 4
     assert empty.minor_free_count == 0 and empty.ties == ()
-    assert empty.argmax_graph6 is None and empty.max_rho is None
-    assert not empty.matches_construction and not empty.unique
     merged = merge_reports(parts)
     assert merged == direct
     with pytest.raises(ValueError, match=r"fs\(1\)"):
@@ -234,8 +245,7 @@ def test_merge_of_generated_parts_checks_the_construction_bound():
     # part but the one that holds it loses the maximum
     fam = Family("fs", 1)
     star = canonical_form(fam.construction(6))
-    parts = [search_extremal(6, 0.5, fam, enumerate_graphs(6, shard=(i, 3)))
-             for i in range(3)]
+    parts = _parts(6, 0.5, fam, 3)
     holders = [i for i in range(3)
                if any(canonical_form(g) == star for g in enumerate_graphs(6, shard=(i, 3)))]
     assert holders == [0]
@@ -250,10 +260,10 @@ def test_merge_of_generated_parts_checks_the_construction_bound():
 def test_search_extremal_alphas_matches_one_alpha_at_a_time():
     fam = Family("qt", 1)
     alphas = (0.1, 0.5, 0.9)
-    reports, searches = search_extremal_alphas(6, alphas, fam)
+    parts, searches = search_extremal_alphas(6, alphas, fam)
     assert 0 <= searches <= len(enumerate_graphs(6))
-    for alpha, report in zip(alphas, reports):
-        assert report == search_extremal(6, alpha, fam)
+    for alpha, part in zip(alphas, parts):
+        assert merge_reports([part]) == search_extremal(6, alpha, fam)
     with pytest.raises(ValueError):
         search_extremal_alphas(6, (0.5, 1.0), fam)
 
