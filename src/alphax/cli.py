@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import multiprocessing
 import os
 import sys
 import time
@@ -49,7 +50,7 @@ from .graphs import (
     matching_graph,
     quadrangle_book,
 )
-from .minors import SearchLimitError, has_minor, minor_closure_oracle
+from .minors import DEFAULT_NODE_CAP, SearchLimitError, has_minor, minor_closure_oracle
 from .spectral import ConvergenceError, InvariantError, alpha_index, signless_laplacian_index
 
 THEOREM_COLUMNS = ["graph6", "n", "alpha", "family", "rho", "residual",
@@ -306,8 +307,9 @@ def cmd_verify_theorem(args) -> int:
              for n in reversed(ns) for index in range(parts)]
 
     if workers > 1 and len(items) > 1:
-        if args.graphs is None and ns[-1] > 1:
-            # the levels below the top one, for workers that inherit them
+        if args.graphs is None and ns[-1] > 1 and multiprocessing.get_start_method() == "fork":
+            # the levels below the top one, for workers that inherit them;
+            # a spawned worker would build them again
             enumerate_graphs(ns[-1] - 1)
         with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
             results = list(pool.map(_theorem_unit, items))
@@ -443,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the closure oracle (n <= 7)")
     p.add_argument("--certificates", help="JSON output path for minor models")
-    p.add_argument("--node-cap", type=int, default=100_000_000)
+    p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_minor_check)
 

@@ -202,21 +202,25 @@ class TieEntry:
 
 
 def _near_max(entries: Sequence[TieEntry]) -> tuple[TieEntry, ...]:
-    """The entries within TIE_TOL of their maximum, sorted by graph6."""
+    """The entries within TIE_TOL of their maximum, sorted by graph6, one
+    per graph6: of isomorphic copies, the one with the largest rho and
+    then the smallest residual, whichever part holds it."""
     if not entries:
         return ()
     top = max(e.rho for e in entries)
-    return tuple(sorted((e for e in entries if e.rho >= top - TIE_TOL), key=lambda e: e.graph6))
+    best = {e.graph6: e for e in sorted(entries, key=lambda e: (e.rho, -e.residual))
+            if e.rho >= top - TIE_TOL}
+    return tuple(sorted(best.values(), key=lambda e: e.graph6))
 
 
 @dataclass(frozen=True)
 class SearchPart:
     """One (n, alpha, family) search over a stream or a part of one, for
     merge_reports.  ``ties`` holds the minor-free graphs within TIE_TOL of
-    the part's own maximum, sorted by graph6; it is empty when the part
-    holds no minor-free graph.  Every graph within TIE_TOL of the maximum
-    over all parts is within it of its own part's maximum, so the merge
-    loses no tie."""
+    the part's own maximum, one per graph6 and sorted by it; it is empty
+    when the part holds no minor-free graph.  Every graph within TIE_TOL
+    of the maximum over all parts is within it of its own part's maximum,
+    so the merge loses no tie."""
 
     n: int
     alpha: float

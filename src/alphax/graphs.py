@@ -96,9 +96,6 @@ class Graph:
     def degrees(self) -> list[int]:
         return [r.bit_count() for r in self.rows]
 
-    def neighbor_mask(self, v: int) -> int:
-        return self.rows[v]
-
     def neighbors(self, v: int) -> list[int]:
         return list(bits(self.rows[v]))
 

@@ -20,16 +20,18 @@ alone, by a plan built once per pattern:
 - components, when H is connected: the branch sets and the edges that
   realize H form one connected subgraph of G.
 - size: a piece with fewer vertices or edges than H cannot hold it.
-- twins: branch sets of interchangeable H-vertices (swapping them is an
-  automorphism) are taken in ascending order of their roots.
-- Aut(H): only root tuples that are lex-minimal in their orbit under
-  the stabilizer of the assigned prefix are explored.
+- Aut(H): only root tuples that are lex-minimal in their orbit are
+  explored.  Roots are distinct, so each automorphism checked comes down
+  to one pair of positions whose roots must ascend.  The automorphisms
+  checked always include every twin swap (two H-vertices whose
+  neighborhoods agree outside the pair), so the branch sets of twins
+  are taken in ascending order of their roots.
 - Aut(G): the first root ranges over one vertex per discovered orbit of
   the piece, but only when every automorphism of H fixes the first
   embedding position (the centre of F_s and Q_t, s, t >= 2).  Then a
   host automorphism moves any model's first root onto its orbit's
   representative, and a pattern automorphism, which keeps position 0,
-  brings the model into the form the twin and lex-min constraints admit.
+  brings the model into the form the lex-min constraints admit.
   For vertex-transitive patterns (K_3, C_4) the pattern automorphism may
   move the first root again, and the combination is unsound.
 """
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, combinations, islice
 from typing import Iterator
 
 from .canonical import canonical_form
@@ -127,32 +129,6 @@ def _automorphisms(h: Graph) -> Iterator[list[int]]:
     yield from extend(0, 0)
 
 
-def _twin_classes(h: Graph) -> list[int]:
-    """Union-find partition of H-vertices into interchangeable classes.
-
-    Two vertices are twins when their neighborhoods agree outside the pair
-    (either both adjacent to exactly the same vertices, or adjacent to each
-    other plus the same vertices); swapping any twin pair is an
-    automorphism, so branch sets within a class may be forced into
-    ascending min-vertex order.
-    """
-    parent = list(range(h.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u in range(h.n):
-        for v in range(u + 1, h.n):
-            same_open = h.rows[u] == h.rows[v]
-            same_closed = (h.rows[u] | 1 << u) == (h.rows[v] | 1 << v)
-            if same_open or same_closed:
-                parent[find(u)] = find(v)
-    return [find(v) for v in range(h.n)]
-
-
 # -- host pieces ----------------------------------------------------------
 
 
@@ -211,8 +187,7 @@ class _PatternPlan:
 
     order: tuple[int, ...]
     earlier: tuple[tuple[int, ...], ...]  # earlier H-neighbors of each position
-    twin_earlier: tuple[tuple[int, ...], ...]  # earlier positions of its twin class
-    stabilizers: tuple[tuple[tuple[int, ...], ...], ...]  # checkable at each position
+    lex_pairs: tuple[tuple[tuple[int, int], ...], ...]  # (a, b): root a < root b
     min_degree_2: bool
     connected: bool
     biconnected: bool
@@ -226,31 +201,35 @@ def _pattern_plan(h: Graph) -> _PatternPlan:
     pos_of = {v: i for i, v in enumerate(order)}
     earlier = tuple(tuple(pos_of[u] for u in bits(h.rows[v]) if pos_of[u] < i)
                     for i, v in enumerate(order))
-    twin = _twin_classes(h)
-    twin_earlier = tuple(tuple(j for j in range(i) if twin[order[j]] == twin[order[i]])
-                         for i in range(k))
 
     # Aut(H) symmetry breaking: explore only assignments whose root tuple
-    # is lex-minimal in its orbit.  A position permutation becomes
-    # checkable once it stabilizes the assigned prefix.
-    stabilizers: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
+    # is lex-minimal in its orbit.  Roots are distinct, so the tuple is
+    # below its image under a position permutation tau exactly when root
+    # a < root tau[a] at tau's first moved position a.  The pair (a, tau[a])
+    # is checked at the first position whose prefix tau stabilizes.  The
+    # twin swaps are added by hand: the automorphism listing may stop
+    # before them.
+    checked_at: dict[tuple[int, int], int] = {}
+    for a, b in combinations(range(k), 2):
+        u, v = order[a], order[b]
+        if h.rows[u] & ~(1 << v) == h.rows[v] & ~(1 << u):
+            checked_at[a, b] = b
     for sigma in islice(_automorphisms(h), 10_000):
-        tau = tuple(pos_of[sigma[order[i]]] for i in range(k))
-        if tau == tuple(range(k)):
-            continue
-        top = -1
-        for i in range(k):
-            top = max(top, tau[i])
-            if top == i:
-                stabilizers[i].append(tau)
+        tau = [pos_of[sigma[v]] for v in order]
+        a = next((j for j in range(k) if tau[j] != j), k)
+        if a < k:
+            i = next(i for i, top in enumerate(accumulate(tau, max)) if i >= a and top == i)
+            checked_at[a, tau[a]] = min(i, checked_at.get((a, tau[a]), k))
+    lex_pairs: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    for pair, i in checked_at.items():
+        lex_pairs[i].append(pair)
 
     full = h.vertex_mask()
     connected = h.is_connected()
     return _PatternPlan(
         order=tuple(order),
         earlier=earlier,
-        twin_earlier=twin_earlier,
-        stabilizers=tuple(tuple(s) for s in stabilizers),
+        lex_pairs=tuple(tuple(p) for p in lex_pairs),
         min_degree_2=min(h.degrees()) >= 2,
         connected=connected,
         biconnected=k >= 3 and connected and _blocks(h.rows, full) == [full],
@@ -317,7 +296,7 @@ def _search(g: Graph, plan: _PatternPlan, nodes: int,
     and the node count.
     """
     k = len(plan.order)
-    earlier, twin_earlier, stabilizers = plan.earlier, plan.twin_earlier, plan.stabilizers
+    earlier, lex_pairs = plan.earlier, plan.lex_pairs
     rows = g.rows
     full = g.vertex_mask()
     branch = [0] * k
@@ -325,26 +304,19 @@ def _search(g: Graph, plan: _PatternPlan, nodes: int,
     roots = [0] * k
 
     # Host-side symmetry: the first root only needs one representative per
-    # discovered Aut(G) vertex orbit (sound only when Aut(H) fixes it).
+    # orbit of the group the discovered Aut(G) elements generate (sound only
+    # when Aut(H) fixes it).  The orbits are the components of the graph
+    # joining each v to its images; the lowest vertex stands for each.
     first_root_mask = full
     if plan.fixes_first and g.n >= HOST_ORBIT_ORDER:
-        orbit = list(range(g.n))
-
-        def orep(x):
-            while orbit[x] != x:
-                orbit[x] = orbit[orbit[x]]
-                x = orbit[x]
-            return x
-
+        moves = [0] * g.n
         for sigma in islice(_automorphisms(g), 3000):
             for v, w in enumerate(sigma):
-                a, b = orep(v), orep(w)
-                if a != b:
-                    orbit[a] = b
+                moves[v] |= 1 << w
+                moves[w] |= 1 << v
         first_root_mask = 0
-        for v in range(g.n):
-            if orep(v) == v:
-                first_root_mask |= 1 << v
+        for orbit in component_masks_within(moves, full):
+            first_root_mask |= orbit & -orbit
 
     def bump() -> None:
         nonlocal nodes
@@ -376,30 +348,16 @@ def _search(g: Graph, plan: _PatternPlan, nodes: int,
                 cand &= ball
                 if not cand:
                     return False
-        floor = -1
-        for j in twin_earlier[i]:
-            if roots[j] > floor:
-                floor = roots[j]
         for r in bits(cand):
-            if r <= floor:
-                continue
             roots[i] = r
-            skip = False
-            for tau in stabilizers[i]:
-                for j in range(i + 1):
-                    a, b = roots[tau[j]], roots[j]
-                    if a != b:
-                        if a < b:
-                            skip = True
-                        break
-                if skip:
+            for a, b in lex_pairs[i]:
+                if roots[b] < roots[a]:
                     break
-            if skip:
-                continue
-            branch[i] = 1 << r
-            nbr[i] = rows[r]
-            if realize(i, 0, used | 1 << r):
-                return True
+            else:
+                branch[i] = 1 << r
+                nbr[i] = rows[r]
+                if realize(i, 0, used | 1 << r):
+                    return True
         return False
 
     def realize(i: int, e: int, used: int) -> bool:

@@ -226,20 +226,59 @@ def test_verify_theorem_pool_matches_one_worker(capsys, tmp_path, monkeypatch, m
         assert pooled == single
 
 
+@pytest.mark.parametrize("method, calls", [("fork", [(5,)]), ("spawn", [])])
+def test_verify_theorem_builds_lower_levels_only_for_forked_workers(
+        capsys, tmp_path, monkeypatch, method, calls):
+    # a spawned worker inherits nothing from the parent, so building the
+    # lower levels there first is wasted work
+    seen = []
+    real = cli.enumerate_graphs
+
+    def spy(n, *args, **kwargs):
+        seen.append((n, *args))
+        return real(n, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "enumerate_graphs", spy)
+    monkeypatch.setenv("ALPHAX_THREADS", "2")
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(method, force=True)
+    try:
+        code = main(["verify-theorem", "--family", "fs(1)", "--n-from", "4", "--n-to", "6",
+                     "--alpha", "0.5", "--csv", str(tmp_path / "r.csv")])
+    finally:
+        multiprocessing.set_start_method(previous, force=True)
+    capsys.readouterr()
+    assert code == 0
+    assert seen == calls
+
+
+def _file_reports(capsys, tmp_path, path, family, n, alphas) -> list[tuple[str, str]]:
+    outs = []
+    for shards in ("1", "2", "3"):
+        jpath = tmp_path / f"{family}-{shards}.json"
+        code, out = run(capsys, "verify-theorem", "--family", family, "--n-from", str(n),
+                        "--n-to", str(n), "--alpha", alphas, "--graphs", str(path),
+                        "--shards", shards, "--json", str(jpath))
+        assert code == 0
+        outs.append((out, jpath.read_text()))
+    return outs
+
+
 def test_verify_theorem_file_reports_do_not_depend_on_shards(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("ALPHAX_THREADS", "1")
     path = tmp_path / "six.g6"
     path.write_text("".join(write_graph6(g) + "\n" for g in enumerate_graphs(6)))
     for family in ("fs(1)", "qt(1)"):
-        outs = []
-        for shards in ("1", "2", "3"):
-            jpath = tmp_path / f"{family}-{shards}.json"
-            code, out = run(capsys, "verify-theorem", "--family", family, "--n-from", "6",
-                            "--n-to", "6", "--alpha", "0.1,0.5,0.9", "--graphs", str(path),
-                            "--shards", shards, "--json", str(jpath))
-            assert code == 0
-            outs.append((out, jpath.read_text()))
+        outs = _file_reports(capsys, tmp_path, path, family, 6, "0.1,0.5,0.9")
         assert outs[0] == outs[1] == outs[2], family
+    # isomorphic copies are one tie: P_5 and K_{1,4} with each vertex as
+    # the centre, whose solves differ in float noise with the labelling
+    path = tmp_path / "copies.g6"
+    path.write_text("DhC\nDs_\nDiO\nDXG\nDFC\nD?{\n")
+    outs = _file_reports(capsys, tmp_path, path, "fs(1)", 5, "0.5")
+    assert outs[0] == outs[1] == outs[2]
+    (report,) = json.loads(outs[0][1])["reports"]
+    assert [t["graph6"] for t in report["ties"]] == ["Ds_"] and report["unique"] is True
 
 
 def test_verify_theorem_no_minor_free_graph_is_usage_error(capsys, tmp_path):

@@ -276,11 +276,31 @@ def test_pattern_plan_flags():
             assert plan.min_degree_2 and plan.connected
             assert not plan.biconnected
             assert plan.fixes_first
-            # no twin or lex-min constraint involves the first root
-            assert all(0 not in twins for twins in plan.twin_earlier)
-            assert all(tau[0] == 0 for taus in plan.stabilizers for tau in taus)
+            # no lex-min constraint involves the first root
+            assert all(0 not in pair for pairs in plan.lex_pairs for pair in pairs)
     assert not minors._pattern_plan(make_path(3)).min_degree_2
     assert not minors._pattern_plan(make_empty(2)).connected
+
+
+def test_pattern_plan_holds_every_twin_swap():
+    # K_8 has 8! automorphisms, more than the 10,000 the plan lists, so
+    # the swaps of its 28 twin pairs must be added by hand
+    plan = minors._pattern_plan(make_complete(8))
+    assert plan.lex_pairs == tuple(tuple((a, b) for a in range(b)) for b in range(8))
+
+
+@pytest.mark.parametrize("h, total", [(make_complete(3), 11_846), (make_cycle(4), 16_695),
+                                      (friendship(2), 78_093), (quadrangle_book(2), 96_587)])
+def test_search_tree_sizes_on_all_small_graphs(h, total):
+    # pinned node totals: a change to the pruning or the symmetry breaking
+    # that enlarges (or shrinks) the search trees shows here
+    assert sum(has_minor(g, h).nodes_explored
+               for n in range(1, 8) for g in enumerate_graphs(n)) == total
+
+
+def test_search_tree_size_of_a_pattern_with_many_automorphisms():
+    v = has_minor(join(make_complete(2), make_cycle(9)), make_complete(8))
+    assert not v.contains and v.nodes_explored == 107_296
 
 
 def test_pattern_plan_built_once():
