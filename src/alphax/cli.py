@@ -366,31 +366,32 @@ def cmd_verify_theorem(args) -> int:
 
 
 def cmd_verify_lemmas(args) -> int:
+    # each entry: the suite names and a function returning their tallies
     suites = [
-        ("closed-form-quotient", lambda: lemmas.closed_form(args.grid_n)),
-        ("nikiforov-bounds", lambda: lemmas.nikiforov(args.grid_n)),
-        ("signless-identity", lambda: lemmas.signless(args.max_n)),
-        ("intersection-bound", lambda: lemmas.intersection(args.trials, args.seed)),
-        ("minor-free-structure", lambda: lemmas.structure(args.max_n)),
-        ("extremal-at-half", lambda: lemmas.corollary(args.max_n)),
+        (("closed-form-quotient", "nikiforov-bounds"), lambda: lemmas.join_grid(args.grid_n)),
+        (("signless-identity",), lambda: [lemmas.signless(args.max_n)]),
+        (("intersection-bound",), lambda: [lemmas.intersection(args.trials, args.seed)]),
+        (("minor-free-structure",), lambda: [lemmas.structure(args.max_n)]),
+        (("extremal-at-half",), lambda: [lemmas.corollary(args.max_n)]),
     ]
     total_bad = 0
     rows = []
-    for name, fn in suites:
+    for names, fn in suites:
         t0 = time.perf_counter()
-        tally = fn()
+        tallies = fn()
         dt = time.perf_counter() - t0
-        total_bad += tally.violations
-        status = "pass" if tally.violations == 0 else "FAIL"
-        line = f"{name}: {status} ({tally.checks} checks, {tally.violations} violations)"
-        if tally.note:
-            line += f" [{tally.note}]"
-        print(line)
-        if tally.first:
-            print(f"  first counterexample: {tally.first}")
+        for name, tally in zip(names, tallies, strict=True):
+            total_bad += tally.violations
+            status = "pass" if tally.violations == 0 else "FAIL"
+            line = f"{name}: {status} ({tally.checks} checks, {tally.violations} violations)"
+            if tally.note:
+                line += f" [{tally.note}]"
+            print(line)
+            if tally.first:
+                print(f"  first counterexample: {tally.first}")
+            rows.append({"suite": name, "checks": tally.checks, "violations": tally.violations,
+                         "first_counterexample": tally.first})
         print(f"  {dt:.1f}s", file=sys.stderr)
-        rows.append({"suite": name, "checks": tally.checks, "violations": tally.violations,
-                     "first_counterexample": tally.first})
     for fam in (Family("fs", 1), Family("qt", 1)):
         profiles = [edge_density_profile(n, fam) for n in range(2, args.max_n + 1)]
         budget = ", ".join(f"n={p.n}:{p.max_edges}" for p in profiles)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .canonical import canonical_data, canonical_form, canonical_graph
-from .graph6 import iter_graph6_file, parse_graph6, write_graph6
+from .graph6 import graph6_lines, graph6_order, parse_graph6, write_graph6
 from .graphs import CapacityError, Graph, extremal_fs, extremal_qt, friendship, make_empty, quadrangle_book
 from .minors import has_minor
 from .spectral import TIE_TOL, InvariantError, alpha_index
@@ -177,18 +177,27 @@ def stream_from_graph6_file(path: str, shard: tuple[int, int] | None = None) -> 
     """The graphs of a graph6 file, all of one order, in file order.
     ``shard=(i, k)`` keeps every k-th graph of the file, starting at the
     i-th, as enumerate_graphs keeps the children of every k-th parent.
-    The whole file is read and checked either way."""
-    graphs = tuple(iter_graph6_file(path))
-    if not graphs:
+    A part fully parses only its own lines, so the k parts parse each
+    line once; of every other line it decodes the order field, so each
+    part rejects a file of mixed orders."""
+    index, parts = (0, 1) if shard is None else shard
+    _check_shard(index, parts)
+    graphs = []
+    order = None
+    for i, line in enumerate(graph6_lines(path)):
+        if i % parts == index:
+            g = parse_graph6(line)
+            graphs.append(g)
+            n = g.n
+        else:
+            n = graph6_order(line)
+        if order is None:
+            order = n
+        elif n != order:
+            raise ValueError(f"mixed orders in {path}: {order} and {n}")
+    if order is None:
         raise ValueError(f"no graphs in {path}")
-    order = graphs[0].n
-    for g in graphs:
-        if g.n != order:
-            raise ValueError(f"mixed orders in {path}: {order} and {g.n}")
-    if shard is not None:
-        _check_shard(*shard)
-        graphs = graphs[shard[0]::shard[1]]
-    return GraphStream(order=order, source=path, graphs=graphs, shard=shard)
+    return GraphStream(order=order, source=path, graphs=tuple(graphs), shard=shard)
 
 
 # -- extremal search ------------------------------------------------------

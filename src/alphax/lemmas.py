@@ -1,8 +1,10 @@
 """The lemma suites of `verify-lemmas`, one finite check each:
 
-- closed_form: the index of K_s joined with n-s independent vertices is
-  the largest root of its 2x2 quotient (spectral.join_quotient_index).
-- nikiforov: that index meets Nikiforov's basic and strong lower bounds.
+- join_grid, two suites on one (s, n, alpha) grid: the index of K_s
+  joined with n-s independent vertices is the largest root of its 2x2
+  quotient (spectral.join_quotient_index), and it meets Nikiforov's
+  basic and strong lower bounds.  Each matrix is solved once and its
+  index feeds both tallies.
 - signless: q = 2*rho_{1/2} = 2 + lambda_max(A(L(G))) for every graph,
   as Q = D + A = R R^T and R^T R = 2I + A(L(G)) for the incidence matrix R.
 - intersection: |N_1 & ... & N_k| >= sum |N_i| - (k-1)|N_1 | ... | N_k|.
@@ -50,33 +52,27 @@ class Tally:
                 self.first = describe()
 
 
-def closed_form(grid_n: int) -> Tally:
-    tally = Tally()
+def join_grid(grid_n: int) -> tuple[Tally, Tally]:
+    """The closed-form and Nikiforov-bound tallies of the grid s = 1..3,
+    n = s+1..grid_n, alpha in GRID_ALPHAS."""
+    closed, bounds = Tally(), Tally()
     worst = 0.0
     for s in (1, 2, 3):
         for n in range(s + 1, grid_n + 1):
+            g = graphs.extremal_fs(n, s)
             for a in GRID_ALPHAS:
-                got = spectral.alpha_index(graphs.extremal_fs(n, s), a).rho
+                rho = spectral.alpha_index(g, a).rho
                 want = spectral.join_quotient_index(n, s, a)
-                diff = abs(got - want)
+                diff = abs(rho - want)
                 worst = max(worst, diff)
-                tally.check(diff <= 1e-9,
-                            lambda: f"s={s} n={n} alpha={a}: |{got}-{want}|={diff:.2e}")
-    tally.note = f"worst |diff|={worst:.2e}"
-    return tally
-
-
-def nikiforov(grid_n: int) -> Tally:
-    tally = Tally()
-    for k in (1, 2, 3):
-        for n in range(k + 1, grid_n + 1):
-            for a in GRID_ALPHAS:
-                rho = spectral.alpha_index(graphs.extremal_fs(n, k), a).rho
-                b = spectral.nikiforov_lower_bound(n, k, a)
+                closed.check(diff <= 1e-9,
+                             lambda: f"s={s} n={n} alpha={a}: |{rho}-{want}|={diff:.2e}")
+                b = spectral.nikiforov_lower_bound(n, s, a)
                 fail = rho < b.basic - 1e-9 or (b.strong is not None and rho < b.strong - 1e-9)
-                tally.check(not fail, lambda: f"k={k} n={n} alpha={a}: rho={rho} "
-                                              f"basic={b.basic} strong={b.strong}")
-    return tally
+                bounds.check(not fail, lambda: f"k={s} n={n} alpha={a}: rho={rho} "
+                                               f"basic={b.basic} strong={b.strong}")
+    closed.note = f"worst |diff|={worst:.2e}"
+    return closed, bounds
 
 
 def _line_graph_index(g: Graph) -> float:

@@ -1,6 +1,10 @@
 """A_alpha matrices, certified largest-eigenvalue computation, and the
 closed-form spectral bounds.
 
+``alpha_matrix`` assembles A_alpha in numpy from the graph's bit rows
+(unpacked to a 0/1 matrix, scaled by 1 - alpha, with alpha*deg on the
+diagonal); each entry is the same float a per-edge fill would store.
+
 The eigensolver is LAPACK, through ``numpy.linalg.eigh`` of the full dense
 symmetric matrix (orders are <= 64 here).  Each result is certified by a
 two-sided a-posteriori bracket on the largest eigenvalue that needs no
@@ -133,17 +137,16 @@ def power_iteration(m: np.ndarray, shift: float, tol: float = DEFAULT_TOL,
 
 
 def alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
-    """alpha*D + (1-alpha)*A; diagonal alpha*deg(v), off-diagonal (1-alpha) per edge."""
+    """alpha*D + (1-alpha)*A; diagonal alpha*deg(v), off-diagonal (1-alpha) per edge.
+
+    A is unpacked from the bit rows: row v as a little-endian 64-bit word,
+    whose byte-wise little-endian bits are columns 0..63."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0,1], got {alpha}")
-    n = g.n
-    m = np.zeros((n, n))
-    for v in range(n):
-        m[v, v] = alpha * g.degree(v)
-        row = g.rows[v]
-        for u in range(v + 1, n):
-            if row >> u & 1:
-                m[v, u] = m[u, v] = 1.0 - alpha
+    n, rows = g.n, g.rows
+    words = np.array(rows, dtype="<u8").view(np.uint8).reshape(n, 8)
+    m = (1.0 - alpha) * np.unpackbits(words, axis=1, count=n, bitorder="little")
+    m.flat[::n + 1] = [alpha * row.bit_count() for row in rows]
     return m
 
 

@@ -47,7 +47,7 @@ def warm_solver():
 
 def test_c01_closed_form_agreement():
     t0 = time.perf_counter()
-    tally = lemmas.closed_form(30)
+    tally = lemmas.join_grid(30)[0]
     dt = time.perf_counter() - t0
     ok = tally.violations == 0 and dt < 10.0
     report(1, ok, f"eigensolver vs closed form on {tally.checks} grid points, {tally.note}", dt)
@@ -58,7 +58,7 @@ def test_c01_closed_form_agreement():
 
 def test_c02_nikiforov_bounds():
     t0 = time.perf_counter()
-    tally = lemmas.nikiforov(30)
+    tally = lemmas.join_grid(30)[1]
     dt = time.perf_counter() - t0
     report(2, tally.violations == 0, f"lower bounds on the join construction at "
                                      f"{tally.checks} grid points, {tally.violations} violations", dt)

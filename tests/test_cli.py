@@ -301,6 +301,17 @@ def test_verify_theorem_sharded_file_without_minor_free_graph_names_it(capsys, t
     assert "fs(1)" in err and "triangle.g6" in err
 
 
+def test_verify_theorem_sharded_file_with_a_malformed_line_is_usage_error(capsys, tmp_path,
+                                                                         monkeypatch):
+    monkeypatch.setenv("ALPHAX_THREADS", "1")
+    path = tmp_path / "bad.g6"
+    path.write_text("D?{\nD?\nDhC\n")  # part 1 of 2 alone owns the truncated line
+    code = main(["verify-theorem", "--family", "fs(1)", "--n-from", "5", "--n-to", "5",
+                 "--alpha", "0.5", "--graphs", str(path), "--shards", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 @pytest.mark.parametrize("bad", [["--n-from", "5", "--n-to", "4"],
                                  ["--n-from", "0", "--n-to", "4"],
                                  ["--n-from", "4", "--n-to", "4", "--shards", "0"],
@@ -324,11 +335,16 @@ def test_verify_theorem_rejects_bad_alpha(capsys):
     assert code == 2
 
 
-def test_verify_lemmas_quick(capsys, monkeypatch):
+def test_verify_lemmas_quick(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("ALPHAX_THREADS", "1")
+    path = tmp_path / "lemmas.json"
     code, out = run(capsys, "verify-lemmas", "--max-n", "5", "--grid-n", "12",
-                    "--trials", "500")
+                    "--trials", "500", "--json", str(path))
     assert code == 0
+    suites = {row["suite"]: row for row in json.loads(path.read_text())["suites"]}
+    assert list(suites) == ["closed-form-quotient", "nikiforov-bounds", "signless-identity",
+                            "intersection-bound", "minor-free-structure", "extremal-at-half"]
+    assert suites["closed-form-quotient"]["checks"] == suites["nikiforov-bounds"]["checks"] == 270
     assert "closed-form-quotient: pass" in out
     assert "nikiforov-bounds: pass" in out
     assert "signless-identity: pass" in out

@@ -5,6 +5,7 @@ import pytest
 from alphax import (
     CapacityError,
     Family,
+    Graph6ParseError,
     GraphStream,
     InvariantError,
     SearchPart,
@@ -91,27 +92,42 @@ def test_shards_partition_the_stream(monkeypatch):
         enumerate_graphs(5, shard=(3, 3))
 
 
-def test_stream_from_file(tmp_path):
+def test_stream_from_file(tmp_path, monkeypatch):
     graphs = enumerate_graphs(5).graphs[:10]
     path = tmp_path / "five.g6"
     path.write_text("\n".join(write_graph6(g) for g in graphs) + "\n")
     stream = stream_from_graph6_file(str(path))
     assert stream.order == 5 and stream.graphs == graphs
+    parsed = []
+    monkeypatch.setattr(enumeration, "parse_graph6",
+                        lambda line: parsed.append(line) or parse_graph6(line))
     # part i of k keeps every k-th graph from the i-th on, the rule of
-    # generated levels; the parts partition the file and differ in size
-    # by at most one
+    # generated levels; the parts partition the file, differ in size by
+    # at most one, and parse each line once between them
     for k in (1, 2, 3, 4, 11):
+        parsed.clear()
         parts = [stream_from_graph6_file(str(path), shard=(i, k)) for i in range(k)]
         assert [p.graphs for p in parts] == [graphs[i::k] for i in range(k)]
         assert [p.shard for p in parts] == [(i, k) for i in range(k)]
         sizes = [len(p) for p in parts]
         assert sum(sizes) == 10 and max(sizes) - min(sizes) <= 1
+        assert sorted(parsed) == sorted(write_graph6(g) for g in graphs)
     with pytest.raises(ValueError):
         stream_from_graph6_file(str(path), shard=(2, 2))
+    # a malformed line fails the part that owns it, and only that part
+    bad = tmp_path / "bad.g6"
+    bad.write_text("D?{\nD?\nDhC\n")
+    assert stream_from_graph6_file(str(bad), shard=(0, 2)).graphs == (
+        parse_graph6("D?{"), parse_graph6("DhC"))
+    for shard in ((1, 2), None):
+        with pytest.raises(Graph6ParseError):
+            stream_from_graph6_file(str(bad), shard=shard)
+    # every part sees the order of every line
     mixed = tmp_path / "mixed.g6"
-    mixed.write_text("D?{\nC~\n")
-    with pytest.raises(ValueError):
-        stream_from_graph6_file(str(mixed))
+    mixed.write_text("D?{\nC~\nDhC\n")
+    for shard in ((0, 3), (1, 3), (2, 3), None):
+        with pytest.raises(ValueError, match="mixed orders"):
+            stream_from_graph6_file(str(mixed), shard=shard)
 
 
 def test_family_parsing():

@@ -37,6 +37,22 @@ def test_alpha_matrix_single_edge():
         assert np.allclose(m, [[a, 1 - a], [1 - a, a]])
 
 
+def test_alpha_matrix_equals_the_edge_by_edge_definition(rng):
+    # K_64 sets bit 63 of every row but its own
+    hosts = [make_empty(0), make_empty(1), make_complete(2), random_graph(63, 0.5, rng),
+             random_graph(64, 0.5, rng), make_complete(64)]
+    for g in hosts:
+        for a in (0.0, 0.3, 1.0):
+            want = np.zeros((g.n, g.n))
+            for v in range(g.n):
+                want[v, v] = a * g.degree(v)
+            for u, v in g.edges():
+                want[u, v] = want[v, u] = 1.0 - a
+            got = alpha_matrix(g, a)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
 def test_alpha_matrix_endpoints():
     g = make_path(4)
     adj = alpha_matrix(g, 0.0)
