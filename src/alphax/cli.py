@@ -1,9 +1,12 @@
 """Command-line entry point: constructions, spectral reports, minor
 checks, and the theorem and lemma verification pipelines; the lemma
-suites are in alphax.lemmas.  verify-theorem splits each order into
---shards parts, the pool's work units: every k-th graph of a --graphs
-file, or the children of every k-th graph of the level below.  The
-merged reports do not depend on k.
+suites are in alphax.lemmas.  verify-theorem --family and minor-check
+--minor-family name a forbidden family as fs(k), k triangles sharing a
+vertex, or qt(k), k quadrangles sharing a vertex: --family 'fs(2)'.
+
+verify-theorem splits each order into --shards parts, the pool's work
+units: every k-th graph of a --graphs file, or the children of every
+k-th graph of the level below.  The merged reports do not depend on k.
 
 Exit codes: 0 all requested checks passed, 1 a mathematical counterexample
 or check failure was found, 2 usage or resource errors.  Reports are
@@ -14,6 +17,7 @@ wall-clock timings go to stderr only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import multiprocessing
@@ -79,61 +83,69 @@ def _load_graphs(args) -> list[Graph]:
     graphs: list[Graph] = []
     for text in args.g6 or []:
         graphs.append(parse_graph6(text))
-    if getattr(args, "graphs", None):
+    if args.graphs:
         graphs.extend(iter_graph6_file(args.graphs))
     if not graphs:
         raise ValueError("no input graphs; pass --g6 or --graphs")
     return graphs
 
 
-def _out_stream(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+def _write_csv(path: str | None, header: list[str], rows: list[list[str]]) -> None:
+    """Write a CSV report to path, or to stdout when path is None or "-".
+    The rows are all computed before the file is opened, so an error
+    leaves no truncated CSV behind."""
+    to_stdout = path is None or path == "-"
+    with contextlib.nullcontext(sys.stdout) if to_stdout else open(path, "w", newline="") as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # -- construct ------------------------------------------------------------
 
+# construct --family name -> (builder, the options it takes, in call order);
+# complement and join read --g6 instead
+CONSTRUCTIONS = {
+    "complete": (make_complete, ("n",)),
+    "empty": (make_empty, ("n",)),
+    "path": (make_path, ("n",)),
+    "complete-bipartite": (make_complete_bipartite, ("m", "n")),
+    "friendship": (friendship, ("s",)),
+    "quadrangle-book": (quadrangle_book, ("t",)),
+    "matching": (matching_graph, ("m",)),
+    "fs-extremal": (extremal_fs, ("n", "s")),
+    "qt-extremal": (extremal_qt, ("n", "t")),
+}
+
 
 def cmd_construct(args) -> int:
     fam = args.family
-    need = lambda name, val: val if val is not None else _usage_error(f"--{name} required for {fam}")
-    if fam == "complete":
-        g = make_complete(need("n", args.n))
-    elif fam == "empty":
-        g = make_empty(need("n", args.n))
-    elif fam == "path":
-        g = make_path(need("n", args.n))
-    elif fam == "complete-bipartite":
-        g = make_complete_bipartite(need("m", args.m), need("n", args.n))
-    elif fam == "friendship":
-        g = friendship(need("s", args.s))
-    elif fam == "quadrangle-book":
-        g = quadrangle_book(need("t", args.t))
-    elif fam == "matching":
-        g = matching_graph(need("m", args.m))
-    elif fam == "fs-extremal":
-        g = extremal_fs(need("n", args.n), need("s", args.s))
-    elif fam == "qt-extremal":
-        g = extremal_qt(need("n", args.n), need("t", args.t))
-    elif fam == "complement":
-        g = complement(parse_graph6(need("g6", args.g6[0] if args.g6 else None)))
+    if fam == "complement":
+        if not args.g6:
+            raise _UsageError("--g6 required for complement")
+        g = complement(parse_graph6(args.g6[0]))
     elif fam == "join":
         if not args.g6 or len(args.g6) != 2:
-            _usage_error("join needs exactly two --g6 inputs")
+            raise _UsageError("join needs exactly two --g6 inputs")
         g = join(parse_graph6(args.g6[0]), parse_graph6(args.g6[1]))
-    else:  # pragma: no cover - argparse choices guard this
-        _usage_error(f"unknown family {fam}")
+    else:
+        build, names = CONSTRUCTIONS[fam]
+        for name in names:
+            if getattr(args, name) is None:
+                raise _UsageError(f"--{name} required for {fam}")
+        g = build(*(getattr(args, name) for name in names))
     print(write_graph6(g))
     return 0
 
 
 class _UsageError(Exception):
     pass
-
-
-def _usage_error(message: str):
-    raise _UsageError(message)
 
 
 # -- alpha-index ----------------------------------------------------------
@@ -145,8 +157,6 @@ def cmd_alpha_index(args) -> int:
     header = ["graph6", "n", "alpha", "rho", "residual"]
     if args.signless_laplacian:
         header.append("q")
-    # every row is computed before the output is opened, so an error
-    # leaves no truncated CSV behind
     rows = []
     for g in graphs:
         g6 = write_graph6(g)
@@ -154,14 +164,7 @@ def cmd_alpha_index(args) -> int:
         for a in alphas:
             r = alpha_index(g, a, tol=args.tol)
             rows.append([g6, str(g.n), _fmt(a), _fmt(r.rho), _fmt(r.residual)] + q)
-    out, close = _out_stream(args.out)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if close:
-            out.close()
+    _write_csv(args.out, header, rows)
     return 0
 
 
@@ -172,8 +175,8 @@ def _minor_pattern(args) -> tuple[str, Graph]:
     if args.minor_g6:
         return args.minor_g6, parse_graph6(args.minor_g6)
     if args.minor_family is None:
-        _usage_error("pass --minor-g6 or --minor-family")
-    family = _resolve_family(args.minor_family, args.s, args.t, "--minor-family")
+        raise _UsageError("pass --minor-g6 or --minor-family")
+    family = Family.parse(args.minor_family)
     return str(family), family.pattern()
 
 
@@ -183,8 +186,6 @@ def cmd_minor_check(args) -> int:
     header = ["graph6", "n", "minor", "contains", "nodes_explored"]
     if args.oracle:
         header.append("oracle_agrees")
-    # every row is computed before the output is opened, so an error
-    # leaves no truncated CSV behind
     rows = []
     certificates = {}
     disagreement = False
@@ -195,7 +196,7 @@ def cmd_minor_check(args) -> int:
                str(verdict.nodes_explored)]
         if args.oracle:
             if g.n > 7:
-                _usage_error(f"--oracle needs n <= 7, got {g.n}")
+                raise _UsageError(f"--oracle needs n <= 7, got {g.n}")
             agrees = minor_closure_oracle(g, pattern) == verdict.contains
             row.append(str(agrees).lower())
             if not agrees:
@@ -204,19 +205,9 @@ def cmd_minor_check(args) -> int:
         if verdict.model is not None:
             certificates[g6] = verdict.model.to_json()
         rows.append(row)
-    out, close = _out_stream(args.out)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if close:
-            out.close()
+    _write_csv(args.out, header, rows)
     if args.certificates:
-        with open(args.certificates, "w") as fh:
-            json.dump({"schema": 1, "minor": label, "certificates": certificates},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.certificates, {"schema": 1, "minor": label, "certificates": certificates})
     return 1 if disagreement else 0
 
 
@@ -227,12 +218,12 @@ def _theorem_unit(item) -> tuple[list[SearchPart], int]:
     """One work unit: part `index` of `parts` of the order-n stream,
     searched at every alpha.  A worker that did not inherit the levels
     below n from its parent process generates them."""
-    n, index, parts, alphas, family_text, source = item
-    if source is None:
+    n, index, parts, alphas, family, path = item
+    if path is None:
         stream = enumerate_graphs(n, shard=(index, parts))
     else:
-        stream = stream_from_graph6_file(source, shard=(index, parts))
-    return search_extremal_alphas(n, alphas, Family.parse(family_text), stream)
+        stream = stream_from_graph6_file(path, shard=(index, parts))
+    return search_extremal_alphas(n, alphas, family, stream)
 
 
 def _report_row(r: SearchReport) -> list[str]:
@@ -267,33 +258,18 @@ def _report_json(r: SearchReport) -> dict:
     }
 
 
-def _resolve_family(text: str, s: int | None, t: int | None,
-                    option: str = "--family") -> Family:
-    if "(" in text:
-        return Family.parse(text)
-    if text == "fs":
-        if s is None:
-            _usage_error(f"--s required with {option} fs")
-        return Family("fs", s)
-    if text == "qt":
-        if t is None:
-            _usage_error(f"--t required with {option} qt")
-        return Family("qt", t)
-    _usage_error(f"unknown family {text!r}")
-
-
 def cmd_verify_theorem(args) -> int:
     start = time.perf_counter()
-    family = _resolve_family(args.family, args.s, args.t)
+    family = Family.parse(args.family)
     alphas = _parse_alphas(args.alpha)
     for a in alphas:
         if not 0.0 < a < 1.0:
-            _usage_error(f"theorem verification needs 0 < alpha < 1, got {a}")
+            raise _UsageError(f"theorem verification needs 0 < alpha < 1, got {a}")
     if not 1 <= args.n_from <= args.n_to:
-        _usage_error(f"need 1 <= --n-from <= --n-to, got {args.n_from} and {args.n_to}")
+        raise _UsageError(f"need 1 <= --n-from <= --n-to, got {args.n_from} and {args.n_to}")
     if args.graphs is not None and args.n_from != args.n_to:
-        _usage_error(f"a --graphs file holds one order; need --n-from = --n-to, "
-                     f"got {args.n_from} and {args.n_to}")
+        raise _UsageError(f"a --graphs file holds one order; need --n-from = --n-to, "
+                          f"got {args.n_from} and {args.n_to}")
     if args.graphs is None and args.n_to > MAX_GENERATED_ORDER:
         raise CapacityError(f"generation is limited to n <= {MAX_GENERATED_ORDER}; "
                             f"pass --graphs for larger orders")
@@ -301,9 +277,9 @@ def cmd_verify_theorem(args) -> int:
     workers = _worker_count()
     parts = workers if args.shards is None else args.shards
     if parts < 1:
-        _usage_error(f"--shards must be >= 1, got {parts}")
+        raise _UsageError(f"--shards must be >= 1, got {parts}")
     # largest order first: its units take longest
-    items = [(n, index, parts, alphas, str(family), args.graphs)
+    items = [(n, index, parts, alphas, family, args.graphs)
              for n in reversed(ns) for index in range(parts)]
 
     if workers > 1 and len(items) > 1:
@@ -319,20 +295,10 @@ def cmd_verify_theorem(args) -> int:
     units = {item[:2]: unit_reports for item, (unit_reports, _) in zip(items, results)}
     searches = sum(count for _, count in results)
     reports: list[SearchReport] = [
-        merge_reports([units[n, index][j] for index in range(parts)],
-                      source=args.graphs or "generated")
+        merge_reports([units[n, index][j] for index in range(parts)], source=args.graphs)
         for n in ns for j in range(len(alphas))
     ]
-
-    out, close = _out_stream(args.csv)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(THEOREM_COLUMNS)
-        for r in reports:
-            writer.writerow(_report_row(r))
-    finally:
-        if close:
-            out.close()
+    _write_csv(args.csv, THEOREM_COLUMNS, [_report_row(r) for r in reports])
 
     failures = []
     for r in reports:
@@ -340,15 +306,12 @@ def cmd_verify_theorem(args) -> int:
         if not ok and args.require_from is not None and r.n >= args.require_from:
             failures.append(r)
     if args.json:
-        payload = {
+        _write_json(args.json, {
             "schema": 1,
             "family": str(family),
             "reports": [_report_json(r) for r in reports],
             "counterexamples": [_report_json(r) for r in failures],
-        }
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
     for r in failures:
         cons = family.construction(r.n)
         print(
@@ -397,9 +360,7 @@ def cmd_verify_lemmas(args) -> int:
         budget = ", ".join(f"n={p.n}:{p.max_edges}" for p in profiles)
         print(f"density {fam}: max edges {budget}")
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump({"schema": 1, "suites": rows}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json, {"schema": 1, "suites": rows})
     return 1 if total_bad else 0
 
 
@@ -415,10 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="print a constructed graph as graph6")
-    p.add_argument("--family", required=True,
-                   choices=["complete", "empty", "path", "complete-bipartite",
-                            "friendship", "quadrangle-book", "matching",
-                            "fs-extremal", "qt-extremal", "complement", "join"])
+    p.add_argument("--family", required=True, choices=[*CONSTRUCTIONS, "complement", "join"])
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--s", type=int)
@@ -439,9 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minor-check", help="minor containment verdicts")
     p.add_argument("--g6", action="append")
     p.add_argument("--graphs")
-    p.add_argument("--minor-family", choices=["fs", "qt"])
-    p.add_argument("--s", type=int)
-    p.add_argument("--t", type=int)
+    p.add_argument("--minor-family", help="forbidden family as fs(k) or qt(k)")
     p.add_argument("--minor-g6", help="explicit minor pattern as graph6")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the closure oracle (n <= 7)")
@@ -451,9 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_minor_check)
 
     p = sub.add_parser("verify-theorem", help="exhaustive extremal search per (n, alpha)")
-    p.add_argument("--family", required=True, help="fs / qt (with --s/--t) or fs(k) / qt(k)")
-    p.add_argument("--s", type=int)
-    p.add_argument("--t", type=int)
+    p.add_argument("--family", required=True, help="forbidden family as fs(k) or qt(k)")
     p.add_argument("--n-from", type=int, required=True)
     p.add_argument("--n-to", type=int, required=True)
     p.add_argument("--alpha", default="0.1,0.3,0.5,0.7,0.9")

@@ -76,10 +76,12 @@ class Family:
 
 
 def is_minor_free(g: Graph, family: Family) -> bool:
-    """Family predicate with a verdict cache keyed on the labelled graph
-    (shared across alpha values and repeated searches over the same
-    graphs).  An isomorphic copy under other labels is searched again,
-    which costs less than a canonical form for every host."""
+    """Family predicate with a verdict cache keyed on the labelled graph.
+    A theorem search decides each verdict once per graph for all its
+    alphas, so the cache serves repeated searches over the same graphs:
+    the lemma suites and the construction bound.  An isomorphic copy
+    under other labels is searched again, which costs less than a
+    canonical form for every host."""
     key = (str(family), g.n, g.rows)
     hit = _MINOR_FREE_CACHE.get(key)
     if hit is None:
@@ -138,10 +140,12 @@ def _level_part(n: int, index: int, count: int) -> tuple[Graph, ...]:
 
 @dataclass(frozen=True)
 class GraphStream:
-    """A deterministic sequence of isomorphism-class representatives."""
+    """A deterministic sequence of isomorphism-class representatives.
+    ``source`` is the graph6 file it was read from, or None for a
+    generated level, which holds every class of its order."""
 
     order: int
-    source: str
+    source: str | None
     graphs: tuple[Graph, ...]
     shard: tuple[int, int] | None = None
 
@@ -152,8 +156,7 @@ class GraphStream:
         return len(self.graphs)
 
 
-def enumerate_graphs(n: int, connected_only: bool = False,
-                     shard: tuple[int, int] | None = None) -> GraphStream:
+def enumerate_graphs(n: int, shard: tuple[int, int] | None = None) -> GraphStream:
     """One representative per isomorphism class of order n, generated by
     canonical augmentation.  ``shard=(i, k)`` keeps part i of k of the
     level: the children of every k-th graph of level n - 1, starting at
@@ -168,9 +171,7 @@ def enumerate_graphs(n: int, connected_only: bool = False,
             f"ingest a graph6 file for larger orders"
         )
     graphs = _generate_level(n) if shard is None else _level_part(n, *shard)
-    if connected_only:
-        graphs = tuple(g for g in graphs if g.is_connected())
-    return GraphStream(order=n, source="generated", graphs=graphs, shard=shard)
+    return GraphStream(order=n, source=None, graphs=graphs, shard=shard)
 
 
 def stream_from_graph6_file(path: str, shard: tuple[int, int] | None = None) -> GraphStream:
@@ -264,11 +265,10 @@ def search_extremal(n: int, alpha: float, family: Family,
     closed-form construction.  The parts of a sharded stream are searched
     by search_extremal_alphas and merged by merge_reports."""
     if stream is not None and stream.shard is not None:
-        raise ValueError(f"stream {stream.source!r} is part {stream.shard} of a stream; "
-                         f"search each part with search_extremal_alphas and merge "
-                         f"them with merge_reports")
+        raise ValueError(f"the stream is part {stream.shard} of a stream; search each "
+                         f"part with search_extremal_alphas and merge them with merge_reports")
     (part,), _ = search_extremal_alphas(n, (alpha,), family, stream)
-    return merge_reports([part], "generated" if stream is None else stream.source)
+    return merge_reports([part], None if stream is None else stream.source)
 
 
 def search_extremal_alphas(n: int, alphas: Sequence[float], family: Family,
@@ -299,35 +299,16 @@ def search_extremal_alphas(n: int, alphas: Sequence[float], family: Family,
     return parts, searches
 
 
-def _check_construction_bound(report: SearchReport, family: Family) -> None:
-    """Sanity check of a report over a whole generated level: the
-    construction, when itself minor-free and in range, can never beat the
-    exhaustive maximum."""
-    try:
-        construction = family.construction(report.n)
-    except ValueError:
-        return
-    if not is_minor_free(construction, family):
-        return
-    construction_rho = alpha_index(construction, report.alpha).rho
-    if not report.max_rho >= construction_rho - TIE_TOL:
-        raise InvariantError(
-            f"exhaustive maximum {report.max_rho!r} at n={report.n}, alpha={report.alpha} "
-            f"is below the index {construction_rho!r} of the minor-free {family} construction")
-
-
-def merge_reports(parts: Sequence[SearchPart], source: str = "generated") -> SearchReport:
+def merge_reports(parts: Sequence[SearchPart], source: str | None = None) -> SearchReport:
     """The report of the search parts of one (n, alpha, family), read from
-    the stream ``source``.
+    the graph6 file ``source``, or generated when it is None.
 
     Graph and minor-free counts are summed over all parts.  The argmax is
     the smallest canonical graph6 among the ties, whatever their float
     order, so solver rounding cannot change it.  If no part holds a
-    minor-free graph, ValueError is raised.  Parts of the "generated"
-    source are taken to cover the whole level of order n (or every
-    connected graph of it, which holds the connected construction), so
-    the report must pass the construction's sanity bound (InvariantError
-    otherwise)."""
+    minor-free graph, ValueError is raised.  Parts of a generated level
+    are taken to cover the whole level of order n, so the report must
+    pass the construction's sanity bound (InvariantError otherwise)."""
     if not parts:
         raise ValueError("nothing to merge")
     head = parts[0]
@@ -338,15 +319,16 @@ def merge_reports(parts: Sequence[SearchPart], source: str = "generated") -> Sea
     ties = _near_max([e for p in parts for e in p.ties])
     if not ties:
         shards = f" in {len(parts)} shards" if len(parts) > 1 else ""
-        raise ValueError(f"stream {source!r} of order {head.n} holds no "
+        origin = "the generated level" if source is None else f"stream {source!r}"
+        raise ValueError(f"{origin} of order {head.n} holds no "
                          f"{head.family}-minor-free graph ({total} graphs read{shards})")
     family = Family.parse(head.family)
     argmax = ties[0]
     argmax_canon = canonical_form(parse_graph6(argmax.graph6))
     try:
-        construction_canon = canonical_form(family.construction(head.n))
-    except ValueError:
-        construction_canon = None
+        construction = family.construction(head.n)
+    except ValueError:  # no construction below order param + 1
+        construction = None
     report = SearchReport(
         n=head.n,
         alpha=head.alpha,
@@ -358,11 +340,18 @@ def merge_reports(parts: Sequence[SearchPart], source: str = "generated") -> Sea
         argmax_graph6=argmax.graph6,
         argmax_residual=argmax.residual,
         ties=ties,
-        matches_construction=construction_canon == argmax_canon,
+        matches_construction=(construction is not None
+                              and canonical_form(construction) == argmax_canon),
         unique=len(ties) == 1,
     )
-    if source == "generated":
-        _check_construction_bound(report, family)
+    # sanity check: a whole generated level holds the construction, which,
+    # when itself minor-free, can never beat the exhaustive maximum
+    if source is None and construction is not None and is_minor_free(construction, family):
+        construction_rho = alpha_index(construction, head.alpha).rho
+        if not report.max_rho >= construction_rho - TIE_TOL:
+            raise InvariantError(
+                f"exhaustive maximum {report.max_rho!r} at n={head.n}, alpha={head.alpha} is "
+                f"below the index {construction_rho!r} of the minor-free {family} construction")
     return report
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations, islice
+from itertools import combinations, islice
 from typing import Iterator
 
 from .canonical import canonical_form
@@ -205,24 +205,23 @@ def _pattern_plan(h: Graph) -> _PatternPlan:
     # Aut(H) symmetry breaking: explore only assignments whose root tuple
     # is lex-minimal in its orbit.  Roots are distinct, so the tuple is
     # below its image under a position permutation tau exactly when root
-    # a < root tau[a] at tau's first moved position a.  The pair (a, tau[a])
-    # is checked at the first position whose prefix tau stabilizes.  The
-    # twin swaps are added by hand: the automorphism listing may stop
-    # before them.
-    checked_at: dict[tuple[int, int], int] = {}
+    # a < root tau[a] at tau's first moved position a.  As tau fixes the
+    # positions before a, tau[a] > a, and the pair is checked at position
+    # tau[a], where both roots are first assigned.  The twin swaps are
+    # added by hand: the automorphism listing may stop before them.
+    pairs: set[tuple[int, int]] = set()
     for a, b in combinations(range(k), 2):
         u, v = order[a], order[b]
         if h.rows[u] & ~(1 << v) == h.rows[v] & ~(1 << u):
-            checked_at[a, b] = b
+            pairs.add((a, b))
     for sigma in islice(_automorphisms(h), 10_000):
         tau = [pos_of[sigma[v]] for v in order]
         a = next((j for j in range(k) if tau[j] != j), k)
         if a < k:
-            i = next(i for i, top in enumerate(accumulate(tau, max)) if i >= a and top == i)
-            checked_at[a, tau[a]] = min(i, checked_at.get((a, tau[a]), k))
+            pairs.add((a, tau[a]))
     lex_pairs: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    for pair, i in checked_at.items():
-        lex_pairs[i].append(pair)
+    for a, b in sorted(pairs):
+        lex_pairs[b].append((a, b))
 
     full = h.vertex_mask()
     connected = h.is_connected()

@@ -14,6 +14,7 @@ import pytest
 
 from alphax import (
     Family,
+    Graph,
     alpha_index,
     alpha_matrix,
     enumerate_graphs,
@@ -166,7 +167,7 @@ def test_c08_subgraph_monotonicity():
     worst = float("inf")
     pairs = 0
     for n in range(2, 7):
-        for g in enumerate_graphs(n, connected_only=True):
+        for g in filter(Graph.is_connected, enumerate_graphs(n)):
             rhos = {a: alpha_index(g, a).rho for a in (0.3, 0.5, 0.7)}
             for (u, v) in g.edges():
                 sub = g.without_edge(u, v)
@@ -197,11 +198,11 @@ def test_c10_determinism_and_shard_merge(capsys, tmp_path, monkeypatch):
     t0 = time.perf_counter()
     monkeypatch.setenv("ALPHAX_THREADS", "1")
     outputs = {}
-    for fam, s_flag, n0 in (("fs", "--s", 4), ("qt", "--t", 5)):
+    for fam, n0 in (("fs(1)", 4), ("qt(1)", 5)):
         runs = []
         for shards in ("1", "1", "4"):
             code = cli_main([
-                "verify-theorem", "--family", fam, s_flag, "1",
+                "verify-theorem", "--family", fam,
                 "--n-from", str(n0), "--n-to", "8",
                 "--alpha", "0.25,0.5,0.75", "--shards", shards,
             ])

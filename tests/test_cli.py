@@ -8,10 +8,12 @@ import sys
 import pytest
 
 from alphax import (
+    Graph,
     are_isomorphic,
     enumerate_graphs,
     friendship,
     make_complete_bipartite,
+    make_path,
     parse_graph6,
     validate_model,
     write_graph6,
@@ -50,6 +52,41 @@ def test_construct_join_and_complement(capsys):
 def test_construct_usage_error(capsys):
     code, _ = run(capsys, "construct", "--family", "friendship")
     assert code == 2
+
+
+def _k2_join(rest: int, rest_edges: list) -> Graph:
+    # K_2 on vertices 0, 1 joined to vertices 2 .. rest + 1
+    return Graph(rest + 2, [(0, 1), *[(a, v) for a in (0, 1) for v in range(2, rest + 2)],
+                            *rest_edges])
+
+
+# construct --family name -> its options and the graph it builds, up to
+# isomorphism
+CONSTRUCT_CASES = {
+    "complete": (["--n", "4"], Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])),
+    "empty": (["--n", "3"], Graph(3, [])),
+    "path": (["--n", "5"], Graph(5, [(3, 0), (0, 4), (4, 1), (1, 2)])),
+    "complete-bipartite": (["--m", "2", "--n", "3"],
+                           Graph(5, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)])),
+    "friendship": (["--s", "2"], Graph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])),
+    "quadrangle-book": (["--t", "2"],
+                        Graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)])),
+    "matching": (["--m", "5"], Graph(5, [(0, 1), (2, 3)])),
+    "fs-extremal": (["--n", "6", "--s", "2"], _k2_join(4, [])),
+    "qt-extremal": (["--n", "7", "--t", "2"], _k2_join(5, [(2, 3), (4, 5)])),
+}
+
+
+@pytest.mark.parametrize("family", CONSTRUCT_CASES)
+def test_construct_each_family(capsys, family):
+    assert set(CONSTRUCT_CASES) == set(cli.CONSTRUCTIONS)
+    options, expected = CONSTRUCT_CASES[family]
+    code, out = run(capsys, "construct", "--family", family, *options)
+    assert code == 0 and are_isomorphic(parse_graph6(out.strip()), expected)
+    # without its last option
+    code = main(["construct", "--family", family, *options[:-2]])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {options[-2]} required for {family}\n"
 
 
 def test_alpha_index_rows(capsys):
@@ -106,8 +143,8 @@ def test_signless_suite_rejects_a_wrong_index(monkeypatch):
 
 def test_minor_check_with_oracle_and_certificates(capsys, tmp_path):
     cert = tmp_path / "cert.json"
-    code, out = run(capsys, "minor-check", "--g6", "D~{", "--minor-family", "fs",
-                    "--s", "1", "--oracle", "--certificates", str(cert))
+    code, out = run(capsys, "minor-check", "--g6", "D~{", "--minor-family", "fs(1)",
+                    "--oracle", "--certificates", str(cert))
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].startswith("graph6,n,minor,contains")
@@ -122,10 +159,9 @@ def test_minor_check_with_oracle_and_certificates(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     # the second graph is too large for the oracle
-    ["--g6", "C~", "--g6", "G?????", "--minor-family", "fs", "--s", "1", "--oracle"],
+    ["--g6", "C~", "--g6", "G?????", "--minor-family", "fs(1)", "--oracle"],
     # the second graph, extremal_qt(12, 3), needs more than 500 search nodes
-    ["--g6", "C~", "--g6", "K~~fNB`wF?{?", "--minor-family", "qt", "--t", "3",
-     "--node-cap", "500"],
+    ["--g6", "C~", "--g6", "K~~fNB`wF?{?", "--minor-family", "qt(3)", "--node-cap", "500"],
 ], ids=["oracle-order", "node-cap"])
 def test_minor_check_error_leaves_no_csv(capsys, tmp_path, argv):
     path = tmp_path / "r.csv"
@@ -135,7 +171,7 @@ def test_minor_check_error_leaves_no_csv(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize("command", [["alpha-index"],
-                                     ["minor-check", "--minor-family", "fs", "--s", "1"]],
+                                     ["minor-check", "--minor-family", "fs(1)"]],
                          ids=["alpha-index", "minor-check"])
 def test_graphs_file_may_mix_orders(capsys, tmp_path, command):
     path = tmp_path / "mixed.g6"
@@ -152,7 +188,7 @@ def test_graphs_file_may_mix_orders(capsys, tmp_path, command):
 
 
 def test_verify_theorem_exit_codes(capsys, tmp_path):
-    code = main(["verify-theorem", "--family", "fs", "--s", "1", "--n-from", "4",
+    code = main(["verify-theorem", "--family", "fs(1)", "--n-from", "4",
                  "--n-to", "5", "--alpha", "0.5", "--require-from", "4"])
     out, err = capsys.readouterr()
     assert code == 0
@@ -163,7 +199,7 @@ def test_verify_theorem_exit_codes(capsys, tmp_path):
                                    "minor_free,matches_construction,unique,ties")
     # every 5-vertex graph avoids the 7-vertex pattern qt(2): K_5 wins
     jpath = tmp_path / "r.json"
-    code, out = run(capsys, "verify-theorem", "--family", "qt", "--t", "2",
+    code, out = run(capsys, "verify-theorem", "--family", "qt(2)",
                     "--n-from", "5", "--n-to", "5", "--alpha", "0.5",
                     "--require-from", "5", "--json", str(jpath))
     assert code == 1
@@ -175,7 +211,7 @@ def test_verify_theorem_exit_codes(capsys, tmp_path):
 
 def test_verify_theorem_deterministic_and_shard_stable(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("ALPHAX_THREADS", "1")
-    argv = ["verify-theorem", "--family", "fs", "--s", "1", "--n-from", "4",
+    argv = ["verify-theorem", "--family", "fs(1)", "--n-from", "4",
             "--n-to", "6", "--alpha", "0.3,0.7"]
     outs = []
     # with 4 parts, part 3 of n = 4 holds no forest
@@ -284,7 +320,7 @@ def test_verify_theorem_file_reports_do_not_depend_on_shards(capsys, tmp_path, m
 def test_verify_theorem_no_minor_free_graph_is_usage_error(capsys, tmp_path):
     path = tmp_path / "triangle.g6"
     path.write_text("Bw\n")  # K_3 contains fs(1) = K_3
-    code = main(["verify-theorem", "--family", "fs", "--s", "1", "--n-from", "3",
+    code = main(["verify-theorem", "--family", "fs(1)", "--n-from", "3",
                  "--n-to", "3", "--alpha", "0.5", "--graphs", str(path)])
     err = capsys.readouterr().err
     assert code == 2
@@ -294,11 +330,24 @@ def test_verify_theorem_no_minor_free_graph_is_usage_error(capsys, tmp_path):
 def test_verify_theorem_sharded_file_without_minor_free_graph_names_it(capsys, tmp_path):
     path = tmp_path / "triangle.g6"
     path.write_text("Bw\n")
-    code = main(["verify-theorem", "--family", "fs", "--s", "1", "--n-from", "3",
+    code = main(["verify-theorem", "--family", "fs(1)", "--n-from", "3",
                  "--n-to", "3", "--alpha", "0.5", "--graphs", str(path), "--shards", "2"])
     err = capsys.readouterr().err
     assert code == 2
     assert "fs(1)" in err and "triangle.g6" in err
+
+
+def test_verify_theorem_file_named_generated_is_not_a_generated_level(capsys, tmp_path,
+                                                                      monkeypatch):
+    # P_6 alone is below the construction K_{1,5}, which only the complete
+    # generated level must reach; a file claims no completeness by its name
+    monkeypatch.setenv("ALPHAX_THREADS", "1")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "generated").write_text(write_graph6(make_path(6)) + "\n")
+    code, out = run(capsys, "verify-theorem", "--family", "fs(1)", "--n-from", "6",
+                    "--n-to", "6", "--alpha", "0.5", "--graphs", "generated")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[6:9] == ["1", "false", "true"]
 
 
 def test_verify_theorem_sharded_file_with_a_malformed_line_is_usage_error(capsys, tmp_path,
@@ -330,7 +379,7 @@ def test_verify_theorem_rejects_bad_ranges_before_any_work(capsys, monkeypatch, 
 
 
 def test_verify_theorem_rejects_bad_alpha(capsys):
-    code, _ = run(capsys, "verify-theorem", "--family", "fs", "--s", "1",
+    code, _ = run(capsys, "verify-theorem", "--family", "fs(1)",
                   "--n-from", "4", "--n-to", "4", "--alpha", "1.0")
     assert code == 2
 

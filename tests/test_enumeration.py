@@ -37,7 +37,7 @@ CONNECTED_GRAPHS = [1, 1, 1, 2, 6, 21, 112, 853, 11117]
 @pytest.mark.parametrize("n", range(1, 9))
 def test_counts_match_published(n):
     assert len(enumerate_graphs(n)) == ALL_GRAPHS[n]
-    assert len(enumerate_graphs(n, connected_only=True)) == CONNECTED_GRAPHS[n]
+    assert sum(g.is_connected() for g in enumerate_graphs(n)) == CONNECTED_GRAPHS[n]
 
 
 def test_degree_pretest_is_sound():
@@ -175,7 +175,7 @@ def test_search_stable_under_stream_permutation():
     graphs = list(base.graphs)
     for _ in range(3):
         rng.shuffle(graphs)
-        stream = GraphStream(order=6, source="generated", graphs=tuple(graphs))
+        stream = GraphStream(order=6, source=None, graphs=tuple(graphs))
         got = search_extremal(6, 0.3, fam, stream)
         assert got == ref
 
@@ -209,9 +209,12 @@ def test_search_fs2_n5_half_picks_construction_among_ties():
 
 def test_search_below_construction_raises():
     # a stream that claims to be generated but misses the construction
-    stream = GraphStream(order=4, source="generated", graphs=(make_path(4),))
+    stream = GraphStream(order=4, source=None, graphs=(make_path(4),))
     with pytest.raises(InvariantError):
         search_extremal(4, 0.5, Family("fs", 1), stream)
+    # a file claims no completeness, whatever its name
+    stream = GraphStream(order=4, source="generated", graphs=(make_path(4),))
+    assert not search_extremal(4, 0.5, Family("fs", 1), stream).matches_construction
 
 
 def _parts(n, alpha, fam, count):

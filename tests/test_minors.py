@@ -102,8 +102,9 @@ def test_subgraph_implies_minor():
 
 def test_self_containment_connected():
     for n in range(1, 7):
-        for g in enumerate_graphs(n, connected_only=True):
-            assert has_minor(g, g).contains
+        for g in enumerate_graphs(n):
+            if g.is_connected():
+                assert has_minor(g, g).contains
 
 
 def test_minor_monotone_under_edge_addition(rng):
@@ -290,7 +291,7 @@ def test_pattern_plan_holds_every_twin_swap():
 
 
 @pytest.mark.parametrize("h, total", [(make_complete(3), 11_846), (make_cycle(4), 16_695),
-                                      (friendship(2), 78_093), (quadrangle_book(2), 96_587)])
+                                      (friendship(2), 73_029), (quadrangle_book(2), 90_203)])
 def test_search_tree_sizes_on_all_small_graphs(h, total):
     # pinned node totals: a change to the pruning or the symmetry breaking
     # that enlarges (or shrinks) the search trees shows here

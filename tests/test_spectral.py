@@ -5,6 +5,7 @@ import pytest
 
 from alphax import (
     ConvergenceError,
+    Graph,
     InvariantError,
     NonEquitablePartitionError,
     QuotientMatrix,
@@ -93,7 +94,7 @@ def test_result_certificates(rng):
 
 
 def test_perron_positive_connected():
-    for g in enumerate_graphs(5, connected_only=True):
+    for g in filter(Graph.is_connected, enumerate_graphs(5)):
         r = alpha_index(g, 0.3)
         assert np.all(r.vector > 0)
         scaled = r.perron_scaled()
