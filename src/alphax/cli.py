@@ -7,6 +7,8 @@ vertex, or qt(k), k quadrangles sharing a vertex: --family 'fs(2)'.
 verify-theorem splits each order into --shards parts, the pool's work
 units: every k-th graph of a --graphs file, or the children of every
 k-th graph of the level below.  The merged reports do not depend on k.
+Every graph6 in a theorem report is a canonical labelling, so equal
+strings mean isomorphic graphs.
 
 Exit codes: 0 all requested checks passed, 1 a mathematical counterexample
 or check failure was found, 2 usage or resource errors.  Reports are
@@ -247,7 +249,6 @@ def _report_json(r: SearchReport) -> dict:
         "alpha": float(_fmt(r.alpha)),
         "family": r.family,
         "graph6": r.argmax_graph6,
-        "argmax_canonical": r.argmax_canonical.hex(),
         "rho": float(_fmt(r.max_rho)),
         "residual": float(_fmt(r.argmax_residual)),
         "total_graphs": r.total_graphs,
@@ -313,11 +314,10 @@ def cmd_verify_theorem(args) -> int:
             "counterexamples": [_report_json(r) for r in failures],
         })
     for r in failures:
-        cons = family.construction(r.n)
         print(
             f"COUNTEREXAMPLE family={r.family} n={r.n} alpha={_fmt(r.alpha)}: "
             f"argmax {r.argmax_graph6} (rho={_fmt(r.max_rho)}) differs from "
-            f"construction {write_graph6(cons)}",
+            f"construction {r.construction_graph6 or 'none at this order'}",
             file=sys.stderr,
         )
     print(f"verify-theorem: {len(reports)} reports, {len(failures)} failures, "
@@ -329,6 +329,8 @@ def cmd_verify_theorem(args) -> int:
 
 
 def cmd_verify_lemmas(args) -> int:
+    if not 1 <= args.max_n <= MAX_GENERATED_ORDER:
+        raise _UsageError(f"need 1 <= --max-n <= {MAX_GENERATED_ORDER}, got {args.max_n}")
     # each entry: the suite names and a function returning their tallies
     suites = [
         (("closed-form-quotient", "nikiforov-bounds"), lambda: lemmas.join_grid(args.grid_n)),

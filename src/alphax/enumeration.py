@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 
-from .canonical import canonical_data, canonical_form, canonical_graph
+from .canonical import canonical_data, canonical_graph
 from .graph6 import graph6_lines, graph6_order, parse_graph6, write_graph6
 from .graphs import CapacityError, Graph, extremal_fs, extremal_qt, friendship, make_empty, quadrangle_book
 from .minors import has_minor
@@ -227,10 +227,10 @@ def _near_max(entries: Sequence[TieEntry]) -> tuple[TieEntry, ...]:
 class SearchPart:
     """One (n, alpha, family) search over a stream or a part of one, for
     merge_reports.  ``ties`` holds the minor-free graphs within TIE_TOL of
-    the part's own maximum, one per graph6 and sorted by it; it is empty
-    when the part holds no minor-free graph.  Every graph within TIE_TOL
-    of the maximum over all parts is within it of its own part's maximum,
-    so the merge loses no tie."""
+    the part's own maximum, one per canonical graph6 and sorted by it; it
+    is empty when the part holds no minor-free graph.  Every graph within
+    TIE_TOL of the maximum over all parts is within it of its own part's
+    maximum, so the merge loses no tie."""
 
     n: int
     alpha: float
@@ -242,7 +242,8 @@ class SearchPart:
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Outcome of one exhaustive (n, alpha, family) extremal search."""
+    """Outcome of one exhaustive (n, alpha, family) extremal search; each
+    graph6 in it is canonical, so equal strings mean isomorphic graphs."""
 
     n: int
     alpha: float
@@ -250,7 +251,7 @@ class SearchReport:
     total_graphs: int
     minor_free_count: int
     max_rho: float
-    argmax_canonical: bytes
+    construction_graph6: str | None  # None below order param + 1
     argmax_graph6: str
     argmax_residual: float
     ties: tuple[TieEntry, ...]
@@ -274,9 +275,10 @@ def search_extremal(n: int, alpha: float, family: Family,
 def search_extremal_alphas(n: int, alphas: Sequence[float], family: Family,
                            stream: GraphStream | None = None) -> tuple[list[SearchPart], int]:
     """One search part per alpha over one pass of the stream: each minor
-    verdict is decided, and each canonical graph6 written, once per graph.
-    Returns the parts and the number of minor searches made, which leaves
-    out verdicts already in the cache."""
+    verdict is decided once per graph, and only the graphs within TIE_TOL
+    of an alpha's maximum get a canonical graph6, whose form is cached on
+    the graph.  Returns the parts and the number of minor searches made,
+    which leaves out verdicts already in the cache."""
     for alpha in alphas:
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"theorem searches need 0 < alpha < 1, got {alpha}")
@@ -287,13 +289,14 @@ def search_extremal_alphas(n: int, alphas: Sequence[float], family: Family,
     cached = len(_MINOR_FREE_CACHE)
     free = [g for g in stream if is_minor_free(g, family)]
     searches = len(_MINOR_FREE_CACHE) - cached  # each search caches one verdict
-    graph6s = [write_graph6(canonical_graph(g)) for g in free]
     parts = []
     for alpha in alphas:
-        entries = []
-        for g, g6 in zip(free, graph6s):
-            result = alpha_index(g, alpha)
-            entries.append(TieEntry(graph6=g6, rho=result.rho, residual=result.residual))
+        results = [alpha_index(g, alpha) for g in free]
+        top = max((r.rho for r in results), default=0.0)
+        # the candidates share _near_max's maximum and threshold
+        entries = [TieEntry(graph6=write_graph6(canonical_graph(g)), rho=r.rho,
+                            residual=r.residual)
+                   for g, r in zip(free, results) if r.rho >= top - TIE_TOL]
         parts.append(SearchPart(n=n, alpha=alpha, family=str(family), total_graphs=len(stream),
                                 minor_free_count=len(free), ties=_near_max(entries)))
     return parts, searches
@@ -305,10 +308,12 @@ def merge_reports(parts: Sequence[SearchPart], source: str | None = None) -> Sea
 
     Graph and minor-free counts are summed over all parts.  The argmax is
     the smallest canonical graph6 among the ties, whatever their float
-    order, so solver rounding cannot change it.  If no part holds a
-    minor-free graph, ValueError is raised.  Parts of a generated level
-    are taken to cover the whole level of order n, so the report must
-    pass the construction's sanity bound (InvariantError otherwise)."""
+    order, so solver rounding cannot change it, and it matches the
+    construction when their canonical graph6 strings are equal.  If no
+    part holds a minor-free graph, ValueError is raised.  Parts of a
+    generated level are taken to cover the whole level of order n, so the
+    report must pass the construction's sanity bound (InvariantError
+    otherwise)."""
     if not parts:
         raise ValueError("nothing to merge")
     head = parts[0]
@@ -324,11 +329,11 @@ def merge_reports(parts: Sequence[SearchPart], source: str | None = None) -> Sea
                          f"{head.family}-minor-free graph ({total} graphs read{shards})")
     family = Family.parse(head.family)
     argmax = ties[0]
-    argmax_canon = canonical_form(parse_graph6(argmax.graph6))
     try:
         construction = family.construction(head.n)
     except ValueError:  # no construction below order param + 1
         construction = None
+    construction_g6 = None if construction is None else write_graph6(canonical_graph(construction))
     report = SearchReport(
         n=head.n,
         alpha=head.alpha,
@@ -336,12 +341,11 @@ def merge_reports(parts: Sequence[SearchPart], source: str | None = None) -> Sea
         total_graphs=total,
         minor_free_count=sum(p.minor_free_count for p in parts),
         max_rho=max(e.rho for e in ties),
-        argmax_canonical=argmax_canon,
+        construction_graph6=construction_g6,
         argmax_graph6=argmax.graph6,
         argmax_residual=argmax.residual,
         ties=ties,
-        matches_construction=(construction is not None
-                              and canonical_form(construction) == argmax_canon),
+        matches_construction=construction_g6 == argmax.graph6,
         unique=len(ties) == 1,
     )
     # sanity check: a whole generated level holds the construction, which,

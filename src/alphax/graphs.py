@@ -178,17 +178,7 @@ class Graph:
         return Graph.from_rows(self.n, rows)
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            grow = 0
-            for v in bits(frontier):
-                grow |= self.rows[v]
-            frontier = grow & ~seen
-            seen |= frontier
-        return seen == self.vertex_mask()
+        return len(self.component_masks()) <= 1
 
     def component_masks(self) -> list[int]:
         return component_masks_within(self.rows, self.vertex_mask())

@@ -209,6 +209,20 @@ def test_verify_theorem_exit_codes(capsys, tmp_path):
     assert payload["reports"][0]["matches_construction"] is False
 
 
+def test_verify_theorem_counterexample_below_the_construction_order(capsys, tmp_path):
+    # fs(2) has no construction at n = 2, where K_2 wins: a counterexample
+    # under --require-from, not a usage error
+    jpath = tmp_path / "r.json"
+    code = main(["verify-theorem", "--family", "fs(2)", "--n-from", "2", "--n-to", "3",
+                 "--alpha", "0.5", "--require-from", "2", "--json", str(jpath)])
+    err = capsys.readouterr().err
+    assert code == 1 and "error:" not in err
+    lines = [line for line in err.splitlines() if line.startswith("COUNTEREXAMPLE")]
+    assert lines == ["COUNTEREXAMPLE family=fs(2) n=2 alpha=0.5: argmax A_ (rho=1) "
+                     "differs from construction none at this order"]
+    assert [r["n"] for r in json.loads(jpath.read_text())["counterexamples"]] == [2]
+
+
 def test_verify_theorem_deterministic_and_shard_stable(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("ALPHAX_THREADS", "1")
     argv = ["verify-theorem", "--family", "fs(1)", "--n-from", "4",
@@ -382,6 +396,19 @@ def test_verify_theorem_rejects_bad_alpha(capsys):
     code, _ = run(capsys, "verify-theorem", "--family", "fs(1)",
                   "--n-from", "4", "--n-to", "4", "--alpha", "1.0")
     assert code == 2
+
+
+@pytest.mark.parametrize("max_n", ["0", "10"])
+def test_verify_lemmas_rejects_max_n_outside_generation_before_any_suite(capsys, monkeypatch,
+                                                                         max_n):
+    def no_suite(*args):
+        raise AssertionError("a suite started")
+
+    for name in ("join_grid", "signless", "intersection", "structure", "corollary"):
+        monkeypatch.setattr(lemmas, name, no_suite)
+    code = main(["verify-lemmas", "--max-n", max_n])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_verify_lemmas_quick(capsys, monkeypatch, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from alphax import (
     CapacityError,
     Family,
+    Graph,
     Graph6ParseError,
     GraphStream,
     InvariantError,
@@ -25,7 +26,7 @@ from alphax import (
     stream_from_graph6_file,
     write_graph6,
 )
-from alphax import enumeration
+from alphax import canonical, enumeration
 from alphax.canonical import are_isomorphic, canonical_data
 from alphax.enumeration import TieEntry, search_extremal_alphas
 from alphax.graphs import friendship
@@ -205,6 +206,45 @@ def test_search_fs2_n5_half_picks_construction_among_ties():
     assert r.argmax_graph6 == "D}o"
     assert r.matches_construction and not r.unique
     assert abs(r.max_rho - 3.18614066163) < 1e-9
+
+
+@pytest.mark.parametrize("family", [Family("fs", 1), Family("fs", 2),
+                                    Family("qt", 1), Family("qt", 2)], ids=str)
+def test_canonical_graph6_is_the_class_key(family):
+    # matches_construction compares canonical graph6 strings; check it
+    # against an isomorphism test on every generated level up to n = 7
+    outcomes = {}
+    for n in range(family.param + 1, 8):
+        r = search_extremal(n, 0.5, family)
+        construction = family.construction(n)
+        assert are_isomorphic(parse_graph6(r.construction_graph6), construction)
+        assert r.matches_construction == are_isomorphic(parse_graph6(r.argmax_graph6),
+                                                        construction)
+        outcomes[n] = r.matches_construction
+    assert search_extremal(family.param, 0.5, family).construction_graph6 is None
+    mismatches = {"fs(2)": [4], "qt(2)": [5, 6, 7]}.get(str(family), [])
+    assert [n for n, match in outcomes.items() if not match] == mismatches
+
+
+def test_only_tie_candidates_are_labelled_canonically(tmp_path, monkeypatch):
+    # graphs read from a file carry no canonical form; of the minor-free
+    # ones, only those within TIE_TOL of the maximum at some alpha need one
+    rng = random.Random(9)
+    trees = [Graph(9, [(v, rng.randrange(v)) for v in range(1, 9)]) for _ in range(60)]
+    path = tmp_path / "trees.g6"
+    path.write_text("".join(write_graph6(g) + "\n" for g in trees))
+    calls = []
+    original = canonical.canonical_data
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(canonical, "canonical_data", counted)
+    parts, _ = search_extremal_alphas(9, (0.1, 0.5, 0.9), Family("fs", 1),
+                                      stream_from_graph6_file(str(path)))
+    assert all(p.minor_free_count == 60 for p in parts)
+    assert 0 < len(calls) <= len({t.graph6 for p in parts for t in p.ties})
 
 
 def test_search_below_construction_raises():

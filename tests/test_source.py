@@ -1,0 +1,28 @@
+"""Source-level checks: every module parses at the oldest Python that
+pyproject.toml admits, and the package states its runtime invariants as
+raised errors, which python -O cannot strip, not as assert statements."""
+
+import ast
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_sources_parse_at_the_required_python_floor():
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"',
+                      (ROOT / "pyproject.toml").read_text())
+    assert floor, "pyproject.toml states no requires-python floor"
+    version = (int(floor[1]), int(floor[2]))
+    paths = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")])
+    assert ROOT / "src" / "alphax" / "cli.py" in paths
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)
+
+
+def test_package_has_no_assert_statement():
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in sorted(ROOT.glob("src/alphax/**/*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
