@@ -2,6 +2,13 @@
 quadrangles as a minor: constructions, A_alpha indices, exact minor tests,
 and exhaustive desk-scale verification."""
 
+import os as _os
+
+# No matrix here exceeds 64x64, too small for OpenBLAS threads to pay for
+# the pool they start at numpy import in every process; set before any
+# submodule imports numpy, and a value the user sets still wins.
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .canonical import are_isomorphic, canonical_form, canonical_graph
 from .enumeration import (
     DensityProfile,

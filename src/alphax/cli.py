@@ -359,8 +359,9 @@ def cmd_verify_lemmas(args) -> int:
         print(f"  {dt:.1f}s", file=sys.stderr)
     for fam in (Family("fs", 1), Family("qt", 1)):
         profiles = [edge_density_profile(n, fam) for n in range(2, args.max_n + 1)]
-        budget = ", ".join(f"n={p.n}:{p.max_edges}" for p in profiles)
-        print(f"density {fam}: max edges {budget}")
+        if profiles:  # the profile starts at n = 2
+            budget = ", ".join(f"n={p.n}:{p.max_edges}" for p in profiles)
+            print(f"density {fam}: max edges {budget}")
     if args.json:
         _write_json(args.json, {"schema": 1, "suites": rows})
     return 1 if total_bad else 0

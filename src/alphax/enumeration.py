@@ -4,12 +4,25 @@ search over minor-free families.
 Generation extends each (n-1)-vertex representative by one new vertex per
 neighborhood mask and accepts a child only when the new vertex lies in the
 orbit of the canonically-last vertex, so each isomorphism class appears
-through exactly one parent class.  That orbit lies among the vertices of
-minimum degree (see canonical), so a child whose new vertex has a larger
-degree than some other vertex is rejected before its canonical form is
-computed.  Children of the same parent that collide are deduplicated by
-canonical form, keeping the smallest mask as the representative.  Counts
-are pinned to the published sequences in the tests.
+through exactly one parent class.  Children of the same parent that
+collide are deduplicated by canonical form, keeping the smallest mask as
+the representative.  Three pretests skip a mask before the canonical
+search, and none changes which children are kept:
+
+- degree: the orbit lies among the vertices of minimum degree (see
+  canonical), so a new vertex of larger degree than another is rejected
+  before the child is built;
+- refinement cell: the orbit lies in the top refinement cell, so a child
+  whose new vertex is outside it is rejected, and the search reuses the
+  ranks of the refinement;
+- parent twin swap: for twins u < w of the parent, a mask holding w but
+  not u is skipped.  The swap (u w) maps its child onto the child of the
+  smaller mask that holds u instead, by a map fixing the new vertex, so
+  both have one canonical form and one verdict, and the smallest mask of
+  a class is never skipped.
+
+Counts are pinned to the published sequences in the tests, and the
+representatives of levels 1..8 to a digest.
 
 A stream is split into parts by one rule: part i of k keeps every k-th
 item from the i-th on.  For a graph6 file the items are its graphs.  For
@@ -23,11 +36,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 
-from .canonical import canonical_data, canonical_graph
+from .canonical import canonical_data, canonical_graph, refinement_ranks
 from .graph6 import graph6_lines, graph6_order, parse_graph6, write_graph6
-from .graphs import CapacityError, Graph, extremal_fs, extremal_qt, friendship, make_empty, quadrangle_book
+from .graphs import (CapacityError, Graph, extremal_fs, extremal_qt, friendship, make_empty,
+                     quadrangle_book, twin_masks)
 from .minors import has_minor
 from .spectral import TIE_TOL, InvariantError, alpha_index
 
@@ -64,6 +79,7 @@ class Family:
                 return Family(kind, int(text[len(kind) + 1:-1]))
         raise ValueError(f"cannot parse family {text!r}; expected like 'fs(1)'")
 
+    @cache  # built once per family; Family is frozen, so hashable
     def pattern(self) -> Graph:
         if self.kind == "fs":
             return friendship(self.param)
@@ -94,14 +110,29 @@ def _brood(parent: Graph) -> tuple[Graph, ...]:
     """The accepted children of one parent, in mask order."""
     n = parent.n + 1
     degrees = parent.degrees()
+    # the new vertex, of degree k, must have minimum degree in the child:
+    # no parent vertex has degree below k - 1, and those of degree k - 1
+    # (the mask tight[k]) are all its neighbours
+    low = min(degrees)
+    tight = [sum(1 << v for v, d in enumerate(degrees) if d == k - 1) for k in range(n)]
+    # (u, w) for each parent twin w and its next lower twin u
+    swaps = [(1 << (lower.bit_length() - 1), 1 << w)
+             for w, twins in enumerate(twin_masks(parent.rows))
+             if (lower := twins & ((1 << w) - 1))]
     accepted: dict[bytes, Graph] = {}
     for mask in range(1 << (n - 1)):
-        # the new vertex must have minimum degree in the child
-        new_degree = mask.bit_count()
-        if any(d + (mask >> v & 1) < new_degree for v, d in enumerate(degrees)):
+        k = mask.bit_count()
+        if k > low + 1 or mask & tight[k] != tight[k]:
+            continue
+        # the swap (u w) maps this child onto the child of a smaller mask
+        if any(mask & w and not mask & u for u, w in swaps):
             continue
         child = parent.add_vertex(mask)
-        cbytes, last_orbit = canonical_data(child)
+        # the last orbit lies in the top refinement cell
+        ranks = refinement_ranks(child)
+        if ranks[n - 1] != max(ranks):
+            continue
+        cbytes, last_orbit = canonical_data(child, ranks)
         if n - 1 in last_orbit and cbytes not in accepted:
             object.__setattr__(child, "_canon", cbytes)
             accepted[cbytes] = child

@@ -200,6 +200,21 @@ def component_masks_within(rows: Sequence[int], mask: int) -> list[int]:
     return comps
 
 
+def twin_masks(rows: Sequence[int]) -> list[int]:
+    """Per vertex v, the mask of its twin class: v and every u whose swap
+    (u v) is an automorphism, that is rows[u] & ~(1<<v) == rows[v] & ~(1<<u).
+    Twins are false (equal rows) or true (equal rows once each vertex is
+    added to its own); no vertex has twins of both kinds, so the relation is
+    an equivalence and the classes are found by grouping the rows."""
+    open_rows: dict[int, int] = {}
+    closed_rows: dict[int, int] = {}
+    for v, r in enumerate(rows):
+        open_rows[r] = open_rows.get(r, 0) | 1 << v
+        closed = r | 1 << v
+        closed_rows[closed] = closed_rows.get(closed, 0) | 1 << v
+    return [open_rows[r] | closed_rows[r | 1 << v] for v, r in enumerate(rows)]
+
+
 # -- constructors -----------------------------------------------------
 
 

@@ -44,7 +44,7 @@ from itertools import combinations, islice
 from typing import Iterator
 
 from .canonical import canonical_form
-from .graphs import Graph, bits, component_masks_within, mask_of
+from .graphs import Graph, bits, component_masks_within, mask_of, twin_masks
 
 DEFAULT_NODE_CAP = 100_000_000
 MAX_MINOR_ORDER = 12
@@ -209,11 +209,8 @@ def _pattern_plan(h: Graph) -> _PatternPlan:
     # positions before a, tau[a] > a, and the pair is checked at position
     # tau[a], where both roots are first assigned.  The twin swaps are
     # added by hand: the automorphism listing may stop before them.
-    pairs: set[tuple[int, int]] = set()
-    for a, b in combinations(range(k), 2):
-        u, v = order[a], order[b]
-        if h.rows[u] & ~(1 << v) == h.rows[v] & ~(1 << u):
-            pairs.add((a, b))
+    twins = twin_masks(h.rows)
+    pairs = {(a, b) for a, b in combinations(range(k), 2) if twins[order[a]] >> order[b] & 1}
     for sigma in islice(_automorphisms(h), 10_000):
         tau = [pos_of[sigma[v]] for v in order]
         a = next((j for j in range(k) if tau[j] != j), k)

@@ -1,16 +1,24 @@
 import itertools
 import random
 
+import pytest
+
 from alphax import (
     Graph,
     enumerate_graphs,
     are_isomorphic,
     canonical_form,
     canonical_graph,
+    extremal_fs,
+    extremal_qt,
+    join,
+    k_copies,
     make_complete,
     make_complete_bipartite,
+    make_empty,
     make_path,
 )
+from alphax.canonical import canonical_data, refinement_ranks
 from conftest import random_graph
 
 PUBLISHED_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
@@ -121,3 +129,57 @@ def test_canonical_graph_decodes_to_the_same_form(rng):
         assert canonical_form(_uncached(h)) == canonical_form(_uncached(g))
         assert h.edge_count() == g.edge_count()
         assert sorted(h.degrees()) == sorted(g.degrees())
+
+
+def _relabelled(g: Graph, rng) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
+def _twin_rich_graphs():
+    # every one has a twin class of three or more vertices
+    yield make_complete_bipartite(1, 7)
+    yield make_complete_bipartite(2, 6)
+    yield make_complete_bipartite(3, 5)
+    yield k_copies(2, make_complete_bipartite(1, 3))
+    yield join(make_empty(3), k_copies(2, make_complete(2)))
+    for s in (2, 3):
+        yield extremal_fs(8, s)
+    for t in (1, 2, 3):
+        yield extremal_qt(8, t)
+
+
+def test_last_orbit_is_the_automorphism_orbit(rng):
+    # the search places each twin class in index order and closes the
+    # last orbit under twins; the result must still be a full Aut(G)-orbit
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    graphs += [_relabelled(g, rng) for g in _twin_rich_graphs()]
+    for g in graphs:
+        G = nx.Graph()
+        G.add_nodes_from(range(g.n))
+        G.add_edges_from(g.edges())
+        orbits = {v: {v} for v in range(g.n)}
+        for sigma in GraphMatcher(G, G).isomorphisms_iter():
+            for v, u in sigma.items():
+                orbits[v].add(u)
+        last_orbit = canonical_data(_uncached(g))[1]
+        assert last_orbit == orbits[min(last_orbit)]
+        ranks = refinement_ranks(g)
+        assert {ranks[v] for v in last_orbit} == {max(ranks)}
+
+
+@pytest.mark.parametrize("host, leaves", [(make_complete_bipartite(1, 29), range(1, 30)),
+                                          (make_complete_bipartite(2, 20), range(2, 22))],
+                         ids=["K_1,29", "K_2,20"])
+def test_many_twins_give_one_form_with_the_leaves_last(rng, host, leaves):
+    base = canonical_form(host)
+    for _ in range(20):
+        perm = list(range(host.n))
+        rng.shuffle(perm)
+        form, last_orbit = canonical_data(host.relabel(perm))
+        assert form == base
+        assert last_orbit == {perm[v] for v in leaves}

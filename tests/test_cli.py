@@ -428,3 +428,23 @@ def test_verify_lemmas_quick(capsys, monkeypatch, tmp_path):
     assert "minor-free-structure: pass" in out
     assert "extremal-at-half: pass" in out
     assert "density fs(1)" in out
+
+
+def test_verify_lemmas_prints_no_density_line_for_an_empty_range(capsys, monkeypatch):
+    # the density profile starts at n = 2, so --max-n 1 has none to print
+    monkeypatch.setenv("ALPHAX_THREADS", "1")
+    code, out = run(capsys, "verify-lemmas", "--max-n", "1", "--grid-n", "6", "--trials", "10")
+    assert code == 0
+    assert "density" not in out
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_import_sets_single_threaded_blas_unless_preset(preset):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c",
+                          "import os, alphax; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+                         env=env, capture_output=True, text=True, check=True, timeout=120).stdout
+    assert out.strip() == (preset or "1")

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -27,9 +28,9 @@ from alphax import (
     write_graph6,
 )
 from alphax import canonical, enumeration
-from alphax.canonical import are_isomorphic, canonical_data
+from alphax.canonical import are_isomorphic, canonical_data, refinement_ranks
 from alphax.enumeration import TieEntry, search_extremal_alphas
-from alphax.graphs import friendship
+from alphax.graphs import bits, friendship, twin_masks
 
 ALL_GRAPHS = [1, 1, 2, 4, 11, 34, 156, 1044, 12346]       # per order 0..8
 CONNECTED_GRAPHS = [1, 1, 1, 2, 6, 21, 112, 853, 11117]
@@ -55,6 +56,57 @@ def test_degree_pretest_is_sound():
                     rejected += 1
                     assert n - 1 not in canonical_data(child)[1]
     assert (children, rejected) == (11290, 8159)
+
+
+def test_rank_pretest_is_sound():
+    # generation skips a child whose new vertex lies outside the top
+    # refinement cell; the canonical search must never put such a vertex
+    # in the last orbit, or the skip would lose classes
+    children = rejected = 0
+    for n in range(2, 8):
+        for parent in enumerate_graphs(n - 1):
+            for mask in range(1 << (n - 1)):
+                child = parent.add_vertex(mask)
+                children += 1
+                ranks = refinement_ranks(child)
+                if ranks[n - 1] != max(ranks):
+                    rejected += 1
+                    assert n - 1 not in canonical_data(child)[1]
+    assert (children, rejected) == (11290, 8998)
+
+
+def _form_and_acceptance(child: Graph) -> tuple[bytes, bool]:
+    form, last_orbit = canonical_data(child)
+    return form, child.n - 1 in last_orbit
+
+
+def test_parent_twin_swap_pretest_is_sound():
+    # generation skips a mask holding a parent twin w but not a lower twin
+    # u; the swapped mask must give the same canonical form and the same
+    # acceptance, so the smaller mask keeps the class
+    checked = 0
+    for n in range(2, 8):
+        for parent in enumerate_graphs(n - 1):
+            twins = twin_masks(parent.rows)
+            for w in range(n - 1):
+                for u in bits(twins[w] & ((1 << w) - 1)):
+                    for mask in range(1 << (n - 1)):
+                        if mask >> w & 1 and not mask >> u & 1:
+                            checked += 1
+                            swapped = mask ^ (1 << w | 1 << u)
+                            assert (_form_and_acceptance(parent.add_vertex(mask))
+                                    == _form_and_acceptance(parent.add_vertex(swapped)))
+    assert checked == 6402
+
+
+def test_generated_levels_are_pinned():
+    # the labelled representatives of levels 1..8, so no prune can change
+    # which graph stands for a class
+    digest = hashlib.sha256()
+    for n in range(1, 9):
+        for g in enumerate_graphs(n):
+            digest.update(f"{g.n}:{g.rows}\n".encode())
+    assert digest.hexdigest() == "13d36078a1ca2c68691573e2888e726954faabc8d26fea569ccf00d653abccb6"
 
 
 def test_no_duplicate_classes():

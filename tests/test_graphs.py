@@ -25,6 +25,7 @@ from alphax import (
     matching_graph,
     quadrangle_book,
 )
+from alphax.graphs import twin_masks
 from conftest import random_graph
 
 
@@ -216,3 +217,18 @@ def test_intersection_lower_bound_randomized():
         ]
         lhs, rhs = intersection_lower_bound(sets)
         assert lhs >= rhs
+
+
+def _swap(g: Graph, u: int, v: int) -> Graph:
+    perm = list(range(g.n))
+    perm[u], perm[v] = v, u
+    return g.relabel(perm)
+
+
+def test_twin_masks_match_the_swap_definition(rng):
+    # u and v are twins when the swap (u v) is an automorphism
+    graphs = [random_graph(rng.randint(0, 9), rng.random(), rng) for _ in range(300)]
+    graphs += [extremal_fs(9, 2), extremal_qt(9, 2), make_complete(5), make_empty(5)]
+    for g in graphs:
+        expected = [sum(1 << u for u in range(g.n) if _swap(g, u, v) == g) for v in range(g.n)]
+        assert twin_masks(g.rows) == expected
