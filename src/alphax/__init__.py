@@ -11,9 +11,7 @@ _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .canonical import are_isomorphic, canonical_form, canonical_graph
 from .enumeration import (
-    DensityProfile,
     Family,
-    GraphStream,
     SearchPart,
     SearchReport,
     edge_density_profile,

@@ -6,7 +6,9 @@ vertex, or qt(k), k quadrangles sharing a vertex: --family 'fs(2)'.
 
 verify-theorem splits each order into --shards parts, the pool's work
 units: every k-th graph of a --graphs file, or the children of every
-k-th graph of the level below.  The merged reports do not depend on k.
+k-th graph of the level below.  Each unit builds its own part, so a
+worker runs the same code whether it was forked or spawned, and the
+merged reports depend neither on k nor on the pool.
 Every graph6 in a theorem report is a canonical labelling, so equal
 strings mean isomorphic graphs.
 
@@ -22,7 +24,6 @@ import argparse
 import contextlib
 import csv
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -70,12 +71,19 @@ def _fmt(x: float) -> str:
 def _worker_count() -> int:
     env = os.environ.get("ALPHAX_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise _UsageError(f"ALPHAX_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
 def _parse_alphas(text: str) -> list[float]:
-    alphas = [float(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        alphas = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise _UsageError(f"--alpha must be a comma-separated list of numbers, "
+                          f"got {text!r}") from None
     if not alphas:
         raise ValueError("empty alpha list")
     return alphas
@@ -217,15 +225,15 @@ def cmd_minor_check(args) -> int:
 
 
 def _theorem_unit(item) -> tuple[list[SearchPart], int]:
-    """One work unit: part `index` of `parts` of the order-n stream,
-    searched at every alpha.  A worker that did not inherit the levels
-    below n from its parent process generates them."""
+    """One work unit: part `index` of `parts` of the order-n graphs, from
+    the graph6 file `path` or generated when it is None, searched at every
+    alpha."""
     n, index, parts, alphas, family, path = item
     if path is None:
-        stream = enumerate_graphs(n, shard=(index, parts))
+        graphs = enumerate_graphs(n, shard=(index, parts))
     else:
-        stream = stream_from_graph6_file(path, shard=(index, parts))
-    return search_extremal_alphas(n, alphas, family, stream)
+        graphs = stream_from_graph6_file(path, n, shard=(index, parts))
+    return search_extremal_alphas(n, alphas, family, graphs)
 
 
 def _report_row(r: SearchReport) -> list[str]:
@@ -284,10 +292,6 @@ def cmd_verify_theorem(args) -> int:
              for n in reversed(ns) for index in range(parts)]
 
     if workers > 1 and len(items) > 1:
-        if args.graphs is None and ns[-1] > 1 and multiprocessing.get_start_method() == "fork":
-            # the levels below the top one, for workers that inherit them;
-            # a spawned worker would build them again
-            enumerate_graphs(ns[-1] - 1)
         with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
             results = list(pool.map(_theorem_unit, items))
     else:
@@ -347,7 +351,7 @@ def cmd_verify_lemmas(args) -> int:
         dt = time.perf_counter() - t0
         for name, tally in zip(names, tallies, strict=True):
             total_bad += tally.violations
-            status = "pass" if tally.violations == 0 else "FAIL"
+            status = "FAIL" if tally.violations else "pass" if tally.checks else "skip"
             line = f"{name}: {status} ({tally.checks} checks, {tally.violations} violations)"
             if tally.note:
                 line += f" [{tally.note}]"
@@ -358,9 +362,9 @@ def cmd_verify_lemmas(args) -> int:
                          "first_counterexample": tally.first})
         print(f"  {dt:.1f}s", file=sys.stderr)
     for fam in (Family("fs", 1), Family("qt", 1)):
-        profiles = [edge_density_profile(n, fam) for n in range(2, args.max_n + 1)]
-        if profiles:  # the profile starts at n = 2
-            budget = ", ".join(f"n={p.n}:{p.max_edges}" for p in profiles)
+        if args.max_n >= 2:  # the profile starts at n = 2
+            budget = ", ".join(f"n={n}:{edge_density_profile(n, fam)}"
+                               for n in range(2, args.max_n + 1))
             print(f"density {fam}: max edges {budget}")
     if args.json:
         _write_json(args.json, {"schema": 1, "suites": rows})

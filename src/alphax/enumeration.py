@@ -24,12 +24,16 @@ search, and none changes which children are kept:
 Counts are pinned to the published sequences in the tests, and the
 representatives of levels 1..8 to a digest.
 
-A stream is split into parts by one rule: part i of k keeps every k-th
-item from the i-th on.  For a graph6 file the items are its graphs.  For
-a generated level they are the parents in the level below, as geng's
-res/mod splits its output: part i of k holds the children of parents i,
-i + k, i + 2k, ...  The parts partition the stream, and a part of a
-level can be generated from the level below without generating the rest.
+A search reads the graphs of one order n, a generated level or a graph6
+file, as a plain tuple.  They are split into parts by one rule: part i of
+k keeps every k-th item from the i-th on.  For a graph6 file the items
+are its graphs.  For a generated level they are the parents in the level
+below, as geng's res/mod splits its output: part i of k holds the
+children of parents i, i + k, i + 2k, ...  The parts partition the
+graphs, and a part of a level can be generated from the level below
+without generating the rest.  A generated level has order n by
+construction; the file reader checks the order of every line against n,
+and that is the one order check.
 """
 
 from __future__ import annotations
@@ -75,8 +79,9 @@ class Family:
     def parse(text: str) -> "Family":
         text = text.strip()
         for kind in ("fs", "qt"):
-            if text.startswith(kind + "(") and text.endswith(")"):
-                return Family(kind, int(text[len(kind) + 1:-1]))
+            param = text[len(kind) + 1:-1]
+            if text.startswith(kind + "(") and text.endswith(")") and param.isdecimal():
+                return Family(kind, int(param))
         raise ValueError(f"cannot parse family {text!r}; expected like 'fs(1)'")
 
     @cache  # built once per family; Family is frozen, so hashable
@@ -169,25 +174,7 @@ def _level_part(n: int, index: int, count: int) -> tuple[Graph, ...]:
     return tuple(chain.from_iterable(_brood(parent) for parent in parents))
 
 
-@dataclass(frozen=True)
-class GraphStream:
-    """A deterministic sequence of isomorphism-class representatives.
-    ``source`` is the graph6 file it was read from, or None for a
-    generated level, which holds every class of its order."""
-
-    order: int
-    source: str | None
-    graphs: tuple[Graph, ...]
-    shard: tuple[int, int] | None = None
-
-    def __iter__(self):
-        return iter(self.graphs)
-
-    def __len__(self):
-        return len(self.graphs)
-
-
-def enumerate_graphs(n: int, shard: tuple[int, int] | None = None) -> GraphStream:
+def enumerate_graphs(n: int, shard: tuple[int, int] | None = None) -> tuple[Graph, ...]:
     """One representative per isomorphism class of order n, generated by
     canonical augmentation.  ``shard=(i, k)`` keeps part i of k of the
     level: the children of every k-th graph of level n - 1, starting at
@@ -201,35 +188,27 @@ def enumerate_graphs(n: int, shard: tuple[int, int] | None = None) -> GraphStrea
             f"in-process generation is limited to n <= {MAX_GENERATED_ORDER}; "
             f"ingest a graph6 file for larger orders"
         )
-    graphs = _generate_level(n) if shard is None else _level_part(n, *shard)
-    return GraphStream(order=n, source=None, graphs=graphs, shard=shard)
+    return _generate_level(n) if shard is None else _level_part(n, *shard)
 
 
-def stream_from_graph6_file(path: str, shard: tuple[int, int] | None = None) -> GraphStream:
-    """The graphs of a graph6 file, all of one order, in file order.
+def stream_from_graph6_file(path: str, n: int,
+                            shard: tuple[int, int] | None = None) -> tuple[Graph, ...]:
+    """The graphs of a graph6 file of order-n graphs, in file order.
     ``shard=(i, k)`` keeps every k-th graph of the file, starting at the
     i-th, as enumerate_graphs keeps the children of every k-th parent.
     A part fully parses only its own lines, so the k parts parse each
-    line once; of every other line it decodes the order field, so each
-    part rejects a file of mixed orders."""
+    line once; of every line it decodes the order field, so each part
+    rejects a line of another order."""
     index, parts = (0, 1) if shard is None else shard
     _check_shard(index, parts)
     graphs = []
-    order = None
     for i, line in enumerate(graph6_lines(path)):
+        order = graph6_order(line)
+        if order != n:
+            raise ValueError(f"graph {i + 1} of {path} has order {order}, not {n}")
         if i % parts == index:
-            g = parse_graph6(line)
-            graphs.append(g)
-            n = g.n
-        else:
-            n = graph6_order(line)
-        if order is None:
-            order = n
-        elif n != order:
-            raise ValueError(f"mixed orders in {path}: {order} and {n}")
-    if order is None:
-        raise ValueError(f"no graphs in {path}")
-    return GraphStream(order=order, source=path, graphs=tuple(graphs), shard=shard)
+            graphs.append(parse_graph6(line))
+    return tuple(graphs)
 
 
 # -- extremal search ------------------------------------------------------
@@ -256,12 +235,12 @@ def _near_max(entries: Sequence[TieEntry]) -> tuple[TieEntry, ...]:
 
 @dataclass(frozen=True)
 class SearchPart:
-    """One (n, alpha, family) search over a stream or a part of one, for
-    merge_reports.  ``ties`` holds the minor-free graphs within TIE_TOL of
-    the part's own maximum, one per canonical graph6 and sorted by it; it
-    is empty when the part holds no minor-free graph.  Every graph within
-    TIE_TOL of the maximum over all parts is within it of its own part's
-    maximum, so the merge loses no tie."""
+    """One (n, alpha, family) search over the graphs of order n or a part
+    of them, for merge_reports.  ``ties`` holds the minor-free graphs
+    within TIE_TOL of the part's own maximum, one per canonical graph6 and
+    sorted by it; it is empty when the part holds no minor-free graph.
+    Every graph within TIE_TOL of the maximum over all parts is within it
+    of its own part's maximum, so the merge loses no tie."""
 
     n: int
     alpha: float
@@ -290,35 +269,30 @@ class SearchReport:
     unique: bool
 
 
-def search_extremal(n: int, alpha: float, family: Family,
-                    stream: GraphStream | None = None) -> SearchReport:
-    """Filter a whole stream (by default level n) to the minor-free
-    family, maximize the alpha-index, and compare the argmax against the
-    closed-form construction.  The parts of a sharded stream are searched
-    by search_extremal_alphas and merged by merge_reports."""
-    if stream is not None and stream.shard is not None:
-        raise ValueError(f"the stream is part {stream.shard} of a stream; search each "
-                         f"part with search_extremal_alphas and merge them with merge_reports")
-    (part,), _ = search_extremal_alphas(n, (alpha,), family, stream)
-    return merge_reports([part], None if stream is None else stream.source)
+def search_extremal(n: int, alpha: float, family: Family) -> SearchReport:
+    """Filter level n to the minor-free family, maximize the alpha-index,
+    and compare the argmax against the closed-form construction.  Other
+    graphs, or parts of a level, are searched by search_extremal_alphas
+    and merged by merge_reports."""
+    (part,), _ = search_extremal_alphas(n, (alpha,), family)
+    return merge_reports([part])
 
 
 def search_extremal_alphas(n: int, alphas: Sequence[float], family: Family,
-                           stream: GraphStream | None = None) -> tuple[list[SearchPart], int]:
-    """One search part per alpha over one pass of the stream: each minor
-    verdict is decided once per graph, and only the graphs within TIE_TOL
-    of an alpha's maximum get a canonical graph6, whose form is cached on
-    the graph.  Returns the parts and the number of minor searches made,
-    which leaves out verdicts already in the cache."""
+                           graphs: Sequence[Graph] | None = None) -> tuple[list[SearchPart], int]:
+    """One search part per alpha over one pass of the order-n graphs (by
+    default level n): each minor verdict is decided once per graph, and
+    only the graphs within TIE_TOL of an alpha's maximum get a canonical
+    graph6, whose form is cached on the graph.  Returns the parts and the
+    number of minor searches made, which leaves out verdicts already in
+    the cache."""
     for alpha in alphas:
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"theorem searches need 0 < alpha < 1, got {alpha}")
-    if stream is None:
-        stream = enumerate_graphs(n)
-    if stream.order != n:
-        raise ValueError(f"stream order {stream.order} does not match n={n}")
+    if graphs is None:
+        graphs = enumerate_graphs(n)
     cached = len(_MINOR_FREE_CACHE)
-    free = [g for g in stream if is_minor_free(g, family)]
+    free = [g for g in graphs if is_minor_free(g, family)]
     searches = len(_MINOR_FREE_CACHE) - cached  # each search caches one verdict
     parts = []
     for alpha in alphas:
@@ -328,7 +302,7 @@ def search_extremal_alphas(n: int, alphas: Sequence[float], family: Family,
         entries = [TieEntry(graph6=write_graph6(canonical_graph(g)), rho=r.rho,
                             residual=r.residual)
                    for g, r in zip(free, results) if r.rho >= top - TIE_TOL]
-        parts.append(SearchPart(n=n, alpha=alpha, family=str(family), total_graphs=len(stream),
+        parts.append(SearchPart(n=n, alpha=alpha, family=str(family), total_graphs=len(graphs),
                                 minor_free_count=len(free), ties=_near_max(entries)))
     return parts, searches
 
@@ -390,28 +364,8 @@ def merge_reports(parts: Sequence[SearchPart], source: str | None = None) -> Sea
     return report
 
 
-@dataclass(frozen=True)
-class DensityProfile:
-    n: int
-    family: str
-    total_graphs: int
-    minor_free_count: int
-    max_edges: int
-    max_edges_per_vertex: float
-
-
-def edge_density_profile(n: int, family: Family) -> DensityProfile:
-    """Empirical support for the linear edge bound: the densest member of
-    the minor-free family at order n."""
-    best = 0
-    total = 0
-    free = 0
-    for g in enumerate_graphs(n):
-        total += 1
-        if not is_minor_free(g, family):
-            continue
-        free += 1
-        best = max(best, g.edge_count())
-    return DensityProfile(n=n, family=str(family), total_graphs=total,
-                          minor_free_count=free, max_edges=best,
-                          max_edges_per_vertex=best / n)
+def edge_density_profile(n: int, family: Family) -> int:
+    """Empirical support for the linear edge bound: the edge count of the
+    densest member of the minor-free family at order n."""
+    return max((g.edge_count() for g in enumerate_graphs(n) if is_minor_free(g, family)),
+               default=0)

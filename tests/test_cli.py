@@ -276,32 +276,6 @@ def test_verify_theorem_pool_matches_one_worker(capsys, tmp_path, monkeypatch, m
         assert pooled == single
 
 
-@pytest.mark.parametrize("method, calls", [("fork", [(5,)]), ("spawn", [])])
-def test_verify_theorem_builds_lower_levels_only_for_forked_workers(
-        capsys, tmp_path, monkeypatch, method, calls):
-    # a spawned worker inherits nothing from the parent, so building the
-    # lower levels there first is wasted work
-    seen = []
-    real = cli.enumerate_graphs
-
-    def spy(n, *args, **kwargs):
-        seen.append((n, *args))
-        return real(n, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "enumerate_graphs", spy)
-    monkeypatch.setenv("ALPHAX_THREADS", "2")
-    previous = multiprocessing.get_start_method(allow_none=True)
-    multiprocessing.set_start_method(method, force=True)
-    try:
-        code = main(["verify-theorem", "--family", "fs(1)", "--n-from", "4", "--n-to", "6",
-                     "--alpha", "0.5", "--csv", str(tmp_path / "r.csv")])
-    finally:
-        multiprocessing.set_start_method(previous, force=True)
-    capsys.readouterr()
-    assert code == 0
-    assert seen == calls
-
-
 def _file_reports(capsys, tmp_path, path, family, n, alphas) -> list[tuple[str, str]]:
     outs = []
     for shards in ("1", "2", "3"):
@@ -375,6 +349,59 @@ def test_verify_theorem_sharded_file_with_a_malformed_line_is_usage_error(capsys
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("shards", ["1", "3"])
+def test_verify_theorem_file_of_another_order_is_usage_error(capsys, tmp_path, monkeypatch,
+                                                             shards):
+    # the order-4 graph is the second of four: at --shards 3 part 1 owns
+    # it, and parts 0 and 2 read only its order field, yet each rejects it
+    monkeypatch.setenv("ALPHAX_THREADS", "1")
+    path = tmp_path / "mixed.g6"
+    path.write_text("D?{\nC~\nDhC\nD~{\n")
+    code = main(["verify-theorem", "--family", "fs(1)", "--n-from", "5", "--n-to", "5",
+                 "--alpha", "0.5", "--graphs", str(path), "--shards", shards])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert re.fullmatch(r"error: graph 2 of .*mixed\.g6 has order 4, not 5\n", err)
+
+
+def test_verify_theorem_empty_file_holds_no_minor_free_graph(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("ALPHAX_THREADS", "1")
+    path = tmp_path / "empty.g6"
+    path.write_text("")
+    code = main(["verify-theorem", "--family", "fs(1)", "--n-from", "5", "--n-to", "5",
+                 "--alpha", "0.5", "--graphs", str(path), "--shards", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "empty.g6" in err and "fs(1)-minor-free graph (0 graphs read in 2 shards)" in err
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (["verify-theorem", "--family", "fs(x)", "--n-from", "4", "--n-to", "4"], None,
+     "cannot parse family 'fs(x)'"),
+    (["minor-check", "--g6", "C~", "--minor-family", "qt(2.0)"], None,
+     "cannot parse family 'qt(2.0)'"),
+    (["verify-theorem", "--family", "fs(1)", "--n-from", "4", "--n-to", "4"], "abc",
+     "ALPHAX_THREADS must be an integer, got 'abc'"),
+    (["verify-theorem", "--family", "fs(1)", "--n-from", "4", "--n-to", "4",
+      "--alpha", "0.5,abc"], None, "--alpha must be a comma-separated list of numbers"),
+    (["alpha-index", "--g6", "C~", "--alpha", "0.5,abc"], None,
+     "--alpha must be a comma-separated list of numbers"),
+], ids=["family", "minor-family", "threads", "alpha", "alpha-index"])
+def test_malformed_input_names_its_option(capsys, monkeypatch, argv, env, message):
+    def no_work(item):
+        raise AssertionError(f"work unit {item} started")
+
+    monkeypatch.setattr(cli, "_theorem_unit", no_work)
+    if env is None:
+        monkeypatch.delenv("ALPHAX_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("ALPHAX_THREADS", env)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 @pytest.mark.parametrize("bad", [["--n-from", "5", "--n-to", "4"],
                                  ["--n-from", "0", "--n-to", "4"],
                                  ["--n-from", "4", "--n-to", "4", "--shards", "0"],
@@ -436,6 +463,26 @@ def test_verify_lemmas_prints_no_density_line_for_an_empty_range(capsys, monkeyp
     code, out = run(capsys, "verify-lemmas", "--max-n", "1", "--grid-n", "6", "--trials", "10")
     assert code == 0
     assert "density" not in out
+
+
+def test_verify_lemmas_reports_a_suite_without_checks_as_skipped(capsys, monkeypatch, tmp_path):
+    # --grid-n 1 leaves the grid empty, --trials 0 draws no sets, and
+    # --max-n 2 is below every structure and extremal check
+    monkeypatch.setenv("ALPHAX_THREADS", "1")
+    path = tmp_path / "lemmas.json"
+    code, out = run(capsys, "verify-lemmas", "--grid-n", "1", "--max-n", "2", "--trials", "0",
+                    "--json", str(path))
+    assert code == 0
+    status = dict(re.findall(r"^([a-z-]+): (\w+) \(", out, re.M))
+    assert status == {"closed-form-quotient": "skip", "nikiforov-bounds": "skip",
+                      "signless-identity": "pass", "intersection-bound": "skip",
+                      "minor-free-structure": "skip", "extremal-at-half": "skip"}
+    rows = json.loads(path.read_text())["suites"]
+    assert [(r["suite"], r["checks"], r["violations"], r["first_counterexample"]) for r in rows
+            if status[r["suite"]] == "skip"] == [
+        (name, 0, 0, None) for name in ("closed-form-quotient", "nikiforov-bounds",
+                                        "intersection-bound", "minor-free-structure",
+                                        "extremal-at-half")]
 
 
 @pytest.mark.parametrize("preset", [None, "3"])

@@ -8,7 +8,6 @@ from alphax import (
     Family,
     Graph,
     Graph6ParseError,
-    GraphStream,
     InvariantError,
     SearchPart,
     canonical_form,
@@ -130,27 +129,26 @@ def test_generation_domain_errors():
 
 
 def test_shards_partition_the_stream(monkeypatch):
-    full = enumerate_graphs(6).graphs
-    parts = [enumerate_graphs(6, shard=(i, 3)).graphs for i in range(3)]
+    full = enumerate_graphs(6)
+    parts = [enumerate_graphs(6, shard=(i, 3)) for i in range(3)]
     assert sorted(full, key=canonical_form) == sorted(sum(parts, ()), key=canonical_form)
     # part i holds the children of parents i, i + 3, ...: the same graphs,
     # in the same order, when the level is not cached and only that part
     # is generated
     monkeypatch.setattr(enumeration, "_LEVELS", {n: enumeration._LEVELS[n] for n in range(1, 6)})
     monkeypatch.setattr(enumeration, "_BROODS", {n: enumeration._BROODS[n] for n in range(1, 6)})
-    assert [enumerate_graphs(6, shard=(i, 3)).graphs for i in range(3)] == parts
+    assert [enumerate_graphs(6, shard=(i, 3)) for i in range(3)] == parts
     assert 6 not in enumeration._LEVELS
-    assert enumerate_graphs(1, shard=(1, 2)).graphs == ()
+    assert enumerate_graphs(1, shard=(1, 2)) == ()
     with pytest.raises(ValueError):
         enumerate_graphs(5, shard=(3, 3))
 
 
 def test_stream_from_file(tmp_path, monkeypatch):
-    graphs = enumerate_graphs(5).graphs[:10]
+    graphs = enumerate_graphs(5)[:10]
     path = tmp_path / "five.g6"
     path.write_text("\n".join(write_graph6(g) for g in graphs) + "\n")
-    stream = stream_from_graph6_file(str(path))
-    assert stream.order == 5 and stream.graphs == graphs
+    assert stream_from_graph6_file(str(path), 5) == graphs
     parsed = []
     monkeypatch.setattr(enumeration, "parse_graph6",
                         lambda line: parsed.append(line) or parse_graph6(line))
@@ -159,35 +157,41 @@ def test_stream_from_file(tmp_path, monkeypatch):
     # at most one, and parse each line once between them
     for k in (1, 2, 3, 4, 11):
         parsed.clear()
-        parts = [stream_from_graph6_file(str(path), shard=(i, k)) for i in range(k)]
-        assert [p.graphs for p in parts] == [graphs[i::k] for i in range(k)]
-        assert [p.shard for p in parts] == [(i, k) for i in range(k)]
+        parts = [stream_from_graph6_file(str(path), 5, shard=(i, k)) for i in range(k)]
+        assert parts == [graphs[i::k] for i in range(k)]
         sizes = [len(p) for p in parts]
         assert sum(sizes) == 10 and max(sizes) - min(sizes) <= 1
         assert sorted(parsed) == sorted(write_graph6(g) for g in graphs)
     with pytest.raises(ValueError):
-        stream_from_graph6_file(str(path), shard=(2, 2))
+        stream_from_graph6_file(str(path), 5, shard=(2, 2))
     # a malformed line fails the part that owns it, and only that part
     bad = tmp_path / "bad.g6"
     bad.write_text("D?{\nD?\nDhC\n")
-    assert stream_from_graph6_file(str(bad), shard=(0, 2)).graphs == (
+    assert stream_from_graph6_file(str(bad), 5, shard=(0, 2)) == (
         parse_graph6("D?{"), parse_graph6("DhC"))
     for shard in ((1, 2), None):
         with pytest.raises(Graph6ParseError):
-            stream_from_graph6_file(str(bad), shard=shard)
-    # every part sees the order of every line
+            stream_from_graph6_file(str(bad), 5, shard=shard)
+    # every part checks the order of every line against n
     mixed = tmp_path / "mixed.g6"
     mixed.write_text("D?{\nC~\nDhC\n")
     for shard in ((0, 3), (1, 3), (2, 3), None):
-        with pytest.raises(ValueError, match="mixed orders"):
-            stream_from_graph6_file(str(mixed), shard=shard)
+        with pytest.raises(ValueError, match=r"graph 2 of .*mixed\.g6 has order 4, not 5"):
+            stream_from_graph6_file(str(mixed), 5, shard=shard)
+    with pytest.raises(ValueError, match=r"graph 1 of .*mixed\.g6 has order 5, not 4"):
+        stream_from_graph6_file(str(mixed), 4, shard=(1, 3))
+    # an empty file holds no graph of any order
+    empty = tmp_path / "empty.g6"
+    empty.write_text("")
+    assert stream_from_graph6_file(str(empty), 5) == ()
 
 
 def test_family_parsing():
     assert str(Family.parse("fs(2)")) == "fs(2)"
-    assert Family.parse("qt(1)").pattern() == quadrangle_book(1)
-    with pytest.raises(ValueError):
-        Family.parse("xy(1)")
+    assert Family.parse(" qt(1) ").pattern() == quadrangle_book(1)
+    for text in ("xy(1)", "fs(x)", "qt(2.0)", "fs(-1)", "fs()", "fs(1"):
+        with pytest.raises(ValueError, match="cannot parse family"):
+            Family.parse(text)
     with pytest.raises(ValueError):
         Family("fs", 0)
 
@@ -222,15 +226,13 @@ def test_search_rejects_closed_alpha():
 
 def test_search_stable_under_stream_permutation():
     fam = Family("fs", 1)
-    base = enumerate_graphs(6)
-    ref = search_extremal(6, 0.3, fam, base)
+    ref = search_extremal(6, 0.3, fam)
     rng = random.Random(5)
-    graphs = list(base.graphs)
+    graphs = list(enumerate_graphs(6))
     for _ in range(3):
         rng.shuffle(graphs)
-        stream = GraphStream(order=6, source=None, graphs=tuple(graphs))
-        got = search_extremal(6, 0.3, fam, stream)
-        assert got == ref
+        (part,), _ = search_extremal_alphas(6, (0.3,), fam, graphs)
+        assert merge_reports([part]) == ref
 
 
 def test_search_matches_closed_form_when_construction_wins():
@@ -294,19 +296,18 @@ def test_only_tie_candidates_are_labelled_canonically(tmp_path, monkeypatch):
 
     monkeypatch.setattr(canonical, "canonical_data", counted)
     parts, _ = search_extremal_alphas(9, (0.1, 0.5, 0.9), Family("fs", 1),
-                                      stream_from_graph6_file(str(path)))
+                                      stream_from_graph6_file(str(path), 9))
     assert all(p.minor_free_count == 60 for p in parts)
     assert 0 < len(calls) <= len({t.graph6 for p in parts for t in p.ties})
 
 
 def test_search_below_construction_raises():
-    # a stream that claims to be generated but misses the construction
-    stream = GraphStream(order=4, source=None, graphs=(make_path(4),))
+    # graphs that claim to be the generated level but miss the construction
+    parts, _ = search_extremal_alphas(4, (0.5,), Family("fs", 1), (make_path(4),))
     with pytest.raises(InvariantError):
-        search_extremal(4, 0.5, Family("fs", 1), stream)
+        merge_reports(parts)
     # a file claims no completeness, whatever its name
-    stream = GraphStream(order=4, source="generated", graphs=(make_path(4),))
-    assert not search_extremal(4, 0.5, Family("fs", 1), stream).matches_construction
+    assert not merge_reports(parts, source="generated").matches_construction
 
 
 def _parts(n, alpha, fam, count):
@@ -326,11 +327,6 @@ def test_merge_matches_unsharded():
         merge_reports([])
     with pytest.raises(ValueError):
         merge_reports([parts[0], _parts(5, 0.5, fam, 1)[0]])
-
-
-def test_search_extremal_rejects_a_part():
-    with pytest.raises(ValueError, match="merge_reports"):
-        search_extremal(6, 0.5, Family("qt", 1), enumerate_graphs(6, shard=(0, 3)))
 
 
 def test_merge_skips_shard_without_minor_free_graph():
@@ -389,13 +385,10 @@ def test_minor_free_cache_consistency():
 
 def test_edge_density_profiles():
     for n in range(2, 7):
-        p = edge_density_profile(n, Family("fs", 1))
-        assert p.max_edges == n - 1  # forests
-        assert p.max_edges_per_vertex == (n - 1) / n
-    p = edge_density_profile(5, Family("qt", 1))
+        assert edge_density_profile(n, Family("fs", 1)) == n - 1  # forests
     # independent oracle: densest 5-vertex graph with no 4-cycle minor
     best = max(
         (g.edge_count() for g in enumerate_graphs(5)
          if not minor_closure_oracle(g, quadrangle_book(1))),
     )
-    assert p.max_edges == best == 6
+    assert edge_density_profile(5, Family("qt", 1)) == best == 6

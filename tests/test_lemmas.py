@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from alphax import canonical_form, enumeration, graphs, lemmas, minors, spectral
-from alphax.enumeration import GraphStream
 from alphax.minors import StructureReport, StructureViolation
 
 
@@ -50,7 +49,8 @@ def _without_construction(original):
         construction = canonical_form(family.construction(n))
         rest = tuple(g for g in enumeration.enumerate_graphs(n)
                      if canonical_form(g) != construction)
-        return original(n, alpha, family, GraphStream(order=n, source="rest", graphs=rest))
+        (part,), _ = enumeration.search_extremal_alphas(n, (alpha,), family, rest)
+        return enumeration.merge_reports([part], source="rest")
     return search
 
 

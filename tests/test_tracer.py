@@ -16,11 +16,15 @@ SRC = os.path.dirname(os.path.dirname(cli.__file__))
 TRACER = os.path.join(os.path.dirname(SRC), "perfbench", "tracer.py")
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify-theorem", "--family", "fs(1)", "--n-from", "4", "--n-to", "5", "--alpha", "0.5"],
-    ["verify-lemmas", "--max-n", "4", "--grid-n", "6", "--trials", "10"],
-], ids=["verify-theorem", "verify-lemmas"])
-def test_tracer_runs_the_cli(tmp_path, argv):
+@pytest.mark.parametrize("argv, stream_calls", [
+    (["verify-theorem", "--family", "fs(1)", "--n-from", "4", "--n-to", "5", "--alpha", "0.5"], 0),
+    (["verify-lemmas", "--max-n", "4", "--grid-n", "6", "--trials", "10"], 0),
+    # one file read per part
+    (["verify-theorem", "--family", "fs(1)", "--n-from", "5", "--n-to", "5", "--alpha", "0.5",
+      "--graphs", "five.g6", "--shards", "2"], 2),
+], ids=["verify-theorem", "verify-lemmas", "verify-theorem-file"])
+def test_tracer_runs_the_cli(tmp_path, argv, stream_calls):
+    (tmp_path / "five.g6").write_text("D?{\nDhC\nD~{\n")
     stats = tmp_path / "stats.json"
     env = dict(os.environ, ALPHAX_THREADS="1",
                PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
@@ -29,3 +33,5 @@ def test_tracer_runs_the_cli(tmp_path, argv):
     spans = json.loads(stats.read_text())["spans"]
     assert spans["enumeration.merge_reports"]["calls"] > 0
     assert spans["minors.has_minor"]["calls"] > 0
+    stream = spans.get("enumeration.stream_from_graph6_file", {"calls": 0})
+    assert stream["calls"] == stream_calls
