@@ -12,6 +12,7 @@ _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .canonical import are_isomorphic, canonical_form, canonical_graph
 from .enumeration import (
     Family,
+    SearchCounts,
     SearchPart,
     SearchReport,
     edge_density_profile,
@@ -72,6 +73,7 @@ from .spectral import (
     nikiforov_lower_bound,
     power_iteration,
     quotient_matrix,
+    screen_alpha_indices,
     signless_laplacian_index,
 )
 

@@ -33,10 +33,10 @@ from . import lemmas
 from .enumeration import (
     MAX_GENERATED_ORDER,
     Family,
+    SearchCounts,
     SearchPart,
     SearchReport,
     edge_density_profile,
-    enumerate_graphs,
     merge_reports,
     search_extremal_alphas,
     stream_from_graph6_file,
@@ -85,7 +85,7 @@ def _parse_alphas(text: str) -> list[float]:
         raise _UsageError(f"--alpha must be a comma-separated list of numbers, "
                           f"got {text!r}") from None
     if not alphas:
-        raise ValueError("empty alpha list")
+        raise _UsageError(f"--alpha must list at least one number, got {text!r}")
     return alphas
 
 
@@ -224,15 +224,14 @@ def cmd_minor_check(args) -> int:
 # -- verify-theorem -------------------------------------------------------
 
 
-def _theorem_unit(item) -> tuple[list[SearchPart], int]:
+def _theorem_unit(item) -> tuple[list[SearchPart], SearchCounts]:
     """One work unit: part `index` of `parts` of the order-n graphs, from
     the graph6 file `path` or generated when it is None, searched at every
     alpha."""
     n, index, parts, alphas, family, path = item
     if path is None:
-        graphs = enumerate_graphs(n, shard=(index, parts))
-    else:
-        graphs = stream_from_graph6_file(path, n, shard=(index, parts))
+        return search_extremal_alphas(n, alphas, family, shard=(index, parts))
+    graphs = stream_from_graph6_file(path, n, shard=(index, parts))
     return search_extremal_alphas(n, alphas, family, graphs)
 
 
@@ -298,7 +297,7 @@ def cmd_verify_theorem(args) -> int:
         results = [_theorem_unit(item) for item in items]
 
     units = {item[:2]: unit_reports for item, (unit_reports, _) in zip(items, results)}
-    searches = sum(count for _, count in results)
+    counts = SearchCounts(*map(sum, zip(*(unit_counts for _, unit_counts in results))))
     reports: list[SearchReport] = [
         merge_reports([units[n, index][j] for index in range(parts)], source=args.graphs)
         for n in ns for j in range(len(alphas))
@@ -325,7 +324,9 @@ def cmd_verify_theorem(args) -> int:
             file=sys.stderr,
         )
     print(f"verify-theorem: {len(reports)} reports, {len(failures)} failures, "
-          f"{searches} minor searches in {time.perf_counter() - start:.2f}s", file=sys.stderr)
+          f"{counts.searches} minor searches, {counts.inherited} verdicts inherited, "
+          f"{counts.certified} certified solves in {time.perf_counter() - start:.2f}s",
+          file=sys.stderr)
     return 1 if failures else 0
 
 
@@ -335,6 +336,9 @@ def cmd_verify_theorem(args) -> int:
 def cmd_verify_lemmas(args) -> int:
     if not 1 <= args.max_n <= MAX_GENERATED_ORDER:
         raise _UsageError(f"need 1 <= --max-n <= {MAX_GENERATED_ORDER}, got {args.max_n}")
+    for option, value in (("--grid-n", args.grid_n), ("--trials", args.trials)):
+        if value < 0:
+            raise _UsageError(f"{option} must be >= 0, got {value}")
     # each entry: the suite names and a function returning their tallies
     suites = [
         (("closed-form-quotient", "nikiforov-bounds"), lambda: lemmas.join_grid(args.grid_n)),

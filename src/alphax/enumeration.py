@@ -34,6 +34,17 @@ graphs, and a part of a level can be generated from the level below
 without generating the rest.  A generated level has order n by
 construction; the file reader checks the order of every line against n,
 and that is the one order check.
+
+Minor verdicts on a generated level are inherited through the canonical
+parent.  Minor-free classes are closed under vertex deletion, and each
+child is its parent plus the new vertex n - 1, so a child of a parent
+that contains the pattern contains it without a search, and a child of
+a minor-free parent is searched only in the host pieces that hold its
+new vertex (has_minor's ``anchor``).  The flags of each level are
+cached per (family, n), so the part for parents i, i + k, ... reads
+theirs; searched verdicts also pass through is_minor_free and its
+cache.  Every graph of the level is still generated and counted.  A
+graph6 file has no parents, and each of its graphs is searched whole.
 """
 
 from __future__ import annotations
@@ -42,13 +53,17 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
+from typing import NamedTuple
+
+import numpy as np
 
 from .canonical import canonical_data, canonical_graph, refinement_ranks
 from .graph6 import graph6_lines, graph6_order, parse_graph6, write_graph6
 from .graphs import (CapacityError, Graph, extremal_fs, extremal_qt, friendship, make_empty,
                      quadrangle_book, twin_masks)
 from .minors import has_minor
-from .spectral import TIE_TOL, InvariantError, alpha_index
+from .spectral import (DEFAULT_TOL, TIE_TOL, InvariantError, SpectralResult, alpha_index,
+                       screen_alpha_indices)
 
 MAX_GENERATED_ORDER = 9
 
@@ -56,6 +71,8 @@ _LEVELS: dict[int, tuple[Graph, ...]] = {}
 # level n grouped by parent: one brood per graph of level n - 1, in order
 _BROODS: dict[int, tuple[tuple[Graph, ...], ...]] = {}
 _MINOR_FREE_CACHE: dict[tuple[str, int, tuple[int, ...]], bool] = {}
+# the minor-free flag of each graph of level n, in level order, per (family, n)
+_FREE_FLAGS: dict[tuple[Family, int], tuple[bool, ...]] = {}
 
 
 @dataclass(frozen=True)
@@ -96,17 +113,20 @@ class Family:
         return extremal_qt(n, self.param)
 
 
-def is_minor_free(g: Graph, family: Family) -> bool:
+def is_minor_free(g: Graph, family: Family, anchor: int | None = None) -> bool:
     """Family predicate with a verdict cache keyed on the labelled graph.
-    A theorem search decides each verdict once per graph for all its
-    alphas, so the cache serves repeated searches over the same graphs:
-    the lemma suites and the construction bound.  An isomorphic copy
-    under other labels is searched again, which costs less than a
-    canonical form for every host."""
+    ``anchor=v`` passes has_minor's precondition on to it: g - v is
+    minor-free, so only the pieces of g that hold v are searched; the
+    verdict, and so the cache entry, is the one an unanchored search
+    gives.  The cache serves repeated verdicts on the same labelled
+    graphs: the generated levels of a process, read as parents and
+    again as reported graphs, the lemma suites and the construction
+    bound.  An isomorphic copy under other labels is searched again,
+    which costs less than a canonical form for every host."""
     key = (str(family), g.n, g.rows)
     hit = _MINOR_FREE_CACHE.get(key)
     if hit is None:
-        hit = not has_minor(g, family.pattern()).contains
+        hit = not has_minor(g, family.pattern(), anchor=anchor).contains
         _MINOR_FREE_CACHE[key] = hit
     return hit
 
@@ -162,16 +182,25 @@ def _check_shard(index: int, count: int) -> None:
         raise ValueError(f"bad shard spec {(index, count)}")
 
 
-def _level_part(n: int, index: int, count: int) -> tuple[Graph, ...]:
-    """Part `index` of `count` of level n: the children of parents index,
-    index + count, ... of level n - 1.  Taken from level n when it is
-    cached; otherwise generated from those parents alone."""
+def _part_broods(n: int, index: int, count: int) -> tuple[tuple[Graph, ...], ...]:
+    """The broods of part `index` of `count` of level n: those of parents
+    index, index + count, ... of level n - 1.  Taken from level n when it
+    is cached; otherwise generated from those parents alone."""
     _check_shard(index, count)
     if count == 1 or n == 1 or n in _LEVELS:
         _generate_level(n)
-        return tuple(chain.from_iterable(_BROODS[n][index::count]))
-    parents = _generate_level(n - 1)[index::count]
-    return tuple(chain.from_iterable(_brood(parent) for parent in parents))
+        return _BROODS[n][index::count]
+    return tuple(_brood(parent) for parent in _generate_level(n - 1)[index::count])
+
+
+def _check_order(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"generation needs n >= 1, got {n}")
+    if n > MAX_GENERATED_ORDER:
+        raise CapacityError(
+            f"in-process generation is limited to n <= {MAX_GENERATED_ORDER}; "
+            f"ingest a graph6 file for larger orders"
+        )
 
 
 def enumerate_graphs(n: int, shard: tuple[int, int] | None = None) -> tuple[Graph, ...]:
@@ -181,14 +210,52 @@ def enumerate_graphs(n: int, shard: tuple[int, int] | None = None) -> tuple[Grap
     the i-th, as stream_from_graph6_file keeps every k-th graph of a
     file.  The k parts partition the level, and part i can be generated
     without the others."""
-    if n < 1:
-        raise ValueError(f"generation needs n >= 1, got {n}")
-    if n > MAX_GENERATED_ORDER:
-        raise CapacityError(
-            f"in-process generation is limited to n <= {MAX_GENERATED_ORDER}; "
-            f"ingest a graph6 file for larger orders"
-        )
-    return _generate_level(n) if shard is None else _level_part(n, *shard)
+    _check_order(n)
+    if shard is None:
+        return _generate_level(n)
+    return tuple(chain.from_iterable(_part_broods(n, *shard)))
+
+
+def _brood_flags(family: Family, parent_flags: Sequence[bool],
+                 broods: Sequence[tuple[Graph, ...]]) -> tuple[bool, ...]:
+    """The minor-free flag of each child in broods, the broods of parents
+    whose flags are parent_flags.  A child of a parent that contains the
+    pattern contains it; a child of a minor-free parent is searched only
+    at its new vertex, n - 1."""
+    flags: list[bool] = []
+    for free, brood in zip(parent_flags, broods, strict=True):
+        if free:
+            flags.extend(is_minor_free(child, family, anchor=child.n - 1) for child in brood)
+        else:
+            flags.extend([False] * len(brood))
+    return tuple(flags)
+
+
+def _parent_flags(n: int, family: Family) -> tuple[bool, ...]:
+    """The minor-free flags of level n - 1, cached per (family, n - 1);
+    level 1 has the empty graph as its one parent."""
+    if n == 1:
+        return (True,)
+    key = (family, n - 1)
+    flags = _FREE_FLAGS.get(key)
+    if flags is None:
+        _generate_level(n - 1)
+        flags = _FREE_FLAGS[key] = _brood_flags(family, _parent_flags(n - 1, family),
+                                                _BROODS[n - 1])
+    return flags
+
+
+def _level_verdicts(n: int, family: Family, shard: tuple[int, int] | None
+                    ) -> tuple[tuple[Graph, ...], tuple[bool, ...], int]:
+    """Part ``shard`` of level n (all of it when None), the minor-free
+    flag of each of its graphs, and how many of those flags were
+    inherited from a parent that contains the pattern."""
+    _check_order(n)
+    index, count = (0, 1) if shard is None else shard
+    broods = _part_broods(n, index, count)
+    parents = _parent_flags(n, family)[index::count]
+    inherited = sum(len(brood) for free, brood in zip(parents, broods) if not free)
+    return tuple(chain.from_iterable(broods)), _brood_flags(family, parents, broods), inherited
 
 
 def stream_from_graph6_file(path: str, n: int,
@@ -278,33 +345,81 @@ def search_extremal(n: int, alpha: float, family: Family) -> SearchReport:
     return merge_reports([part])
 
 
+class SearchCounts(NamedTuple):
+    """The work behind search parts, for the CLI's stderr line.
+    ``searches`` counts the graphs whose minor verdict was searched and
+    ``inherited`` those that took it from their parent.  Both count
+    graphs, not calls, so over the parts of a search they sum to the
+    same totals however it is split.  ``certified`` counts certified
+    alpha_index solves, which depend on the split."""
+
+    searches: int
+    inherited: int
+    certified: int
+
+
+def _certified_near_top(free: Sequence[Graph], alpha: float) -> list[tuple[Graph, SpectralResult]]:
+    """The certified alpha-index of each graph of free that can lie within
+    TIE_TOL of their maximum, in the order of free.
+
+    One batched screen bounds every index; the graph with the largest
+    estimate is certified, and its rho is at most the maximum.  A graph
+    whose index is below that rho - TIE_TOL - DEFAULT_TOL cannot reach
+    the tie band, since a certified rho lies at most the bracket width
+    DEFAULT_TOL above the index, and only the others are certified."""
+    if not free:
+        return []
+    estimates, bounds = screen_alpha_indices(free, alpha)
+    best = int(np.argmax(estimates))
+    top = alpha_index(free[best], alpha)
+    floor = top.rho - TIE_TOL - DEFAULT_TOL
+    results = []
+    for i in map(int, np.flatnonzero(~(bounds < floor))):  # a NaN bound keeps its graph
+        r = top if i == best else alpha_index(free[i], alpha)
+        if not bounds[i] >= r.lower:
+            raise InvariantError(f"screen bound {float(bounds[i])!r} of {write_graph6(free[i])} "
+                                 f"at alpha={alpha} is below its certified index {r.lower!r}")
+        results.append((free[i], r))
+    return results
+
+
 def search_extremal_alphas(n: int, alphas: Sequence[float], family: Family,
-                           graphs: Sequence[Graph] | None = None) -> tuple[list[SearchPart], int]:
-    """One search part per alpha over one pass of the order-n graphs (by
-    default level n): each minor verdict is decided once per graph, and
-    only the graphs within TIE_TOL of an alpha's maximum get a canonical
-    graph6, whose form is cached on the graph.  Returns the parts and the
-    number of minor searches made, which leaves out verdicts already in
-    the cache."""
+                           graphs: Sequence[Graph] | None = None,
+                           shard: tuple[int, int] | None = None
+                           ) -> tuple[list[SearchPart], SearchCounts]:
+    """One search part per alpha over the order-n graphs: ``graphs``, or
+    part ``shard`` of generated level n (all of it when None).
+
+    A generated graph inherits "contains" from a parent that contains the
+    pattern; the others are searched at their new vertex.  Each graph of
+    ``graphs`` is searched whole, through the verdict cache.  Per alpha,
+    only the minor-free graphs that can lie within TIE_TOL of the maximum
+    get a certified alpha_index (see _certified_near_top), and only those
+    within TIE_TOL of it a canonical graph6, whose form is cached on the
+    graph."""
     for alpha in alphas:
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"theorem searches need 0 < alpha < 1, got {alpha}")
     if graphs is None:
-        graphs = enumerate_graphs(n)
-    cached = len(_MINOR_FREE_CACHE)
-    free = [g for g in graphs if is_minor_free(g, family)]
-    searches = len(_MINOR_FREE_CACHE) - cached  # each search caches one verdict
+        graphs, flags, inherited = _level_verdicts(n, family, shard)
+    elif shard is not None:
+        raise ValueError("pass graphs or a shard of the generated level, not both")
+    else:
+        flags, inherited = [is_minor_free(g, family) for g in graphs], 0
+    free = [g for g, ok in zip(graphs, flags) if ok]
     parts = []
+    certified = 0
     for alpha in alphas:
-        results = [alpha_index(g, alpha) for g in free]
-        top = max((r.rho for r in results), default=0.0)
+        results = _certified_near_top(free, alpha)
+        certified += len(results)
+        top = max((r.rho for _, r in results), default=0.0)
         # the candidates share _near_max's maximum and threshold
         entries = [TieEntry(graph6=write_graph6(canonical_graph(g)), rho=r.rho,
                             residual=r.residual)
-                   for g, r in zip(free, results) if r.rho >= top - TIE_TOL]
+                   for g, r in results if r.rho >= top - TIE_TOL]
         parts.append(SearchPart(n=n, alpha=alpha, family=str(family), total_graphs=len(graphs),
                                 minor_free_count=len(free), ties=_near_max(entries)))
-    return parts, searches
+    return parts, SearchCounts(len(graphs) - inherited, inherited, certified)
 
 
 def merge_reports(parts: Sequence[SearchPart], source: str | None = None) -> SearchReport:

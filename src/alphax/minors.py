@@ -20,6 +20,9 @@ alone, by a plan built once per pattern:
 - components, when H is connected: the branch sets and the edges that
   realize H form one connected subgraph of G.
 - size: a piece with fewer vertices or edges than H cannot hold it.
+- anchor: when the caller knows G - v to be H-minor-free (G is a
+  generated child and v its new vertex), only the pieces holding v are
+  searched.
 - Aut(H): only root tuples that are lex-minimal in their orbit are
   explored.  Roots are distinct, so each automorphism checked comes down
   to one pair of positions whose roots must ascend.  The automorphisms
@@ -245,13 +248,21 @@ def _host_pieces(g: Graph, plan: _PatternPlan) -> list[int]:
     return [mask]
 
 
-def has_minor(g: Graph, h: Graph, node_cap: int = DEFAULT_NODE_CAP) -> MinorVerdict:
+def has_minor(g: Graph, h: Graph, node_cap: int = DEFAULT_NODE_CAP,
+              anchor: int | None = None) -> MinorVerdict:
     """Exact test whether h is a minor of g, with a validating certificate.
 
     Each piece of g that is large enough (see the module docstring) is
     searched in turn, and a model found in one is mapped back to g's
     labels.  node_cap bounds the nodes explored over all pieces, which
     nodes_explored sums.
+
+    ``anchor=v`` searches only the pieces that hold vertex v, and none
+    when v is outside the 2-core.  Precondition, which the caller must
+    guarantee: g - v is h-minor-free.  A model that the reductions
+    confine to a piece without v would be a model in g - v, so under
+    the precondition only the pieces holding v can hold one.  Without
+    it the verdict may be a false "free".
     """
     if h.n > MAX_MINOR_ORDER:
         raise ValueError(f"minor pattern order {h.n} exceeds limit {MAX_MINOR_ORDER}")
@@ -264,6 +275,8 @@ def has_minor(g: Graph, h: Graph, node_cap: int = DEFAULT_NODE_CAP) -> MinorVerd
     plan = _pattern_plan(h)
     nodes = 0
     for mask in _host_pieces(g, plan):
+        if anchor is not None and not mask >> anchor & 1:
+            continue
         keep = list(bits(mask))
         if len(keep) < h.n:
             continue

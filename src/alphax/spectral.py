@@ -14,6 +14,17 @@ computed decomposition from above, which bounds every eigenvalue of the
 matrix, including any the solver missed.  Other solves whose vector is
 not needed go through ``numpy.linalg.eigvalsh``.
 
+``screen_alpha_indices`` bounds many indices at once, so that a search
+certifies only the graphs that can come near its maximum.  It stacks
+the A_alpha matrices of equal-order graphs into one batched ``eigh``
+call and bounds each index from above by Collatz-Wielandt: for a
+nonnegative M and any positive x, rho(M) <= max_i (Mx)_i / x_i.  x is
+the absolute top vector, raised to at least 1e-8 of its largest entry
+(disconnected graphs have zero entries), so the bound is tight for a
+connected graph and valid for any.  Each computed ratio has relative
+error at most (n + 2) eps, which 2 (n + 2) eps |M|_F covers, as the
+ratio only matters where it is below 2 |M|_F >= 2 rho(M).
+
 ``jacobi_eigh`` (cyclic Jacobi) and ``power_iteration`` are kept only as
 test oracles: they share no code with LAPACK, so agreement with them is
 an independent check of the solver and its certificate.  No code path of
@@ -23,6 +34,7 @@ the package calls them.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +45,10 @@ DEFAULT_TOL = 1e-10
 OFF_DIAGONAL_TOL = 1e-13
 TIE_TOL = 1e-9
 _EPS = float(np.finfo(np.float64).eps)
+# screen_alpha_indices: matrix entries per batched eigh call, and the
+# floor, relative to the largest entry, of its positive test vector
+_SCREEN_ENTRIES = 1 << 18
+_SCREEN_FLOOR = 1e-8
 
 
 class ConvergenceError(ArithmeticError):
@@ -150,6 +166,19 @@ def alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
     return m
 
 
+def _alpha_matrices(graphs: Sequence[Graph], alpha: float) -> np.ndarray:
+    """alpha_matrix of each graph of one order n, stacked along axis 0:
+    the same entries, assembled for many graphs at once.  alpha_matrix
+    keeps its own loop, which is faster for the one graph it builds."""
+    n = graphs[0].n
+    words = np.array([row for g in graphs for row in g.rows], dtype="<u8").view(np.uint8)
+    adjacency = np.unpackbits(words.reshape(len(graphs), n, 8), axis=2, count=n,
+                              bitorder="little")
+    m = (1.0 - alpha) * adjacency
+    m.reshape(len(graphs), n * n)[:, ::n + 1] = alpha * adjacency.sum(axis=2)
+    return m
+
+
 @dataclass(frozen=True)
 class SpectralResult:
     """Largest eigenvalue with a certified unit eigenvector and a bracket
@@ -220,6 +249,32 @@ def alpha_index(g: Graph, alpha: float, tol: float = DEFAULT_TOL) -> SpectralRes
     m = alpha_matrix(g, alpha)
     w, v = np.linalg.eigh(m)
     return certify_top(m, w, v, tol)
+
+
+def screen_alpha_indices(graphs: Sequence[Graph], alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Uncertified estimates and rigorous upper bounds of the A_alpha
+    indices of graphs of one order, from batched ``numpy.linalg.eigh``
+    calls (see the module docstring).  Returns two arrays, one entry per
+    graph; a NaN bound bounds nothing."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0,1], got {alpha}")
+    if not graphs:
+        return np.empty(0), np.empty(0)
+    n = graphs[0].n
+    if n < 1 or any(g.n != n for g in graphs):
+        raise ValueError("screened graphs must share one order of at least one vertex")
+    estimates, bounds = [], []
+    step = max(1, _SCREEN_ENTRIES // (n * n))  # matrices per batch
+    for first in range(0, len(graphs), step):
+        m = _alpha_matrices(graphs[first:first + step], alpha)
+        w, v = np.linalg.eigh(m)
+        x = np.abs(v[:, :, -1])
+        x = np.maximum(x, _SCREEN_FLOOR * x.max(axis=1, keepdims=True))
+        ratio = (np.matmul(m, x[:, :, None])[:, :, 0] / x).max(axis=1)
+        slack = 2.0 * (n + 2) * _EPS * np.sqrt((m * m).sum(axis=(1, 2)))
+        estimates.append(w[:, -1])
+        bounds.append(ratio + slack)
+    return np.concatenate(estimates), np.concatenate(bounds)
 
 
 def signless_laplacian_index(g: Graph, tol: float = DEFAULT_TOL) -> float:

@@ -193,8 +193,8 @@ def test_verify_theorem_exit_codes(capsys, tmp_path):
     out, err = capsys.readouterr()
     assert code == 0
     # a run duration, not the time of day
-    assert re.fullmatch(r"verify-theorem: 2 reports, 0 failures, \d+ minor searches "
-                        r"in \d+\.\d\ds\n", err)
+    assert re.fullmatch(r"verify-theorem: 2 reports, 0 failures, \d+ minor searches, "
+                        r"\d+ verdicts inherited, \d+ certified solves in \d+\.\d\ds\n", err)
     assert out.splitlines()[0] == ("graph6,n,alpha,family,rho,residual,"
                                    "minor_free,matches_construction,unique,ties")
     # every 5-vertex graph avoids the 7-vertex pattern qt(2): K_5 wins
@@ -243,14 +243,17 @@ THEOREM_GEN = ["verify-theorem", "--family", "fs(2)", "--n-from", "4", "--n-to",
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_verify_theorem_decides_each_minor_verdict_once(tmp_path, threads):
     # a fresh interpreter, so that no verdict is cached before the run;
-    # levels 4..7 hold 11 + 34 + 156 + 1044 graphs
+    # levels 4..7 hold 11 + 34 + 156 + 1044 graphs, of which 808 have a
+    # parent that contains F_2 and inherit its verdict; each count is of
+    # reported graphs, so it does not depend on the workers
     env = dict(os.environ, ALPHAX_THREADS=threads,
                PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-m", "alphax.cli", *THEOREM_GEN,
                            "--csv", str(tmp_path / "r.csv")],
                           env=env, capture_output=True, text=True, check=True)
-    assert re.fullmatch(r"verify-theorem: 12 reports, 0 failures, 1245 minor searches "
-                        r"in \d+\.\d\ds\n", proc.stderr)
+    assert re.fullmatch(r"verify-theorem: 12 reports, 0 failures, 437 minor searches, "
+                        r"808 verdicts inherited, \d+ certified solves in \d+\.\d\ds\n",
+                        proc.stderr)
 
 
 def _theorem_reports(capsys, tmp_path, family, tag) -> tuple[str, str]:
@@ -386,7 +389,9 @@ def test_verify_theorem_empty_file_holds_no_minor_free_graph(capsys, tmp_path, m
       "--alpha", "0.5,abc"], None, "--alpha must be a comma-separated list of numbers"),
     (["alpha-index", "--g6", "C~", "--alpha", "0.5,abc"], None,
      "--alpha must be a comma-separated list of numbers"),
-], ids=["family", "minor-family", "threads", "alpha", "alpha-index"])
+    (["verify-theorem", "--family", "fs(1)", "--n-from", "4", "--n-to", "4",
+      "--alpha", ","], None, "--alpha must list at least one number, got ','"),
+], ids=["family", "minor-family", "threads", "alpha", "alpha-index", "alpha-empty"])
 def test_malformed_input_names_its_option(capsys, monkeypatch, argv, env, message):
     def no_work(item):
         raise AssertionError(f"work unit {item} started")
@@ -436,6 +441,20 @@ def test_verify_lemmas_rejects_max_n_outside_generation_before_any_suite(capsys,
     code = main(["verify-lemmas", "--max-n", max_n])
     out, err = capsys.readouterr()
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("option, value", [("--grid-n", "-3"), ("--trials", "-5")])
+def test_verify_lemmas_rejects_a_negative_count_before_any_suite(capsys, monkeypatch,
+                                                                 option, value):
+    def no_suite(*args):
+        raise AssertionError("a suite started")
+
+    for name in ("join_grid", "signless", "intersection", "structure", "corollary"):
+        monkeypatch.setattr(lemmas, name, no_suite)
+    code = main(["verify-lemmas", option, value])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: {option} must be >= 0, got {value}\n"
 
 
 def test_verify_lemmas_quick(capsys, monkeypatch, tmp_path):

@@ -10,10 +10,13 @@ from alphax import (
     Graph6ParseError,
     InvariantError,
     SearchPart,
+    alpha_index,
     canonical_form,
+    canonical_graph,
     edge_density_profile,
     enumerate_graphs,
     f_inequality,
+    has_minor,
     is_minor_free,
     join_quotient_index,
     make_complete_bipartite,
@@ -24,11 +27,13 @@ from alphax import (
     quadrangle_book,
     search_extremal,
     stream_from_graph6_file,
+    validate_model,
     write_graph6,
 )
 from alphax import canonical, enumeration
 from alphax.canonical import are_isomorphic, canonical_data, refinement_ranks
 from alphax.enumeration import TieEntry, search_extremal_alphas
+from alphax.spectral import TIE_TOL
 from alphax.graphs import bits, friendship, twin_masks
 
 ALL_GRAPHS = [1, 1, 2, 4, 11, 34, 156, 1044, 12346]       # per order 0..8
@@ -367,8 +372,8 @@ def test_merge_of_generated_parts_checks_the_construction_bound():
 def test_search_extremal_alphas_matches_one_alpha_at_a_time():
     fam = Family("qt", 1)
     alphas = (0.1, 0.5, 0.9)
-    parts, searches = search_extremal_alphas(6, alphas, fam)
-    assert 0 <= searches <= len(enumerate_graphs(6))
+    parts, counts = search_extremal_alphas(6, alphas, fam)
+    assert counts.searches + counts.inherited == len(enumerate_graphs(6))
     for alpha, part in zip(alphas, parts):
         assert merge_reports([part]) == search_extremal(6, alpha, fam)
     with pytest.raises(ValueError):
@@ -392,3 +397,103 @@ def test_edge_density_profiles():
          if not minor_closure_oracle(g, quadrangle_book(1))),
     )
     assert edge_density_profile(5, Family("qt", 1)) == best == 6
+
+
+# minor-free counts of generated levels 1..8 (fs(1): forests, A005195)
+MINOR_FREE = {
+    "fs(1)": [1, 2, 3, 6, 10, 20, 37, 76],
+    "qt(1)": [1, 2, 4, 8, 17, 40, 96, 245],
+    "fs(2)": [1, 2, 4, 11, 28, 83, 243, 748],
+    "qt(2)": [1, 2, 4, 11, 34, 156, 678, 3210],
+}
+
+
+@pytest.mark.parametrize("family", MINOR_FREE)
+def test_minor_free_level_counts_are_pinned(family):
+    fam = Family.parse(family)
+    counts = [sum(enumeration._level_verdicts(n, fam, None)[1]) for n in range(1, 9)]
+    assert counts == MINOR_FREE[family]
+
+
+@pytest.mark.parametrize("family", ["fs(1)", "fs(2)", "fs(3)", "qt(1)", "qt(2)", "qt(3)"])
+def test_inherited_verdicts_match_an_unanchored_search(family):
+    fam = Family.parse(family)
+    inherited = 0
+    for n in range(1, 8):
+        graphs, flags, count = enumeration._level_verdicts(n, fam, None)
+        assert graphs == enumerate_graphs(n)
+        assert list(flags) == [not has_minor(g, fam.pattern()).contains for g in graphs]
+        inherited += count
+    # only a parent of at least |V(H)| vertices can contain H, so levels
+    # up to 7 inherit a verdict only when |V(H)| <= 6
+    assert (inherited > 0) == (fam.pattern().n <= 6)
+
+
+def test_anchored_search_needs_the_parent_verdict():
+    # positive control: a child of an fs(2)-containing parent may hold
+    # every model away from its new vertex, so the anchored search alone
+    # would call it free; inheritance is what makes it "contains"
+    fam = Family("fs", 2)
+    h = fam.pattern()
+    enumerate_graphs(7)
+    parents = enumeration._level_verdicts(6, fam, None)[1]
+    children = [c for free, brood in zip(parents, enumeration._BROODS[7], strict=True)
+                if not free for c in brood]
+    misses = [c for c in children if not has_minor(c, h, anchor=6).contains]
+    assert (len(children), len(misses)) == (755, 303)
+    for c in misses:
+        verdict = has_minor(c, h)
+        assert verdict.contains and validate_model(c, h, verdict.model)
+
+
+def _unscreened_part(n, alpha, fam, graphs):
+    # the search without inheritance or screen: every verdict searched
+    # whole, every minor-free graph certified
+    free = [g for g in graphs if not has_minor(g, fam.pattern()).contains]
+    results = [alpha_index(g, alpha) for g in free]
+    top = max(r.rho for r in results)
+    entries = [TieEntry(write_graph6(canonical_graph(g)), r.rho, r.residual)
+               for g, r in zip(free, results) if r.rho >= top - TIE_TOL]
+    return SearchPart(n, alpha, str(fam), len(graphs), len(free), enumeration._near_max(entries))
+
+
+@pytest.mark.parametrize("family", ["fs(1)", "qt(1)", "fs(2)", "qt(2)"])
+def test_screened_search_matches_certifying_every_graph(family):
+    fam = Family.parse(family)
+    alphas = (0.1, 0.3, 0.5, 0.7, 0.9)
+    certified = 0
+    for n in range(1, 8):
+        graphs = enumerate_graphs(n)
+        parts, counts = search_extremal_alphas(n, alphas, fam)
+        assert parts == [_unscreened_part(n, a, fam, graphs) for a in alphas]
+        # a file stream of the same graphs gets the screen, not the inheritance
+        stream_parts, stream_counts = search_extremal_alphas(n, alphas, fam, list(graphs))
+        assert stream_parts == parts
+        assert stream_counts.searches == counts.searches + counts.inherited == len(graphs)
+        assert stream_counts.inherited == 0
+        certified += counts.certified
+        assert counts.certified >= sum(len(p.ties) for p in parts)
+    # the screen certifies a few graphs per alpha, not every minor-free one
+    assert certified < sum(MINOR_FREE[family][:7]) * len(alphas) / 5
+
+
+def test_generated_shards_inherit_the_level_verdicts(monkeypatch):
+    fam = Family("fs", 2)
+    alphas = (0.3, 0.7)
+    whole, counts = search_extremal_alphas(7, alphas, fam)
+    # the children of the 83 fs(2)-free graphs of level 6 are searched
+    assert (counts.searches, counts.inherited) == (289, 755)
+    for cached in (True, False):
+        if not cached:  # part i is generated from its parents alone
+            monkeypatch.setattr(enumeration, "_LEVELS",
+                                {n: enumeration._LEVELS[n] for n in range(1, 7)})
+            monkeypatch.setattr(enumeration, "_BROODS",
+                                {n: enumeration._BROODS[n] for n in range(1, 7)})
+        results = [search_extremal_alphas(7, alphas, fam, shard=(i, 3)) for i in range(3)]
+        for j in range(len(alphas)):
+            assert merge_reports([parts[j] for parts, _ in results]) == merge_reports([whole[j]])
+        assert sum(c.searches for _, c in results) == counts.searches
+        assert sum(c.inherited for _, c in results) == counts.inherited
+    assert 7 not in enumeration._LEVELS
+    with pytest.raises(ValueError):
+        search_extremal_alphas(7, alphas, fam, enumerate_graphs(7), shard=(0, 2))

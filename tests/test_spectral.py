@@ -27,8 +27,10 @@ from alphax import (
     nikiforov_lower_bound,
     power_iteration,
     quotient_matrix,
+    screen_alpha_indices,
     signless_laplacian_index,
 )
+from alphax import spectral
 from conftest import random_graph
 
 
@@ -52,6 +54,9 @@ def test_alpha_matrix_equals_the_edge_by_edge_definition(rng):
             got = alpha_matrix(g, a)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
+            # the screen's stacked assembly stores the same floats
+            stacked = spectral._alpha_matrices([g, g], a)
+            assert stacked.shape == (2, g.n, g.n) and np.array_equal(stacked[1], want)
 
 
 def test_alpha_matrix_endpoints():
@@ -135,6 +140,43 @@ def test_alpha_index_agrees_with_independent_solvers(rng):
             else:
                 oracle = power_iteration(m, shift=1.0)[0]
             assert abs(r.rho - oracle) <= 1e-9
+
+
+def test_screen_bounds_every_certified_index(rng):
+    # Collatz-Wielandt bounds, one batch per order; edgeless and
+    # disconnected graphs give top vectors with zero entries
+    by_order: dict[int, list[Graph]] = {}
+    for i in range(2000):
+        n = rng.randint(1, 12)
+        if i % 10 == 0:
+            g = make_empty(n)
+        elif i % 10 == 1 and n >= 2:
+            k = rng.randint(1, n - 1)
+            g = disjoint_union(random_graph(k, rng.random(), rng),
+                               random_graph(n - k, rng.random(), rng))
+        else:
+            g = random_graph(n, rng.random(), rng)
+        by_order.setdefault(n, []).append(g)
+    assert sum(len(gs) for gs in by_order.values()) == 2000
+    disconnected = 0
+    for n, graphs in sorted(by_order.items()):
+        for a in (0.1, 0.5, 0.9):
+            estimates, bounds = screen_alpha_indices(graphs, a)
+            for g, estimate, bound in zip(graphs, estimates, bounds, strict=True):
+                r = alpha_index(g, a)
+                assert bound >= r.lower
+                assert abs(estimate - r.rho) <= 1e-9
+        disconnected += sum(not g.is_connected() for g in graphs)
+    assert disconnected > 200
+    # tight on a connected graph, valid (if loose) where the vector vanishes
+    (bound,) = screen_alpha_indices([make_complete(5)], 0.5)[1]
+    assert 4.0 <= bound <= 4.0 + 1e-12
+    (bound,) = screen_alpha_indices([disjoint_union(make_complete(4),
+                                                    make_complete_bipartite(1, 5))], 0.0)[1]
+    assert bound >= 3.0
+    assert [len(x) for x in screen_alpha_indices([], 0.5)] == [0, 0]
+    with pytest.raises(ValueError):
+        screen_alpha_indices([make_path(3), make_path(4)], 0.5)
 
 
 def test_certificate_rejects_corrupted_decompositions(rng):
