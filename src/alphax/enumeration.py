@@ -35,15 +35,19 @@ without generating the rest.  A generated level has order n by
 construction; the file reader checks the order of every line against n,
 and that is the one order check.
 
-Minor verdicts on a generated level are inherited through the canonical
-parent.  Minor-free classes are closed under vertex deletion, and each
-child is its parent plus the new vertex n - 1, so a child of a parent
-that contains the pattern contains it without a search, and a child of
-a minor-free parent is searched only in the host pieces that hold its
-new vertex (has_minor's ``anchor``).  The flags of each level are
-cached per (family, n), so the part for parents i, i + k, ... reads
-theirs; searched verdicts also pass through is_minor_free and its
-cache.  Every graph of the level is still generated and counted.  A
+A family's levels are hereditary.  Minor-free classes are closed under
+vertex deletion, and each child is its canonical parent plus the new
+vertex n - 1 (McKay, "Isomorph-free exhaustive generation", J.
+Algorithms 1998), so every minor-free graph of order n is a child of a
+minor-free graph of order n - 1.  Level n of a family is therefore built
+from the minor-free graphs of its level n - 1 alone: each child is
+searched only in the host pieces that hold its new vertex (has_minor's
+``anchor``), through is_minor_free and its cache, and only the free
+children are kept.  The children of parents that contain the pattern
+are never built.  The levels are cached per (family, n), family None
+being the level of all graphs, and the parts of a family's level are
+split over its minor-free parents.  A report on a generated level counts
+its graphs from the pinned A000088 table, not from the graphs built.  A
 graph6 file has no parents, and each of its graphs is searched whole.
 """
 
@@ -66,13 +70,13 @@ from .spectral import (DEFAULT_TOL, TIE_TOL, InvariantError, SpectralResult, alp
                        screen_alpha_indices)
 
 MAX_GENERATED_ORDER = 9
+# the number of graphs on n unlabelled vertices, n = 0..MAX_GENERATED_ORDER
+A000088 = (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
 
-_LEVELS: dict[int, tuple[Graph, ...]] = {}
-# level n grouped by parent: one brood per graph of level n - 1, in order
-_BROODS: dict[int, tuple[tuple[Graph, ...], ...]] = {}
+# per (family, n), one brood per graph of the family's level n - 1, in
+# order: the children kept in level n and how many children it has
+_LEVELS: dict[tuple[Family | None, int], tuple[tuple[tuple[Graph, ...], int], ...]] = {}
 _MINOR_FREE_CACHE: dict[tuple[str, int, tuple[int, ...]], bool] = {}
-# the minor-free flag of each graph of level n, in level order, per (family, n)
-_FREE_FLAGS: dict[tuple[Family, int], tuple[bool, ...]] = {}
 
 
 @dataclass(frozen=True)
@@ -119,10 +123,10 @@ def is_minor_free(g: Graph, family: Family, anchor: int | None = None) -> bool:
     minor-free, so only the pieces of g that hold v are searched; the
     verdict, and so the cache entry, is the one an unanchored search
     gives.  The cache serves repeated verdicts on the same labelled
-    graphs: the generated levels of a process, read as parents and
-    again as reported graphs, the lemma suites and the construction
-    bound.  An isomorphic copy under other labels is searched again,
-    which costs less than a canonical form for every host."""
+    graphs, such as the construction bound at each alpha; a generated
+    child is searched once, when its level is built.  An isomorphic copy
+    under other labels is searched again, which costs less than a
+    canonical form for every host."""
     key = (str(family), g.n, g.rows)
     hit = _MINOR_FREE_CACHE.get(key)
     if hit is None:
@@ -138,7 +142,7 @@ def _brood(parent: Graph) -> tuple[Graph, ...]:
     # the new vertex, of degree k, must have minimum degree in the child:
     # no parent vertex has degree below k - 1, and those of degree k - 1
     # (the mask tight[k]) are all its neighbours
-    low = min(degrees)
+    low = min(degrees, default=0)
     tight = [sum(1 << v for v, d in enumerate(degrees) if d == k - 1) for k in range(n)]
     # (u, w) for each parent twin w and its next lower twin u
     swaps = [(1 << (lower.bit_length() - 1), 1 << w)
@@ -164,17 +168,34 @@ def _brood(parent: Graph) -> tuple[Graph, ...]:
     return tuple(accepted.values())
 
 
-def _generate_level(n: int) -> tuple[Graph, ...]:
-    cached = _LEVELS.get(n)
-    if cached is not None:
-        return cached
-    if n == 1:
-        broods = ((make_empty(1),),)
-    else:
-        broods = tuple(_brood(parent) for parent in _generate_level(n - 1))
-    _BROODS[n] = broods
-    result = _LEVELS[n] = tuple(chain.from_iterable(broods))
-    return result
+def _kept_broods(parents: Sequence[Graph], family: Family | None
+                 ) -> tuple[tuple[tuple[Graph, ...], int], ...]:
+    """Per parent, its minor-free children and how many children it has.
+    The parents are minor-free, so each child is searched only at its new
+    vertex; family None keeps every child."""
+    return tuple((children if family is None else
+                  tuple(c for c in children if is_minor_free(c, family, anchor=c.n - 1)),
+                  len(children))
+                 for children in map(_brood, parents))
+
+
+def _parents(n: int, family: Family | None) -> tuple[Graph, ...]:
+    """Level n - 1 of the family; level 1 has the graph on no vertices."""
+    return (make_empty(0),) if n == 1 else _generate_level(n - 1, family)
+
+
+def _children(broods: Sequence[tuple[tuple[Graph, ...], int]]) -> tuple[Graph, ...]:
+    return tuple(chain.from_iterable(kept for kept, _ in broods))
+
+
+def _generate_level(n: int, family: Family | None = None) -> tuple[Graph, ...]:
+    """The family-minor-free graphs of order n, one per isomorphism class:
+    the minor-free children of the family's level n - 1.  Family None
+    keeps every class."""
+    broods = _LEVELS.get((family, n))
+    if broods is None:
+        broods = _LEVELS[family, n] = _kept_broods(_parents(n, family), family)
+    return _children(broods)
 
 
 def _check_shard(index: int, count: int) -> None:
@@ -182,15 +203,19 @@ def _check_shard(index: int, count: int) -> None:
         raise ValueError(f"bad shard spec {(index, count)}")
 
 
-def _part_broods(n: int, index: int, count: int) -> tuple[tuple[Graph, ...], ...]:
-    """The broods of part `index` of `count` of level n: those of parents
-    index, index + count, ... of level n - 1.  Taken from level n when it
-    is cached; otherwise generated from those parents alone."""
+def _level_part(n: int, family: Family | None, shard: tuple[int, int] | None
+                ) -> tuple[tuple[tuple[Graph, ...], int], ...]:
+    """The broods of part ``shard`` of the family's level n (all of it when
+    None): those of parents i, i + k, ... of level n - 1 for shard (i, k).
+    Taken from level n when it is cached; otherwise generated from those
+    parents alone."""
+    _check_order(n)
+    index, count = (0, 1) if shard is None else shard
     _check_shard(index, count)
-    if count == 1 or n == 1 or n in _LEVELS:
-        _generate_level(n)
-        return _BROODS[n][index::count]
-    return tuple(_brood(parent) for parent in _generate_level(n - 1)[index::count])
+    if count == 1 or (family, n) in _LEVELS:
+        _generate_level(n, family)
+        return _LEVELS[family, n][index::count]
+    return _kept_broods(_parents(n, family)[index::count], family)
 
 
 def _check_order(n: int) -> None:
@@ -203,59 +228,16 @@ def _check_order(n: int) -> None:
         )
 
 
-def enumerate_graphs(n: int, shard: tuple[int, int] | None = None) -> tuple[Graph, ...]:
+def enumerate_graphs(n: int, shard: tuple[int, int] | None = None,
+                     family: Family | None = None) -> tuple[Graph, ...]:
     """One representative per isomorphism class of order n, generated by
-    canonical augmentation.  ``shard=(i, k)`` keeps part i of k of the
-    level: the children of every k-th graph of level n - 1, starting at
-    the i-th, as stream_from_graph6_file keeps every k-th graph of a
-    file.  The k parts partition the level, and part i can be generated
-    without the others."""
-    _check_order(n)
-    if shard is None:
-        return _generate_level(n)
-    return tuple(chain.from_iterable(_part_broods(n, *shard)))
-
-
-def _brood_flags(family: Family, parent_flags: Sequence[bool],
-                 broods: Sequence[tuple[Graph, ...]]) -> tuple[bool, ...]:
-    """The minor-free flag of each child in broods, the broods of parents
-    whose flags are parent_flags.  A child of a parent that contains the
-    pattern contains it; a child of a minor-free parent is searched only
-    at its new vertex, n - 1."""
-    flags: list[bool] = []
-    for free, brood in zip(parent_flags, broods, strict=True):
-        if free:
-            flags.extend(is_minor_free(child, family, anchor=child.n - 1) for child in brood)
-        else:
-            flags.extend([False] * len(brood))
-    return tuple(flags)
-
-
-def _parent_flags(n: int, family: Family) -> tuple[bool, ...]:
-    """The minor-free flags of level n - 1, cached per (family, n - 1);
-    level 1 has the empty graph as its one parent."""
-    if n == 1:
-        return (True,)
-    key = (family, n - 1)
-    flags = _FREE_FLAGS.get(key)
-    if flags is None:
-        _generate_level(n - 1)
-        flags = _FREE_FLAGS[key] = _brood_flags(family, _parent_flags(n - 1, family),
-                                                _BROODS[n - 1])
-    return flags
-
-
-def _level_verdicts(n: int, family: Family, shard: tuple[int, int] | None
-                    ) -> tuple[tuple[Graph, ...], tuple[bool, ...], int]:
-    """Part ``shard`` of level n (all of it when None), the minor-free
-    flag of each of its graphs, and how many of those flags were
-    inherited from a parent that contains the pattern."""
-    _check_order(n)
-    index, count = (0, 1) if shard is None else shard
-    broods = _part_broods(n, index, count)
-    parents = _parent_flags(n, family)[index::count]
-    inherited = sum(len(brood) for free, brood in zip(parents, broods) if not free)
-    return tuple(chain.from_iterable(broods)), _brood_flags(family, parents, broods), inherited
+    canonical augmentation; with ``family``, only the family-minor-free
+    classes, each a child of a minor-free graph of order n - 1.
+    ``shard=(i, k)`` keeps part i of k of the level: the kept children of
+    every k-th graph of level n - 1, starting at the i-th, as
+    stream_from_graph6_file keeps every k-th graph of a file.  The k parts
+    partition the level, and part i can be generated without the others."""
+    return _children(_level_part(n, family, shard))
 
 
 def stream_from_graph6_file(path: str, n: int,
@@ -303,11 +285,13 @@ def _near_max(entries: Sequence[TieEntry]) -> tuple[TieEntry, ...]:
 @dataclass(frozen=True)
 class SearchPart:
     """One (n, alpha, family) search over the graphs of order n or a part
-    of them, for merge_reports.  ``ties`` holds the minor-free graphs
-    within TIE_TOL of the part's own maximum, one per canonical graph6 and
-    sorted by it; it is empty when the part holds no minor-free graph.
-    Every graph within TIE_TOL of the maximum over all parts is within it
-    of its own part's maximum, so the merge loses no tie."""
+    of them, for merge_reports.  ``total_graphs`` counts the graphs the
+    part read, which for a generated part are its minor-free graphs.
+    ``ties`` holds the minor-free graphs within TIE_TOL of the part's own
+    maximum, one per canonical graph6 and sorted by it; it is empty when
+    the part holds no minor-free graph.  Every graph within TIE_TOL of the
+    maximum over all parts is within it of its own part's maximum, so the
+    merge loses no tie."""
 
     n: int
     alpha: float
@@ -347,14 +331,13 @@ def search_extremal(n: int, alpha: float, family: Family) -> SearchReport:
 
 class SearchCounts(NamedTuple):
     """The work behind search parts, for the CLI's stderr line.
-    ``searches`` counts the graphs whose minor verdict was searched and
-    ``inherited`` those that took it from their parent.  Both count
-    graphs, not calls, so over the parts of a search they sum to the
-    same totals however it is split.  ``certified`` counts certified
-    alpha_index solves, which depend on the split."""
+    ``searches`` counts the graphs whose minor verdict was searched: every
+    graph of a file, and every child of a minor-free parent of a generated
+    level.  It counts graphs, not calls, so over the parts of a search it
+    sums to the same total however it is split.  ``certified`` counts
+    certified alpha_index solves, which depend on the split."""
 
     searches: int
-    inherited: int
     certified: int
 
 
@@ -388,25 +371,27 @@ def search_extremal_alphas(n: int, alphas: Sequence[float], family: Family,
                            shard: tuple[int, int] | None = None
                            ) -> tuple[list[SearchPart], SearchCounts]:
     """One search part per alpha over the order-n graphs: ``graphs``, or
-    part ``shard`` of generated level n (all of it when None).
+    part ``shard`` of the family's generated level n (all of it when None).
 
-    A generated graph inherits "contains" from a parent that contains the
-    pattern; the others are searched at their new vertex.  Each graph of
-    ``graphs`` is searched whole, through the verdict cache.  Per alpha,
-    only the minor-free graphs that can lie within TIE_TOL of the maximum
-    get a certified alpha_index (see _certified_near_top), and only those
-    within TIE_TOL of it a canonical graph6, whose form is cached on the
-    graph."""
+    A generated part holds only minor-free graphs, each searched at its
+    new vertex when its level was built; the children of parents that
+    contain the pattern are never built.  Each graph of ``graphs`` is
+    searched whole, through the verdict cache.  Per alpha, only the
+    minor-free graphs that can lie within TIE_TOL of the maximum get a
+    certified alpha_index (see _certified_near_top), and only those within
+    TIE_TOL of it a canonical graph6, whose form is cached on the graph."""
     for alpha in alphas:
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"theorem searches need 0 < alpha < 1, got {alpha}")
     if graphs is None:
-        graphs, flags, inherited = _level_verdicts(n, family, shard)
+        broods = _level_part(n, family, shard)
+        graphs = free = _children(broods)
+        searches = sum(built for _, built in broods)
     elif shard is not None:
         raise ValueError("pass graphs or a shard of the generated level, not both")
     else:
-        flags, inherited = [is_minor_free(g, family) for g in graphs], 0
-    free = [g for g, ok in zip(graphs, flags) if ok]
+        free = [g for g in graphs if is_minor_free(g, family)]
+        searches = len(graphs)
     parts = []
     certified = 0
     for alpha in alphas:
@@ -419,28 +404,34 @@ def search_extremal_alphas(n: int, alphas: Sequence[float], family: Family,
                    for g, r in results if r.rho >= top - TIE_TOL]
         parts.append(SearchPart(n=n, alpha=alpha, family=str(family), total_graphs=len(graphs),
                                 minor_free_count=len(free), ties=_near_max(entries)))
-    return parts, SearchCounts(len(graphs) - inherited, inherited, certified)
+    return parts, SearchCounts(searches, certified)
 
 
 def merge_reports(parts: Sequence[SearchPart], source: str | None = None) -> SearchReport:
     """The report of the search parts of one (n, alpha, family), read from
     the graph6 file ``source``, or generated when it is None.
 
-    Graph and minor-free counts are summed over all parts.  The argmax is
-    the smallest canonical graph6 among the ties, whatever their float
-    order, so solver rounding cannot change it, and it matches the
-    construction when their canonical graph6 strings are equal.  If no
-    part holds a minor-free graph, ValueError is raised.  Parts of a
-    generated level are taken to cover the whole level of order n, so the
-    report must pass the construction's sanity bound (InvariantError
-    otherwise)."""
+    Minor-free counts are summed over all parts, and so are the graphs
+    read from a file.  A generated level builds only its minor-free
+    graphs, so its graph count is A000088[n], the number of graphs of
+    order n.  The argmax is the smallest canonical graph6 among the ties,
+    whatever their float order, so solver rounding cannot change it, and
+    it matches the construction when their canonical graph6 strings are
+    equal.  If no part holds a minor-free graph, ValueError is raised.
+    Parts of a generated level are taken to cover the whole level of order
+    n, so the report must pass the construction's sanity bound
+    (InvariantError otherwise)."""
     if not parts:
         raise ValueError("nothing to merge")
     head = parts[0]
     for p in parts[1:]:
         if (p.n, p.alpha, p.family) != (head.n, head.alpha, head.family):
             raise ValueError("cannot merge reports for different (n, alpha, family)")
-    total = sum(p.total_graphs for p in parts)
+    if source is None:
+        _check_order(head.n)
+        total = A000088[head.n]
+    else:
+        total = sum(p.total_graphs for p in parts)
     ties = _near_max([e for p in parts for e in p.ties])
     if not ties:
         shards = f" in {len(parts)} shards" if len(parts) > 1 else ""
@@ -482,5 +473,4 @@ def merge_reports(parts: Sequence[SearchPart], source: str | None = None) -> Sea
 def edge_density_profile(n: int, family: Family) -> int:
     """Empirical support for the linear edge bound: the edge count of the
     densest member of the minor-free family at order n."""
-    return max((g.edge_count() for g in enumerate_graphs(n) if is_minor_free(g, family)),
-               default=0)
+    return max(g.edge_count() for g in enumerate_graphs(n, family=family))

@@ -9,7 +9,8 @@
   as Q = D + A = R R^T and R^T R = 2I + A(L(G)) for the incidence matrix R.
 - intersection: |N_1 & ... & N_k| >= sum |N_i| - (k-1)|N_1 | ... | N_k|.
 - structure: the F_1- and Q_1-minor-free structure around each star
-  K_{1,|B|} (minors.check_fs_structure and check_qt_structure).
+  K_{1,|B|} (minors.check_fs_structure and check_qt_structure), over
+  each family's generated minor-free levels.
 - corollary: at alpha = 1/2 the F_1- and Q_1-minor-free argmax is the
   construction, and unique.
 
@@ -119,13 +120,12 @@ def structure(max_n: int) -> Tally:
     tally = Tally()
     kinds = ((Family("fs", 1), 2, minors.check_fs_structure),
              (Family("qt", 1), 3, minors.check_qt_structure))
-    for n in range(2, max_n + 1):
-        for g in enumeration.enumerate_graphs(n):
-            for fam, min_b, checker in kinds:
-                hubs = [v for v in range(n) if g.degree(v) >= min_b]
-                if not hubs or not enumeration.is_minor_free(g, fam):
-                    continue
-                for v in hubs:
+    for fam, min_b, checker in kinds:
+        for n in range(2, max_n + 1):
+            for g in enumeration.enumerate_graphs(n, family=fam):
+                for v in range(n):
+                    if g.degree(v) < min_b:
+                        continue
                     rep = checker(g, 1, [v], g.neighbors(v))
                     tally.check(rep.ok, lambda: f"{fam} {graph6.write_graph6(g)} "
                                                 f"hub={v}: {rep.violations[0]}")

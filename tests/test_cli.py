@@ -194,7 +194,7 @@ def test_verify_theorem_exit_codes(capsys, tmp_path):
     assert code == 0
     # a run duration, not the time of day
     assert re.fullmatch(r"verify-theorem: 2 reports, 0 failures, \d+ minor searches, "
-                        r"\d+ verdicts inherited, \d+ certified solves in \d+\.\d\ds\n", err)
+                        r"\d+ certified solves in \d+\.\d\ds\n", err)
     assert out.splitlines()[0] == ("graph6,n,alpha,family,rho,residual,"
                                    "minor_free,matches_construction,unique,ties")
     # every 5-vertex graph avoids the 7-vertex pattern qt(2): K_5 wins
@@ -243,16 +243,17 @@ THEOREM_GEN = ["verify-theorem", "--family", "fs(2)", "--n-from", "4", "--n-to",
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_verify_theorem_decides_each_minor_verdict_once(tmp_path, threads):
     # a fresh interpreter, so that no verdict is cached before the run;
-    # levels 4..7 hold 11 + 34 + 156 + 1044 graphs, of which 808 have a
-    # parent that contains F_2 and inherit its verdict; each count is of
-    # reported graphs, so it does not depend on the workers
+    # levels 4..7 are built from the 4 + 11 + 28 + 83 fs(2)-free graphs of
+    # orders 3..6, whose 11 + 34 + 103 + 289 children are searched; the
+    # count is of the children of each reported level, so it does not
+    # depend on the workers
     env = dict(os.environ, ALPHAX_THREADS=threads,
                PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-m", "alphax.cli", *THEOREM_GEN,
                            "--csv", str(tmp_path / "r.csv")],
                           env=env, capture_output=True, text=True, check=True)
     assert re.fullmatch(r"verify-theorem: 12 reports, 0 failures, 437 minor searches, "
-                        r"808 verdicts inherited, \d+ certified solves in \d+\.\d\ds\n",
+                        r"\d+ certified solves in \d+\.\d\ds\n",
                         proc.stderr)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -35,6 +36,7 @@ from alphax.canonical import are_isomorphic, canonical_data, refinement_ranks
 from alphax.enumeration import TieEntry, search_extremal_alphas
 from alphax.spectral import TIE_TOL
 from alphax.graphs import bits, friendship, twin_masks
+from test_minors import _is_forest, _is_triangle_cactus
 
 ALL_GRAPHS = [1, 1, 2, 4, 11, 34, 156, 1044, 12346]       # per order 0..8
 CONNECTED_GRAPHS = [1, 1, 1, 2, 6, 21, 112, 853, 11117]
@@ -42,7 +44,8 @@ CONNECTED_GRAPHS = [1, 1, 1, 2, 6, 21, 112, 853, 11117]
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_counts_match_published(n):
-    assert len(enumerate_graphs(n)) == ALL_GRAPHS[n]
+    # merge_reports counts a generated level from the A000088 table
+    assert len(enumerate_graphs(n)) == ALL_GRAPHS[n] == enumeration.A000088[n]
     assert sum(g.is_connected() for g in enumerate_graphs(n)) == CONNECTED_GRAPHS[n]
 
 
@@ -140,10 +143,10 @@ def test_shards_partition_the_stream(monkeypatch):
     # part i holds the children of parents i, i + 3, ...: the same graphs,
     # in the same order, when the level is not cached and only that part
     # is generated
-    monkeypatch.setattr(enumeration, "_LEVELS", {n: enumeration._LEVELS[n] for n in range(1, 6)})
-    monkeypatch.setattr(enumeration, "_BROODS", {n: enumeration._BROODS[n] for n in range(1, 6)})
+    monkeypatch.setattr(enumeration, "_LEVELS",
+                        {key: v for key, v in enumeration._LEVELS.items() if key != (None, 6)})
     assert [enumerate_graphs(6, shard=(i, 3)) for i in range(3)] == parts
-    assert 6 not in enumeration._LEVELS
+    assert (None, 6) not in enumeration._LEVELS
     assert enumerate_graphs(1, shard=(1, 2)) == ()
     with pytest.raises(ValueError):
         enumerate_graphs(5, shard=(3, 3))
@@ -373,7 +376,8 @@ def test_search_extremal_alphas_matches_one_alpha_at_a_time():
     fam = Family("qt", 1)
     alphas = (0.1, 0.5, 0.9)
     parts, counts = search_extremal_alphas(6, alphas, fam)
-    assert counts.searches + counts.inherited == len(enumerate_graphs(6))
+    # the 45 children of the 17 qt(1)-free graphs of order 5, of 156 graphs
+    assert counts.searches == 45
     for alpha, part in zip(alphas, parts):
         assert merge_reports([part]) == search_extremal(6, alpha, fam)
     with pytest.raises(ValueError):
@@ -399,9 +403,10 @@ def test_edge_density_profiles():
     assert edge_density_profile(5, Family("qt", 1)) == best == 6
 
 
-# minor-free counts of generated levels 1..8 (fs(1): forests, A005195)
+# minor-free counts of generated levels 1..8 (fs(1): forests, A005195,
+# to n = 9, the first level above the full levels the tests build)
 MINOR_FREE = {
-    "fs(1)": [1, 2, 3, 6, 10, 20, 37, 76],
+    "fs(1)": [1, 2, 3, 6, 10, 20, 37, 76, 153],
     "qt(1)": [1, 2, 4, 8, 17, 40, 96, 245],
     "fs(2)": [1, 2, 4, 11, 28, 83, 243, 748],
     "qt(2)": [1, 2, 4, 11, 34, 156, 678, 3210],
@@ -411,34 +416,54 @@ MINOR_FREE = {
 @pytest.mark.parametrize("family", MINOR_FREE)
 def test_minor_free_level_counts_are_pinned(family):
     fam = Family.parse(family)
-    counts = [sum(enumeration._level_verdicts(n, fam, None)[1]) for n in range(1, 9)]
+    counts = [len(enumerate_graphs(n, family=fam)) for n in range(1, len(MINOR_FREE[family]) + 1)]
     assert counts == MINOR_FREE[family]
 
 
 @pytest.mark.parametrize("family", ["fs(1)", "fs(2)", "fs(3)", "qt(1)", "qt(2)", "qt(3)"])
 def test_inherited_verdicts_match_an_unanchored_search(family):
+    # a child of a parent that contains the pattern inherits "contains" by
+    # never being built; the hereditary level is then the minor-free
+    # subsequence of the full level, the same labelled graphs in the same
+    # order
     fam = Family.parse(family)
-    inherited = 0
     for n in range(1, 8):
-        graphs, flags, count = enumeration._level_verdicts(n, fam, None)
-        assert graphs == enumerate_graphs(n)
-        assert list(flags) == [not has_minor(g, fam.pattern()).contains for g in graphs]
-        inherited += count
-    # only a parent of at least |V(H)| vertices can contain H, so levels
-    # up to 7 inherit a verdict only when |V(H)| <= 6
-    assert (inherited > 0) == (fam.pattern().n <= 6)
+        assert enumerate_graphs(n, family=fam) == tuple(
+            g for g in enumerate_graphs(n) if not has_minor(g, fam.pattern()).contains)
+
+
+def test_free_levels_match_linear_time_oracles():
+    # neither oracle searches for a minor: F_1 = K_3, so the fs(1)-free
+    # graphs are the forests, and Q_1 = C_4, so the qt(1)-free graphs are
+    # the triangle cacti
+    for n in range(1, 9):
+        level = enumerate_graphs(n)
+        assert enumerate_graphs(n, family=Family("fs", 1)) == tuple(filter(_is_forest, level))
+        assert enumerate_graphs(n, family=Family("qt", 1)) == tuple(
+            filter(_is_triangle_cactus, level))
+
+
+def test_free_levels_build_only_the_children_of_free_parents(monkeypatch):
+    fam = Family("fs", 2)
+    level = enumerate_graphs(7, family=fam)
+    parents = []
+    brood = enumeration._brood
+    monkeypatch.setattr(enumeration, "_brood", lambda p: parents.append(p) or brood(p))
+    monkeypatch.setattr(enumeration, "_LEVELS", {})
+    assert enumerate_graphs(7, family=fam) == level
+    # the fs(2)-free graphs of orders 0..6, against the 1 + 208 of all orders
+    assert len(parents) == 1 + sum(MINOR_FREE["fs(2)"][:6]) == 130
 
 
 def test_anchored_search_needs_the_parent_verdict():
     # positive control: a child of an fs(2)-containing parent may hold
     # every model away from its new vertex, so the anchored search alone
-    # would call it free; inheritance is what makes it "contains"
+    # would call it free; building only the children of free parents is
+    # what keeps it out of the level
     fam = Family("fs", 2)
     h = fam.pattern()
-    enumerate_graphs(7)
-    parents = enumeration._level_verdicts(6, fam, None)[1]
-    children = [c for free, brood in zip(parents, enumeration._BROODS[7], strict=True)
-                if not free for c in brood]
+    free = set(enumerate_graphs(6, family=fam))
+    children = [c for p in enumerate_graphs(6) if p not in free for c in enumeration._brood(p)]
     misses = [c for c in children if not has_minor(c, h, anchor=6).contains]
     assert (len(children), len(misses)) == (755, 303)
     for c in misses:
@@ -447,7 +472,7 @@ def test_anchored_search_needs_the_parent_verdict():
 
 
 def _unscreened_part(n, alpha, fam, graphs):
-    # the search without inheritance or screen: every verdict searched
+    # the search without hereditary levels or screen: every verdict searched
     # whole, every minor-free graph certified
     free = [g for g in graphs if not has_minor(g, fam.pattern()).contains]
     results = [alpha_index(g, alpha) for g in free]
@@ -465,12 +490,15 @@ def test_screened_search_matches_certifying_every_graph(family):
     for n in range(1, 8):
         graphs = enumerate_graphs(n)
         parts, counts = search_extremal_alphas(n, alphas, fam)
-        assert parts == [_unscreened_part(n, a, fam, graphs) for a in alphas]
-        # a file stream of the same graphs gets the screen, not the inheritance
+        reference = [_unscreened_part(n, a, fam, graphs) for a in alphas]
+        # a generated part reads only the minor-free graphs
+        assert parts == [dataclasses.replace(p, total_graphs=p.minor_free_count)
+                         for p in reference]
+        # a file stream of the same graphs gets the screen, and each of its
+        # graphs is searched
         stream_parts, stream_counts = search_extremal_alphas(n, alphas, fam, list(graphs))
-        assert stream_parts == parts
-        assert stream_counts.searches == counts.searches + counts.inherited == len(graphs)
-        assert stream_counts.inherited == 0
+        assert stream_parts == reference
+        assert stream_counts.searches == len(graphs) >= counts.searches
         certified += counts.certified
         assert counts.certified >= sum(len(p.ties) for p in parts)
     # the screen certifies a few graphs per alpha, not every minor-free one
@@ -478,22 +506,24 @@ def test_screened_search_matches_certifying_every_graph(family):
 
 
 def test_generated_shards_inherit_the_level_verdicts(monkeypatch):
+    # part i of k holds the minor-free children of the minor-free parents
+    # i, i + k, ... of the level below
     fam = Family("fs", 2)
     alphas = (0.3, 0.7)
     whole, counts = search_extremal_alphas(7, alphas, fam)
     # the children of the 83 fs(2)-free graphs of level 6 are searched
-    assert (counts.searches, counts.inherited) == (289, 755)
+    assert counts.searches == 289
     for cached in (True, False):
         if not cached:  # part i is generated from its parents alone
-            monkeypatch.setattr(enumeration, "_LEVELS",
-                                {n: enumeration._LEVELS[n] for n in range(1, 7)})
-            monkeypatch.setattr(enumeration, "_BROODS",
-                                {n: enumeration._BROODS[n] for n in range(1, 7)})
-        results = [search_extremal_alphas(7, alphas, fam, shard=(i, 3)) for i in range(3)]
-        for j in range(len(alphas)):
-            assert merge_reports([parts[j] for parts, _ in results]) == merge_reports([whole[j]])
-        assert sum(c.searches for _, c in results) == counts.searches
-        assert sum(c.inherited for _, c in results) == counts.inherited
-    assert 7 not in enumeration._LEVELS
+            monkeypatch.setattr(enumeration, "_LEVELS", {
+                key: v for key, v in enumeration._LEVELS.items() if key != (fam, 7)})
+        for count in (2, 3, 4):
+            results = [search_extremal_alphas(7, alphas, fam, shard=(i, count))
+                       for i in range(count)]
+            for j in range(len(alphas)):
+                assert (merge_reports([parts[j] for parts, _ in results])
+                        == merge_reports([whole[j]]))
+            assert sum(c.searches for _, c in results) == counts.searches
+    assert (fam, 7) not in enumeration._LEVELS
     with pytest.raises(ValueError):
         search_extremal_alphas(7, alphas, fam, enumerate_graphs(7), shard=(0, 2))
