@@ -4,14 +4,20 @@ suites are in alphax.lemmas.  verify-theorem --family and minor-check
 --minor-family name a forbidden family as fs(k), k triangles sharing a
 vertex, or qt(k), k quadrangles sharing a vertex: --family 'fs(2)'.
 
-verify-theorem splits each order into --shards parts, the pool's work
-units: every k-th graph of a --graphs file, or the minor-free children
-of every k-th minor-free graph of the order below.  A generated unit
-builds only the family's minor-free graphs: its own part, and all of
-each lower order.  So a worker runs the same code whether it was forked
-or spawned, and the merged reports depend neither on k nor on the pool.
-Every graph6 in a theorem report is a canonical labelling, so equal
-strings mean isomorphic graphs.
+verify-theorem splits the graphs of one order into --shards parts, the
+work units: every k-th graph of a --graphs file, or the minor-free
+children of every k-th minor-free graph of the order below the top
+generated order --n-to.  The main process builds each generated order
+below --n-to once, searches orders --n-from to --n-to - 1 whole, and
+sends each unit of the top order its parents by value.  A generated unit
+builds only the minor-free children of those parents, nothing below
+them, so a worker runs the same code whether it was forked or spawned.
+Of w workers (ALPHAX_THREADS, by default the CPUs this process may run
+on), w - 1 form a pool that takes units 1, 2, ...; the main process is
+the last worker: it runs unit 0 and then the lower orders while the pool
+works.  The merged reports depend neither on k nor on the pool.  Every
+graph6 in a theorem report is a canonical labelling, so equal strings
+mean isomorphic graphs.
 
 Exit codes: 0 all requested checks passed, 1 a mathematical counterexample
 or check failure was found, 2 usage or resource errors.  Reports are
@@ -28,7 +34,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import lemmas
 from .enumeration import (
@@ -39,6 +44,7 @@ from .enumeration import (
     SearchReport,
     edge_density_profile,
     merge_reports,
+    parent_level,
     search_extremal_alphas,
     stream_from_graph6_file,
 )
@@ -76,6 +82,8 @@ def _worker_count() -> int:
             return max(1, int(env))
         except ValueError:
             raise _UsageError(f"ALPHAX_THREADS must be an integer, got {env!r}") from None
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -226,14 +234,30 @@ def cmd_minor_check(args) -> int:
 
 
 def _theorem_unit(item) -> tuple[list[SearchPart], SearchCounts]:
-    """One work unit: part `index` of `parts` of the order-n graphs, from
-    the graph6 file `path` or generated when it is None, searched at every
-    alpha."""
-    n, index, parts, alphas, family, path = item
+    """One work unit, order n searched at every alpha.  From the graph6
+    file ``path``, ``part`` is (index, parts), and the unit reads every
+    parts-th graph from the index-th on.  For a generated order, ``part``
+    holds the unit's parents in the family's level n - 1, or is None for
+    the whole level."""
+    n, alphas, family, path, part = item
     if path is None:
-        return search_extremal_alphas(n, alphas, family, shard=(index, parts))
-    graphs = stream_from_graph6_file(path, n, shard=(index, parts))
-    return search_extremal_alphas(n, alphas, family, graphs)
+        return search_extremal_alphas(n, alphas, family, parents=part)
+    return search_extremal_alphas(n, alphas, family,
+                                  stream_from_graph6_file(path, n, shard=part))
+
+
+def _run_units(split: list, local: list, workers: int) -> list:
+    """The results of _theorem_unit on the units split + local, in order.
+    With a pool, its workers - 1 processes take split units 1, 2, ...
+    while this process runs split unit 0 and then the local units."""
+    if workers == 1 or len(split) < 2:
+        return [_theorem_unit(item) for item in split + local]
+    from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays the import
+    with ProcessPoolExecutor(max_workers=min(workers - 1, len(split) - 1)) as pool:
+        futures = [pool.submit(_theorem_unit, item) for item in split[1:]]
+        first = _theorem_unit(split[0])
+        lower = [_theorem_unit(item) for item in local]
+        return [first] + [future.result() for future in futures] + lower
 
 
 def _report_row(r: SearchReport) -> list[str]:
@@ -287,20 +311,27 @@ def cmd_verify_theorem(args) -> int:
     parts = workers if args.shards is None else args.shards
     if parts < 1:
         raise _UsageError(f"--shards must be >= 1, got {parts}")
-    # largest order first: its units take longest
-    items = [(n, index, parts, alphas, family, args.graphs)
-             for n in reversed(ns) for index in range(parts)]
-
-    if workers > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-            results = list(pool.map(_theorem_unit, items))
+    # the units of the top order, and the orders this process searches whole
+    if args.graphs is not None:
+        split = [(args.n_to, alphas, family, args.graphs, (index, parts))
+                 for index in range(parts)]
+        whole = ()
+    elif parts == 1:  # the top order is one unit, a whole level like the others
+        split, whole = [], ns
     else:
-        results = [_theorem_unit(item) for item in items]
+        parents = parent_level(args.n_to, family)
+        split = [(args.n_to, alphas, family, None, parents[index::parts])
+                 for index in range(parts)]
+        whole = ns[:-1]
+    local = [(n, alphas, family, None, None) for n in whole]
+    results = _run_units(split, local, workers)
 
-    units = {item[:2]: unit_reports for item, (unit_reports, _) in zip(items, results)}
+    units: dict[int, list[list[SearchPart]]] = {n: [] for n in ns}
+    for item, (unit_parts, _) in zip(split + local, results):
+        units[item[0]].append(unit_parts)
     counts = SearchCounts(*map(sum, zip(*(unit_counts for _, unit_counts in results))))
     reports: list[SearchReport] = [
-        merge_reports([units[n, index][j] for index in range(parts)], source=args.graphs)
+        merge_reports([unit_parts[j] for unit_parts in units[n]], source=args.graphs)
         for n in ns for j in range(len(alphas))
     ]
     _write_csv(args.csv, THEOREM_COLUMNS, [_report_row(r) for r in reports])
@@ -424,9 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default="0.1,0.3,0.5,0.7,0.9")
     p.add_argument("--graphs", help="graph6 file stream instead of generation")
     p.add_argument("--shards", type=int,
-                   help="split each order's graphs into this many parts, the pool's "
-                        "work units (default: one per worker, see ALPHAX_THREADS); "
-                        "the reports do not depend on it")
+                   help="split the parents of the top generated order, or the graphs "
+                        "of a --graphs file, into this many parts, the work units "
+                        "(default: one per worker, see ALPHAX_THREADS); the reports "
+                        "do not depend on it")
     p.add_argument("--require-from", type=int,
                    help="fail (exit 1) on mismatch at any n >= this value")
     p.add_argument("--csv", help="CSV output path (default stdout)")

@@ -30,10 +30,12 @@ k keeps every k-th item from the i-th on.  For a graph6 file the items
 are its graphs.  For a generated level they are the parents in the level
 below, as geng's res/mod splits its output: part i of k holds the
 children of parents i, i + k, i + 2k, ...  The parts partition the
-graphs, and a part of a level can be generated from the level below
-without generating the rest.  A generated level has order n by
-construction; the file reader checks the order of every line against n,
-and that is the one order check.
+graphs.  A part of a level is built from its own parents alone, so a
+process that holds the level below (parent_level) can hand each part its
+parents by value, and the part builds nothing below them and no child of
+another part.  A generated level has order n by construction; the file
+reader checks the order of every line against n, and that is the one
+order check.
 
 A family's levels are hereditary.  Minor-free classes are closed under
 vertex deletion, and each child is its canonical parent plus the new
@@ -179,8 +181,9 @@ def _kept_broods(parents: Sequence[Graph], family: Family | None
                  for children in map(_brood, parents))
 
 
-def _parents(n: int, family: Family | None) -> tuple[Graph, ...]:
-    """Level n - 1 of the family; level 1 has the graph on no vertices."""
+def parent_level(n: int, family: Family | None) -> tuple[Graph, ...]:
+    """The parents of the family's level n: its level n - 1, built once
+    and cached; level 1 has the graph on no vertices."""
     return (make_empty(0),) if n == 1 else _generate_level(n - 1, family)
 
 
@@ -194,28 +197,8 @@ def _generate_level(n: int, family: Family | None = None) -> tuple[Graph, ...]:
     keeps every class."""
     broods = _LEVELS.get((family, n))
     if broods is None:
-        broods = _LEVELS[family, n] = _kept_broods(_parents(n, family), family)
+        broods = _LEVELS[family, n] = _kept_broods(parent_level(n, family), family)
     return _children(broods)
-
-
-def _check_shard(index: int, count: int) -> None:
-    if not (count >= 1 and 0 <= index < count):
-        raise ValueError(f"bad shard spec {(index, count)}")
-
-
-def _level_part(n: int, family: Family | None, shard: tuple[int, int] | None
-                ) -> tuple[tuple[tuple[Graph, ...], int], ...]:
-    """The broods of part ``shard`` of the family's level n (all of it when
-    None): those of parents i, i + k, ... of level n - 1 for shard (i, k).
-    Taken from level n when it is cached; otherwise generated from those
-    parents alone."""
-    _check_order(n)
-    index, count = (0, 1) if shard is None else shard
-    _check_shard(index, count)
-    if count == 1 or (family, n) in _LEVELS:
-        _generate_level(n, family)
-        return _LEVELS[family, n][index::count]
-    return _kept_broods(_parents(n, family)[index::count], family)
 
 
 def _check_order(n: int) -> None:
@@ -228,28 +211,25 @@ def _check_order(n: int) -> None:
         )
 
 
-def enumerate_graphs(n: int, shard: tuple[int, int] | None = None,
-                     family: Family | None = None) -> tuple[Graph, ...]:
+def enumerate_graphs(n: int, family: Family | None = None) -> tuple[Graph, ...]:
     """One representative per isomorphism class of order n, generated by
     canonical augmentation; with ``family``, only the family-minor-free
-    classes, each a child of a minor-free graph of order n - 1.
-    ``shard=(i, k)`` keeps part i of k of the level: the kept children of
-    every k-th graph of level n - 1, starting at the i-th, as
-    stream_from_graph6_file keeps every k-th graph of a file.  The k parts
-    partition the level, and part i can be generated without the others."""
-    return _children(_level_part(n, family, shard))
+    classes, each a child of a minor-free graph of order n - 1."""
+    _check_order(n)
+    return _generate_level(n, family)
 
 
 def stream_from_graph6_file(path: str, n: int,
                             shard: tuple[int, int] | None = None) -> tuple[Graph, ...]:
     """The graphs of a graph6 file of order-n graphs, in file order.
     ``shard=(i, k)`` keeps every k-th graph of the file, starting at the
-    i-th, as enumerate_graphs keeps the children of every k-th parent.
+    i-th, as a generated part keeps the children of every k-th parent.
     A part fully parses only its own lines, so the k parts parse each
     line once; of every line it decodes the order field, so each part
     rejects a line of another order."""
     index, parts = (0, 1) if shard is None else shard
-    _check_shard(index, parts)
+    if not (parts >= 1 and 0 <= index < parts):
+        raise ValueError(f"bad shard spec {shard}")
     graphs = []
     for i, line in enumerate(graph6_lines(path)):
         order = graph6_order(line)
@@ -368,27 +348,38 @@ def _certified_near_top(free: Sequence[Graph], alpha: float) -> list[tuple[Graph
 
 def search_extremal_alphas(n: int, alphas: Sequence[float], family: Family,
                            graphs: Sequence[Graph] | None = None,
-                           shard: tuple[int, int] | None = None
+                           parents: Sequence[Graph] | None = None
                            ) -> tuple[list[SearchPart], SearchCounts]:
-    """One search part per alpha over the order-n graphs: ``graphs``, or
-    part ``shard`` of the family's generated level n (all of it when None).
+    """One search part per alpha over the order-n graphs: ``graphs``, the
+    children of ``parents``, or the family's whole generated level n when
+    both are None.
 
-    A generated part holds only minor-free graphs, each searched at its
-    new vertex when its level was built; the children of parents that
-    contain the pattern are never built.  Each graph of ``graphs`` is
-    searched whole, through the verdict cache.  Per alpha, only the
-    minor-free graphs that can lie within TIE_TOL of the maximum get a
-    certified alpha_index (see _certified_near_top), and only those within
-    TIE_TOL of it a canonical graph6, whose form is cached on the graph."""
+    ``parents`` are graphs of the family's level n - 1, such as part i of
+    k of parent_level(n, family), parents i, i + k, ...; their minor-free
+    children are built here, and no level is.  A generated part holds only
+    minor-free graphs, each searched at its new vertex when it was built;
+    the children of parents that contain the pattern are never built.
+    Each graph of ``graphs`` is searched whole, through the verdict cache.
+    Per alpha, only the minor-free graphs that can lie within TIE_TOL of
+    the maximum get a certified alpha_index (see _certified_near_top), and
+    only those within TIE_TOL of it a canonical graph6, whose form is
+    cached on the graph."""
     for alpha in alphas:
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"theorem searches need 0 < alpha < 1, got {alpha}")
+    if graphs is not None and parents is not None:
+        raise ValueError("pass graphs or the parents of a generated part, not both")
     if graphs is None:
-        broods = _level_part(n, family, shard)
+        _check_order(n)
+        if parents is None:
+            _generate_level(n, family)
+            broods = _LEVELS[family, n]
+        elif any(p.n != n - 1 for p in parents):
+            raise ValueError(f"the parents of order-{n} graphs have order {n - 1}")
+        else:
+            broods = _kept_broods(parents, family)
         graphs = free = _children(broods)
         searches = sum(built for _, built in broods)
-    elif shard is not None:
-        raise ValueError("pass graphs or a shard of the generated level, not both")
     else:
         free = [g for g in graphs if is_minor_free(g, family)]
         searches = len(graphs)

@@ -20,8 +20,11 @@ class Graph6ParseError(ValueError):
     """Malformed graph6 input; carries the byte offset of the defect."""
 
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte {offset})")
+        super().__init__(message, offset)  # all of them, so that pickle can rebuild it
         self.offset = offset
+
+    def __str__(self):
+        return f"{self.args[0]} (byte {self.offset})"
 
 
 def write_graph6(g: Graph) -> str:

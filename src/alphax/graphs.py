@@ -76,6 +76,11 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through from_rows, since the default
+        # slot restore would go through __setattr__
+        return Graph.from_rows, (self.n, self.rows)
+
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
 

@@ -60,8 +60,11 @@ class SearchLimitError(RuntimeError):
     """Minor search exceeded its node cap; deterministic and reproducible."""
 
     def __init__(self, cap: int):
-        super().__init__(f"minor search exceeded {cap} nodes")
+        super().__init__(cap)  # the argument, so that pickle can rebuild it
         self.cap = cap
+
+    def __str__(self):
+        return f"minor search exceeded {self.cap} nodes"
 
 
 @dataclass(frozen=True)

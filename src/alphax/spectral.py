@@ -55,8 +55,11 @@ class ConvergenceError(ArithmeticError):
     """Eigensolver failed to certify a result; carries the best residual."""
 
     def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (best residual {residual:.3e})")
+        super().__init__(message, residual)  # all of them, so that pickle can rebuild it
         self.residual = residual
+
+    def __str__(self):
+        return f"{self.args[0]} (best residual {self.residual:.3e})"
 
 
 class InvariantError(ArithmeticError):

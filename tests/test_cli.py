@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -8,7 +9,11 @@ import sys
 import pytest
 
 from alphax import (
+    ConvergenceError,
+    Family,
     Graph,
+    Graph6ParseError,
+    SearchLimitError,
     are_isomorphic,
     enumerate_graphs,
     friendship,
@@ -18,7 +23,7 @@ from alphax import (
     validate_model,
     write_graph6,
 )
-from alphax import cli, lemmas, spectral
+from alphax import cli, enumeration, lemmas, spectral
 from alphax.cli import main
 from alphax.minors import MinorModel
 
@@ -257,27 +262,86 @@ def test_verify_theorem_decides_each_minor_verdict_once(tmp_path, threads):
                         proc.stderr)
 
 
-def _theorem_reports(capsys, tmp_path, family, tag) -> tuple[str, str]:
+def _theorem_reports(capsys, tmp_path, family, tag, *shards) -> tuple[str, str]:
     jpath = tmp_path / f"{family}-{tag}.json"
     code = main(["verify-theorem", "--family", family, "--n-from", "4", "--n-to", "7",
-                 "--alpha", "0.1,0.5,0.9", "--json", str(jpath)])
+                 "--alpha", "0.1,0.5,0.9", "--json", str(jpath), *shards])
     assert code == 0
     return capsys.readouterr().out, jpath.read_text()
 
 
 @pytest.mark.parametrize("method", ["fork", "spawn"])
 def test_verify_theorem_pool_matches_one_worker(capsys, tmp_path, monkeypatch, method):
+    # with 2 workers the pool is one process; at --shards 3 and 4 it takes
+    # parts 1, 2, ... of n = 7 while the main process runs part 0 and n < 7
     previous = multiprocessing.get_start_method(allow_none=True)
-    for family in ("fs(1)", "qt(1)"):
+    for family in ("fs(1)", "qt(1)", "fs(2)"):
         monkeypatch.setenv("ALPHAX_THREADS", "1")
         single = _theorem_reports(capsys, tmp_path, family, "single")
         monkeypatch.setenv("ALPHAX_THREADS", "2")
         multiprocessing.set_start_method(method, force=True)
         try:
-            pooled = _theorem_reports(capsys, tmp_path, family, method)
+            for shards in ([], ["--shards", "3"], ["--shards", "4"]):
+                pooled = _theorem_reports(capsys, tmp_path, family, method, *shards)
+                assert pooled == single, (family, shards)
         finally:
             multiprocessing.set_start_method(previous, force=True)
-        assert pooled == single
+
+
+def test_verify_theorem_exits_when_a_pool_process_dies(tmp_path):
+    # the pool process dies in its first unit; the run must fail, not hang
+    script = tmp_path / "dying.py"
+    script.write_text(
+        "import multiprocessing, os, sys\n"
+        "from alphax import cli\n"
+        "main_pid = os.getpid()\n"
+        "unit = cli._theorem_unit\n"
+        "def dying(item):\n"
+        "    if os.getpid() != main_pid:\n"
+        "        os._exit(9)\n"
+        "    return unit(item)\n"
+        "if __name__ == '__main__':\n"
+        "    multiprocessing.set_start_method('fork')\n"
+        "    cli._theorem_unit = dying\n"
+        "    sys.exit(cli.main(['verify-theorem', '--family', 'fs(1)', '--n-from', '4',\n"
+        "                       '--n-to', '7', '--alpha', '0.5', '--shards', '4']))\n")
+    env = dict(os.environ, ALPHAX_THREADS="2",
+               PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode != 0 and proc.stdout == ""
+    assert "BrokenProcessPool" in proc.stderr
+
+
+def test_a_generated_unit_builds_only_the_children_of_its_parents(capsys, monkeypatch):
+    # the units the CLI makes for fs(2) at n = 7 in 2 parts hold parents
+    # 0, 2, ... and 1, 3, ... of the 83 fs(2)-free graphs of order 6; sent
+    # by value, each builds the children of its own parents and no level
+    monkeypatch.setenv("ALPHAX_THREADS", "1")
+    unit = cli._theorem_unit
+    items = []
+    monkeypatch.setattr(cli, "_theorem_unit", lambda item: items.append(item) or unit(item))
+    assert main([*THEOREM_GEN, "--shards", "2"]) == 0
+    capsys.readouterr()
+    fam = Family("fs", 2)
+    parents = enumeration.parent_level(7, fam)
+    assert [(n, part is None) for n, _, _, _, part in items] == [
+        (7, False), (7, False), (4, True), (5, True), (6, True)]
+    expected = [unit(item) for item in items[:2]]
+
+    def no_level(*args):
+        raise AssertionError(f"level {args} built")
+
+    built = []
+    brood = enumeration._brood
+    monkeypatch.setattr(enumeration, "_LEVELS", {})
+    monkeypatch.setattr(enumeration, "_generate_level", no_level)
+    monkeypatch.setattr(enumeration, "_brood", lambda p: built.append(p) or brood(p))
+    for index, item in enumerate(items[:2]):
+        built.clear()
+        assert unit(pickle.loads(pickle.dumps(item))) == expected[index]
+        assert built == list(parents[index::2])
+        assert len(built) == (42, 41)[index]
 
 
 def _file_reports(capsys, tmp_path, path, family, n, alphas) -> list[tuple[str, str]]:
@@ -353,6 +417,29 @@ def test_verify_theorem_sharded_file_with_a_malformed_line_is_usage_error(capsys
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+def test_verify_theorem_pool_reports_a_worker_error_as_usage_error(capsys, tmp_path,
+                                                                   monkeypatch):
+    # with 2 workers the pool reads part 1 of 2, which alone owns the
+    # truncated line; its error comes back through pickle
+    monkeypatch.setenv("ALPHAX_THREADS", "2")
+    path = tmp_path / "bad.g6"
+    path.write_text("D?{\nD?\nDhC\n")
+    code = main(["verify-theorem", "--family", "fs(1)", "--n-from", "5", "--n-to", "5",
+                 "--alpha", "0.5", "--graphs", str(path), "--shards", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: need 2 edge bytes for order 5, got 1 (byte 2)\n"
+
+
+@pytest.mark.parametrize("error", [Graph6ParseError("truncated", 4), SearchLimitError(10),
+                                   ConvergenceError("no dominance", 1e-3)],
+                         ids=["graph6", "search-limit", "convergence"])
+def test_errors_of_a_work_unit_survive_pickle(error):
+    clone = pickle.loads(pickle.dumps(error))
+    assert type(clone) is type(error) and str(clone) == str(error)
+    assert vars(clone) == vars(error)
+
+
 @pytest.mark.parametrize("shards", ["1", "3"])
 def test_verify_theorem_file_of_another_order_is_usage_error(capsys, tmp_path, monkeypatch,
                                                              shards):
@@ -394,10 +481,11 @@ def test_verify_theorem_empty_file_holds_no_minor_free_graph(capsys, tmp_path, m
       "--alpha", ","], None, "--alpha must list at least one number, got ','"),
 ], ids=["family", "minor-family", "threads", "alpha", "alpha-index", "alpha-empty"])
 def test_malformed_input_names_its_option(capsys, monkeypatch, argv, env, message):
-    def no_work(item):
-        raise AssertionError(f"work unit {item} started")
+    def no_work(*args):
+        raise AssertionError(f"work {args} started")
 
     monkeypatch.setattr(cli, "_theorem_unit", no_work)
+    monkeypatch.setattr(enumeration, "_generate_level", no_work)
     if env is None:
         monkeypatch.delenv("ALPHAX_THREADS", raising=False)
     else:
@@ -415,11 +503,12 @@ def test_malformed_input_names_its_option(capsys, monkeypatch, argv, env, messag
                                  # a graph6 file holds one order
                                  ["--n-from", "5", "--n-to", "6", "--graphs", "hosts.g6"]])
 def test_verify_theorem_rejects_bad_ranges_before_any_work(capsys, monkeypatch, bad):
-    def no_work(item):
-        raise AssertionError(f"work unit {item} started")
+    def no_work(*args):
+        raise AssertionError(f"work {args} started")
 
     monkeypatch.setenv("ALPHAX_THREADS", "1")
     monkeypatch.setattr(cli, "_theorem_unit", no_work)
+    monkeypatch.setattr(enumeration, "_generate_level", no_work)
     code = main(["verify-theorem", "--family", "fs(1)", "--alpha", "0.5", *bad])
     out, err = capsys.readouterr()
     assert code == 2 and out == "" and err.startswith("error: ")
@@ -515,3 +604,26 @@ def test_import_sets_single_threaded_blas_unless_preset(preset):
                           "import os, alphax; print(os.environ['OPENBLAS_NUM_THREADS'])"],
                          env=env, capture_output=True, text=True, check=True, timeout=120).stdout
     assert out.strip() == (preset or "1")
+
+
+def test_import_leaves_the_pool_machinery_out():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, alphax.cli; "
+                          "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"],
+                         env=env, capture_output=True, text=True, check=True, timeout=120).stdout
+    assert out.strip() == "[]"
+
+
+def test_worker_count_is_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv("ALPHAX_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+    assert cli._worker_count() == 3
+    monkeypatch.setenv("ALPHAX_THREADS", "2")
+    assert cli._worker_count() == 2
+    monkeypatch.delenv("ALPHAX_THREADS")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._worker_count() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._worker_count() == 1

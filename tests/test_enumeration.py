@@ -136,20 +136,27 @@ def test_generation_domain_errors():
     assert "graph6" in str(exc.value)
 
 
+def _level_part(n, index, count, family=None):
+    """Part index of count of the family's level n: the kept children of
+    parents index, index + count, ... of level n - 1, built from them alone."""
+    parents = enumeration.parent_level(n, family)[index::count]
+    return enumeration._children(enumeration._kept_broods(parents, family))
+
+
 def test_shards_partition_the_stream(monkeypatch):
     full = enumerate_graphs(6)
-    parts = [enumerate_graphs(6, shard=(i, 3)) for i in range(3)]
+    parts = [_level_part(6, i, 3) for i in range(3)]
     assert sorted(full, key=canonical_form) == sorted(sum(parts, ()), key=canonical_form)
-    # part i holds the children of parents i, i + 3, ...: the same graphs,
-    # in the same order, when the level is not cached and only that part
-    # is generated
+    # part i holds the children of parents i, i + 3, ...: the graphs of
+    # the cached level's broods i, i + 3, ..., in the same order
+    assert parts == [enumeration._children(enumeration._LEVELS[None, 6][i::3])
+                     for i in range(3)]
+    # and a part is built without level 6
     monkeypatch.setattr(enumeration, "_LEVELS",
                         {key: v for key, v in enumeration._LEVELS.items() if key != (None, 6)})
-    assert [enumerate_graphs(6, shard=(i, 3)) for i in range(3)] == parts
+    assert [_level_part(6, i, 3) for i in range(3)] == parts
     assert (None, 6) not in enumeration._LEVELS
-    assert enumerate_graphs(1, shard=(1, 2)) == ()
-    with pytest.raises(ValueError):
-        enumerate_graphs(5, shard=(3, 3))
+    assert _level_part(1, 1, 2) == ()
 
 
 def test_stream_from_file(tmp_path, monkeypatch):
@@ -319,7 +326,7 @@ def test_search_below_construction_raises():
 
 
 def _parts(n, alpha, fam, count):
-    return [search_extremal_alphas(n, (alpha,), fam, enumerate_graphs(n, shard=(i, count)))[0][0]
+    return [search_extremal_alphas(n, (alpha,), fam, _level_part(n, i, count))[0][0]
             for i in range(count)]
 
 
@@ -340,8 +347,8 @@ def test_merge_matches_unsharded():
 def test_merge_skips_shard_without_minor_free_graph():
     # part 3 of 4 at n = 4 holds the 4 children of K_3, none of them a forest
     fam = Family("fs", 1)
-    assert len(enumerate_graphs(4, shard=(3, 4))) == 4
-    assert not any(is_minor_free(g, fam) for g in enumerate_graphs(4, shard=(3, 4)))
+    assert len(_level_part(4, 3, 4)) == 4
+    assert not any(is_minor_free(g, fam) for g in _level_part(4, 3, 4))
     direct = search_extremal(4, 0.5, fam)
     parts = _parts(4, 0.5, fam, 4)
     empty = parts[3]
@@ -362,7 +369,7 @@ def test_merge_of_generated_parts_checks_the_construction_bound():
     star = canonical_form(fam.construction(6))
     parts = _parts(6, 0.5, fam, 3)
     holders = [i for i in range(3)
-               if any(canonical_form(g) == star for g in enumerate_graphs(6, shard=(i, 3)))]
+               if any(canonical_form(g) == star for g in _level_part(6, i, 3))]
     assert holders == [0]
     rest = parts[1:]
     assert all(p.minor_free_count for p in rest)
@@ -507,23 +514,34 @@ def test_screened_search_matches_certifying_every_graph(family):
 
 def test_generated_shards_inherit_the_level_verdicts(monkeypatch):
     # part i of k holds the minor-free children of the minor-free parents
-    # i, i + k, ... of the level below
+    # i, i + k, ... of the level below, and is built from them alone
     fam = Family("fs", 2)
     alphas = (0.3, 0.7)
     whole, counts = search_extremal_alphas(7, alphas, fam)
     # the children of the 83 fs(2)-free graphs of level 6 are searched
     assert counts.searches == 289
-    for cached in (True, False):
-        if not cached:  # part i is generated from its parents alone
-            monkeypatch.setattr(enumeration, "_LEVELS", {
-                key: v for key, v in enumeration._LEVELS.items() if key != (fam, 7)})
-        for count in (2, 3, 4):
-            results = [search_extremal_alphas(7, alphas, fam, shard=(i, count))
-                       for i in range(count)]
-            for j in range(len(alphas)):
-                assert (merge_reports([parts[j] for parts, _ in results])
-                        == merge_reports([whole[j]]))
-            assert sum(c.searches for _, c in results) == counts.searches
+    parents = enumeration.parent_level(7, fam)
+    assert parents == enumerate_graphs(6, family=fam) and len(parents) == 83
+    # each graph of the level is its parent plus the last vertex
+    position = {p: k for k, p in enumerate(parents)}
+    owners = [position[g.delete_vertex(6)] for g in enumerate_graphs(7, family=fam)]
+    monkeypatch.setattr(enumeration, "_LEVELS", {
+        key: v for key, v in enumeration._LEVELS.items() if key != (fam, 7)})
+    for count in (2, 3, 4):
+        results = [search_extremal_alphas(7, alphas, fam, parents=parents[i::count])
+                   for i in range(count)]
+        for j in range(len(alphas)):
+            assert (merge_reports([parts[j] for parts, _ in results])
+                    == merge_reports([whole[j]]))
+        assert sum(c.searches for _, c in results) == counts.searches
+        assert [parts[0].minor_free_count for parts, _ in results] == [
+            sum(k % count == i for k in owners) for i in range(count)]
     assert (fam, 7) not in enumeration._LEVELS
     with pytest.raises(ValueError):
-        search_extremal_alphas(7, alphas, fam, enumerate_graphs(7), shard=(0, 2))
+        search_extremal_alphas(7, alphas, fam, enumerate_graphs(7), parents=parents)
+    with pytest.raises(ValueError, match="order 6"):
+        search_extremal_alphas(7, alphas, fam, parents=enumerate_graphs(5, family=fam))
+    # parents past the generation cap are refused before any child is built
+    monkeypatch.setattr(enumeration, "_brood", lambda parent: pytest.fail("child built"))
+    with pytest.raises(CapacityError):
+        search_extremal_alphas(10, alphas, fam, parents=[Graph.from_rows(9, [0] * 9)])

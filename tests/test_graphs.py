@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from alphax import (
     CapacityError,
     Graph,
     are_isomorphic,
+    canonical_form,
     complement,
     disjoint_union,
     extremal_fs,
@@ -186,6 +189,17 @@ def test_join_degree_law(nl, nr, data):
     for v in range(h.n):
         assert j.degree(g.n + v) == h.degree(v) + g.n
     assert_simple(j)
+
+
+@pytest.mark.parametrize("g", [make_empty(0), make_path(4), friendship(2), make_complete(64)],
+                         ids=["K_0", "P_4", "F_2", "K_64"])
+def test_graph_survives_pickle_and_copy(g):
+    form = canonical_form(g)
+    for clone in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert clone == g and hash(clone) == hash(g)
+        assert canonical_form(clone) == form
+        with pytest.raises(AttributeError):
+            clone.n = 1
 
 
 def test_contract_and_delete():
