@@ -9,18 +9,21 @@ work units: every k-th graph of a --graphs file, or the minor-free
 children of every k-th minor-free graph of the order below the top
 generated order --n-to.  The main process builds each generated order
 below --n-to once, searches orders --n-from to --n-to - 1 whole, and
-sends each unit of the top order its parents by value.  A generated unit
-builds only the minor-free children of those parents, nothing below
-them, so a worker runs the same code whether it was forked or spawned.
-Of w workers (ALPHAX_THREADS, by default the CPUs this process may run
-on), w - 1 form a pool that takes units 1, 2, ...; the main process is
-the last worker: it runs unit 0 and then the lower orders while the pool
-works.  The merged reports depend neither on k nor on the pool.  Every
+gives each unit of the top order its parents.  A generated unit builds
+only the minor-free children of those parents, nothing below them.  Of
+w workers (ALPHAX_THREADS, by default the CPUs this process may run on),
+the main process forks p = min(w - 1, k - 1) children before it works;
+child j runs units 1 + j, 1 + j + p, ... on the inputs it
+inherited and pickles its results back through a pipe.  The main process
+is the last worker: it runs unit 0 and the lower orders, then reads each
+child's results and reaps it.  Where os.fork is missing, one process
+runs every unit.  The merged reports depend neither on k nor on w.  Every
 graph6 in a theorem report is a canonical labelling, so equal strings
 mean isomorphic graphs.
 
 Exit codes: 0 all requested checks passed, 1 a mathematical counterexample
-or check failure was found, 2 usage or resource errors.  Reports are
+or check failure was found, 2 usage or resource errors, among them a
+worker process that died before it sent its results.  Reports are
 byte-deterministic: fixed column order and 12-significant-digit floats;
 wall-clock timings go to stderr only.
 """
@@ -32,6 +35,7 @@ import contextlib
 import csv
 import json
 import os
+import pickle
 import sys
 import time
 
@@ -246,18 +250,96 @@ def _theorem_unit(item) -> tuple[list[SearchPart], SearchCounts]:
                                   stream_from_graph6_file(path, n, shard=part))
 
 
+def _run_child(items: list, pipe: int, reads: list[int]) -> None:
+    """The body of a forked worker; it never returns.  It runs the units
+    items in order and pickles (True, their results), or (False, the
+    error one raised), into the write end pipe.  It leaves through
+    os._exit, so no atexit handler runs and no stdout buffer it shares
+    with the main process is flushed twice."""
+    code = 1
+    try:
+        for fd in reads:  # the read ends this process inherited
+            os.close(fd)
+        try:
+            payload = pickle.dumps((True, [_theorem_unit(item) for item in items]))
+        except BaseException as exc:  # the main process raises it again
+            payload = _pickled_error(exc)
+        with open(pipe, "wb") as out:
+            out.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _pickled_error(exc: BaseException) -> bytes:
+    """(False, exc) pickled, or, if exc cannot make the round trip
+    through pickle, a ChildProcessError that carries its message."""
+    try:
+        payload = pickle.dumps((False, exc))
+        pickle.loads(payload)
+        return payload
+    except Exception:  # any failure to carry exc: send its message instead
+        return pickle.dumps((False, ChildProcessError(
+            f"a worker process raised {type(exc).__name__}: {exc}")))
+
+
+def _child_results(pid: int, status: int, data: bytes) -> list:
+    """The results that the reaped child pid sent as data, or its error."""
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0 or not data:
+        why = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise ChildProcessError(f"worker process {pid} {why} before it sent its results")
+    ok, value = pickle.loads(data)  # bytes that this program's own child wrote
+    if not ok:
+        raise value
+    return value
+
+
 def _run_units(split: list, local: list, workers: int) -> list:
     """The results of _theorem_unit on the units split + local, in order.
-    With a pool, its workers - 1 processes take split units 1, 2, ...
-    while this process runs split unit 0 and then the local units."""
-    if workers == 1 or len(split) < 2:
+
+    Serial when workers is 1, when split has fewer than 2 units, or where
+    os.fork is missing.  Otherwise this process forks p = min(workers - 1,
+    len(split) - 1) children before it does any work; child j runs split
+    units 1 + j, 1 + j + p, ... on the inputs it inherited and sends its
+    results back through a pipe.  This process runs split unit 0 and then
+    the local units, reads each pipe to EOF and reaps each child.  A child
+    that raised has its error raised here; one that died, or exited before
+    it sent its results, is a ChildProcessError.  If this process raises,
+    every child still running is killed and reaped."""
+    if workers == 1 or len(split) < 2 or not hasattr(os, "fork"):
         return [_theorem_unit(item) for item in split + local]
-    from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays the import
-    with ProcessPoolExecutor(max_workers=min(workers - 1, len(split) - 1)) as pool:
-        futures = [pool.submit(_theorem_unit, item) for item in split[1:]]
+    import signal  # only a pooled run pays the import
+    p = min(workers - 1, len(split) - 1)
+    pids: list[int] = []  # the children not yet reaped, in order
+    reads: list[int] = []  # the read end of each child's pipe
+    try:
+        for j in range(p):
+            r, w = os.pipe()
+            reads.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_child(split[1 + j::p], w, reads)
+            finally:
+                os.close(w)
+            pids.append(pid)
         first = _theorem_unit(split[0])
         lower = [_theorem_unit(item) for item in local]
-        return [first] + [future.result() for future in futures] + lower
+        shares = []
+        for r in reads:
+            with open(r, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pids[0], 0)
+            shares.append(_child_results(pids.pop(0), status, data))
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for r in reads:
+            os.close(r)
+    # split unit i >= 1 ran in child (i - 1) % p, as its ((i - 1) // p)-th unit
+    return [first] + [shares[(i - 1) % p][(i - 1) // p] for i in range(1, len(split))] + lower
 
 
 def _report_row(r: SearchReport) -> list[str]:

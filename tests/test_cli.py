@@ -1,5 +1,4 @@
 import json
-import multiprocessing
 import os
 import pickle
 import re
@@ -270,29 +269,58 @@ def _theorem_reports(capsys, tmp_path, family, tag, *shards) -> tuple[str, str]:
     return capsys.readouterr().out, jpath.read_text()
 
 
-@pytest.mark.parametrize("method", ["fork", "spawn"])
-def test_verify_theorem_pool_matches_one_worker(capsys, tmp_path, monkeypatch, method):
-    # with 2 workers the pool is one process; at --shards 3 and 4 it takes
-    # parts 1, 2, ... of n = 7 while the main process runs part 0 and n < 7
-    previous = multiprocessing.get_start_method(allow_none=True)
+@pytest.mark.parametrize("threads", ["2", "3"])
+def test_verify_theorem_pool_matches_one_worker(capsys, tmp_path, monkeypatch, threads):
+    # with w workers the main process forks min(w - 1, parts - 1) children;
+    # they take parts 1, 2, ... of n = 7 while it runs part 0 and n < 7
     for family in ("fs(1)", "qt(1)", "fs(2)"):
         monkeypatch.setenv("ALPHAX_THREADS", "1")
         single = _theorem_reports(capsys, tmp_path, family, "single")
-        monkeypatch.setenv("ALPHAX_THREADS", "2")
-        multiprocessing.set_start_method(method, force=True)
-        try:
-            for shards in ([], ["--shards", "3"], ["--shards", "4"]):
-                pooled = _theorem_reports(capsys, tmp_path, family, method, *shards)
-                assert pooled == single, (family, shards)
-        finally:
-            multiprocessing.set_start_method(previous, force=True)
+        monkeypatch.setenv("ALPHAX_THREADS", threads)
+        for shards in ([], ["--shards", "3"], ["--shards", "4"]):
+            pooled = _theorem_reports(capsys, tmp_path, family, threads, *shards)
+            assert pooled == single, (family, shards)
+
+
+def test_verify_theorem_without_fork_runs_every_unit_in_one_process(capsys, tmp_path,
+                                                                    monkeypatch):
+    monkeypatch.setenv("ALPHAX_THREADS", "1")
+    single = _theorem_reports(capsys, tmp_path, "fs(2)", "single")
+    monkeypatch.setenv("ALPHAX_THREADS", "2")
+    monkeypatch.delattr(os, "fork")
+    assert _theorem_reports(capsys, tmp_path, "fs(2)", "nofork", "--shards", "3") == single
+
+
+def _run_script(tmp_path, body: str, timeout: float = 120) -> subprocess.CompletedProcess:
+    script = tmp_path / "script.py"
+    script.write_text(body)
+    env = dict(os.environ, ALPHAX_THREADS="2",
+               PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+def test_run_units_returns_large_results_in_unit_order(tmp_path):
+    # each result is larger than a pipe's buffer, so a child blocks in its
+    # write until the main process reads; with 3 workers and 5 split units,
+    # children 0 and 1 take units 1, 3 and 2, 4
+    proc = _run_script(tmp_path,
+        "import os\n"
+        "from alphax import cli\n"
+        "big = 'x' * 200_000\n"
+        "cli._theorem_unit = lambda item: (item, os.getpid(), big)\n"
+        "results = cli._run_units([0, 1, 2, 3, 4], [5, 6], 3)\n"
+        "ranks = {os.getpid(): 0}\n"
+        "print([item for item, _, _ in results],\n"
+        "      [ranks.setdefault(pid, len(ranks)) for _, pid, _ in results],\n"
+        "      all(text == big for _, _, text in results))\n", timeout=60)
+    assert proc.stdout == "[0, 1, 2, 3, 4, 5, 6] [0, 1, 2, 1, 2, 0, 0] True\n"
 
 
 def test_verify_theorem_exits_when_a_pool_process_dies(tmp_path):
-    # the pool process dies in its first unit; the run must fail, not hang
-    script = tmp_path / "dying.py"
-    script.write_text(
-        "import multiprocessing, os, sys\n"
+    # the child dies in its first unit; the run must fail with exit 2, not hang
+    proc = _run_script(tmp_path,
+        "import os, sys\n"
         "from alphax import cli\n"
         "main_pid = os.getpid()\n"
         "unit = cli._theorem_unit\n"
@@ -300,23 +328,48 @@ def test_verify_theorem_exits_when_a_pool_process_dies(tmp_path):
         "    if os.getpid() != main_pid:\n"
         "        os._exit(9)\n"
         "    return unit(item)\n"
-        "if __name__ == '__main__':\n"
-        "    multiprocessing.set_start_method('fork')\n"
-        "    cli._theorem_unit = dying\n"
-        "    sys.exit(cli.main(['verify-theorem', '--family', 'fs(1)', '--n-from', '4',\n"
-        "                       '--n-to', '7', '--alpha', '0.5', '--shards', '4']))\n")
-    env = dict(os.environ, ALPHAX_THREADS="2",
-               PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode != 0 and proc.stdout == ""
-    assert "BrokenProcessPool" in proc.stderr
+        "cli._theorem_unit = dying\n"
+        "sys.exit(cli.main(['verify-theorem', '--family', 'fs(1)', '--n-from', '4',\n"
+        "                   '--n-to', '7', '--alpha', '0.5', '--shards', '4']))\n")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert re.fullmatch(r"error: worker process \d+ exited with status 9 "
+                        r"before it sent its results\n", proc.stderr)
+
+
+def test_verify_theorem_leaves_no_worker_running_when_the_main_process_fails(tmp_path):
+    # the child sleeps in its unit while part 0, in the main process, holds a
+    # truncated graph6 line; the run must end at once and reap the child
+    path = tmp_path / "bad.g6"
+    path.write_text("D?\nD?{\n")
+    proc = _run_script(tmp_path,
+        "import os, sys, time\n"
+        "from alphax import cli\n"
+        "main_pid = os.getpid()\n"
+        "unit = cli._theorem_unit\n"
+        "def sleepy(item):\n"
+        "    if os.getpid() != main_pid:\n"
+        "        time.sleep(60)\n"
+        "    return unit(item)\n"
+        "cli._theorem_unit = sleepy\n"
+        "start = time.monotonic()\n"
+        "code = cli.main(['verify-theorem', '--family', 'fs(1)', '--n-from', '5',\n"
+        f"                '--n-to', '5', '--alpha', '0.5', '--graphs', {str(path)!r},\n"
+        "                '--shards', '2'])\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "    left = 'a child left'\n"
+        "except ChildProcessError:\n"
+        "    left = 'no child left'\n"
+        "print(code, left, time.monotonic() - start < 30)\n", timeout=50)
+    assert proc.stdout == "2 no child left True\n"
+    assert proc.stderr == "error: need 2 edge bytes for order 5, got 1 (byte 2)\n"
 
 
 def test_a_generated_unit_builds_only_the_children_of_its_parents(capsys, monkeypatch):
     # the units the CLI makes for fs(2) at n = 7 in 2 parts hold parents
-    # 0, 2, ... and 1, 3, ... of the 83 fs(2)-free graphs of order 6; sent
-    # by value, each builds the children of its own parents and no level
+    # 0, 2, ... and 1, 3, ... of the 83 fs(2)-free graphs of order 6; even
+    # in a process that holds no level, each builds the children of its own
+    # parents and no level
     monkeypatch.setenv("ALPHAX_THREADS", "1")
     unit = cli._theorem_unit
     items = []
@@ -419,8 +472,8 @@ def test_verify_theorem_sharded_file_with_a_malformed_line_is_usage_error(capsys
 
 def test_verify_theorem_pool_reports_a_worker_error_as_usage_error(capsys, tmp_path,
                                                                    monkeypatch):
-    # with 2 workers the pool reads part 1 of 2, which alone owns the
-    # truncated line; its error comes back through pickle
+    # with 2 workers the forked child reads part 1 of 2, which alone owns
+    # the truncated line; its error comes back pickled through the pipe
     monkeypatch.setenv("ALPHAX_THREADS", "2")
     path = tmp_path / "bad.g6"
     path.write_text("D?{\nD?\nDhC\n")
@@ -429,6 +482,41 @@ def test_verify_theorem_pool_reports_a_worker_error_as_usage_error(capsys, tmp_p
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err == "error: need 2 edge bytes for order 5, got 1 (byte 2)\n"
+
+
+class _LocationError(Exception):
+    # pickle stores only the message, so rebuilding it lacks an argument
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+def _local_error(message):
+    class LocalError(Exception):  # local, so pickle cannot find the class by name
+        pass
+    return LocalError(message)
+
+
+@pytest.mark.parametrize("make, message", [
+    (_local_error, "LocalError: no parents"),
+    (lambda m: _LocationError(m, "part 1"), "_LocationError: no parents at part 1"),
+], ids=["dump", "load"])
+def test_verify_theorem_pool_reports_a_worker_error_pickle_cannot_carry(capsys, monkeypatch,
+                                                                        make, message):
+    main_pid = os.getpid()
+    unit = cli._theorem_unit
+
+    def failing(item):
+        if os.getpid() != main_pid:
+            raise make("no parents")
+        return unit(item)
+
+    monkeypatch.setattr(cli, "_theorem_unit", failing)
+    monkeypatch.setenv("ALPHAX_THREADS", "2")
+    code = main(["verify-theorem", "--family", "fs(1)", "--n-from", "4", "--n-to", "6",
+                 "--alpha", "0.5", "--shards", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: a worker process raised {message}\n"
 
 
 @pytest.mark.parametrize("error", [Graph6ParseError("truncated", 4), SearchLimitError(10),
@@ -606,13 +694,21 @@ def test_import_sets_single_threaded_blas_unless_preset(preset):
     assert out.strip() == (preset or "1")
 
 
-def test_import_leaves_the_pool_machinery_out():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+def test_import_leaves_the_pool_machinery_out(tmp_path):
+    # neither importing the CLI nor a pooled run loads multiprocessing
+    env = dict(os.environ, ALPHAX_THREADS="2",
+               PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    machinery = "sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules))"
     out = subprocess.run([sys.executable, "-c",
-                          "import sys, alphax.cli; "
-                          "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"],
+                          f"import sys, alphax.cli; print({machinery})"],
                          env=env, capture_output=True, text=True, check=True, timeout=120).stdout
     assert out.strip() == "[]"
+    run = ("cli.main(['verify-theorem', '--family', 'fs(1)', '--n-from', '4', '--n-to', '6', "
+           f"'--alpha', '0.5', '--shards', '2', '--csv', {str(tmp_path / 'r.csv')!r}])")
+    out = subprocess.run([sys.executable, "-c",
+                          f"import sys; from alphax import cli; print({run}, {machinery})"],
+                         env=env, capture_output=True, text=True, check=True, timeout=120).stdout
+    assert out.strip() == "0 []"
 
 
 def test_worker_count_is_the_cpus_this_process_may_use(monkeypatch):
