@@ -43,8 +43,8 @@ vertex n - 1 (McKay, "Isomorph-free exhaustive generation", J.
 Algorithms 1998), so every minor-free graph of order n is a child of a
 minor-free graph of order n - 1.  Level n of a family is therefore built
 from the minor-free graphs of its level n - 1 alone: each child is
-searched only in the host pieces that hold its new vertex (has_minor's
-``anchor``), through is_minor_free and its cache, and only the free
+searched once, when its level is built, and only in the host pieces
+that hold its new vertex (is_minor_free's ``anchor``); only the free
 children are kept.  The children of parents that contain the pattern
 are never built.  The levels are cached per (family, n), family None
 being the level of all graphs, and the parts of a family's level are
@@ -78,7 +78,6 @@ A000088 = (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
 # per (family, n), one brood per graph of the family's level n - 1, in
 # order: the children kept in level n and how many children it has
 _LEVELS: dict[tuple[Family | None, int], tuple[tuple[tuple[Graph, ...], int], ...]] = {}
-_MINOR_FREE_CACHE: dict[tuple[str, int, tuple[int, ...]], bool] = {}
 
 
 @dataclass(frozen=True)
@@ -120,21 +119,13 @@ class Family:
 
 
 def is_minor_free(g: Graph, family: Family, anchor: int | None = None) -> bool:
-    """Family predicate with a verdict cache keyed on the labelled graph.
+    """The family predicate, and the one entry to the minor search.
     ``anchor=v`` passes has_minor's precondition on to it: g - v is
-    minor-free, so only the pieces of g that hold v are searched; the
-    verdict, and so the cache entry, is the one an unanchored search
-    gives.  The cache serves repeated verdicts on the same labelled
-    graphs, such as the construction bound at each alpha; a generated
-    child is searched once, when its level is built.  An isomorphic copy
-    under other labels is searched again, which costs less than a
-    canonical form for every host."""
-    key = (str(family), g.n, g.rows)
-    hit = _MINOR_FREE_CACHE.get(key)
-    if hit is None:
-        hit = not has_minor(g, family.pattern(), anchor=anchor).contains
-        _MINOR_FREE_CACHE[key] = hit
-    return hit
+    minor-free, so only the pieces of g that hold v are searched, and the
+    verdict is the one an unanchored search gives.  Nothing is cached: a
+    generated child is searched once, when its level is built, and the
+    construction only when merge_reports's bound would fail."""
+    return not has_minor(g, family.pattern(), anchor=anchor).contains
 
 
 def _brood(parent: Graph) -> tuple[Graph, ...]:
@@ -359,7 +350,7 @@ def search_extremal_alphas(n: int, alphas: Sequence[float], family: Family,
     children are built here, and no level is.  A generated part holds only
     minor-free graphs, each searched at its new vertex when it was built;
     the children of parents that contain the pattern are never built.
-    Each graph of ``graphs`` is searched whole, through the verdict cache.
+    Each graph of ``graphs`` is searched whole, once.
     Per alpha, only the minor-free graphs that can lie within TIE_TOL of
     the maximum get a certified alpha_index (see _certified_near_top), and
     only those within TIE_TOL of it a canonical graph6, whose form is
@@ -411,7 +402,9 @@ def merge_reports(parts: Sequence[SearchPart], source: str | None = None) -> Sea
     equal.  If no part holds a minor-free graph, ValueError is raised.
     Parts of a generated level are taken to cover the whole level of order
     n, so the report must pass the construction's sanity bound
-    (InvariantError otherwise)."""
+    (InvariantError otherwise): a minor-free construction is no more than
+    TIE_TOL above the maximum.  The construction is searched only when its
+    index is above that, so a report that passes searches it not at all."""
     if not parts:
         raise ValueError("nothing to merge")
     head = parts[0]
@@ -452,9 +445,9 @@ def merge_reports(parts: Sequence[SearchPart], source: str | None = None) -> Sea
     )
     # sanity check: a whole generated level holds the construction, which,
     # when itself minor-free, can never beat the exhaustive maximum
-    if source is None and construction is not None and is_minor_free(construction, family):
+    if source is None and construction is not None:
         construction_rho = alpha_index(construction, head.alpha).rho
-        if not report.max_rho >= construction_rho - TIE_TOL:
+        if not report.max_rho >= construction_rho - TIE_TOL and is_minor_free(construction, family):
             raise InvariantError(
                 f"exhaustive maximum {report.max_rho!r} at n={head.n}, alpha={head.alpha} is "
                 f"below the index {construction_rho!r} of the minor-free {family} construction")

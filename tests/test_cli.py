@@ -246,7 +246,7 @@ THEOREM_GEN = ["verify-theorem", "--family", "fs(2)", "--n-from", "4", "--n-to",
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_verify_theorem_decides_each_minor_verdict_once(tmp_path, threads):
-    # a fresh interpreter, so that no verdict is cached before the run;
+    # a fresh interpreter, so that the run builds every level itself;
     # levels 4..7 are built from the 4 + 11 + 28 + 83 fs(2)-free graphs of
     # orders 3..6, whose 11 + 34 + 103 + 289 children are searched; the
     # count is of the children of each reported level, so it does not

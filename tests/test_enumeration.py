@@ -379,6 +379,27 @@ def test_merge_of_generated_parts_checks_the_construction_bound():
     assert merge_reports(rest, source="hosts.g6").max_rho < merge_reports(parts).max_rho
 
 
+def test_merge_searches_the_construction_only_when_its_bound_fails(monkeypatch):
+    # a complete level holds the construction, whose index is at most its
+    # maximum, so a passing merge never searches the construction
+    fam = Family("fs", 1)
+    parts = _parts(6, 0.5, fam, 3)
+    calls = []
+    free = enumeration.is_minor_free
+    monkeypatch.setattr(enumeration, "is_minor_free",
+                        lambda g, family, anchor=None: calls.append(g) or free(g, family, anchor))
+    report = merge_reports(parts)
+    assert calls == []
+    # a construction whose index is above the maximum is searched, and
+    # one that contains the pattern bounds nothing
+    planted = dataclasses.replace(alpha_index(fam.construction(6), 0.5), rho=report.max_rho + 1.0)
+    monkeypatch.setattr(enumeration, "alpha_index", lambda g, alpha: planted)
+    monkeypatch.setattr(enumeration, "is_minor_free",
+                        lambda g, family, anchor=None: calls.append(g) or False)
+    assert merge_reports(parts) == report
+    assert calls == [fam.construction(6)]
+
+
 def test_search_extremal_alphas_matches_one_alpha_at_a_time():
     fam = Family("qt", 1)
     alphas = (0.1, 0.5, 0.9)
@@ -391,12 +412,10 @@ def test_search_extremal_alphas_matches_one_alpha_at_a_time():
         search_extremal_alphas(6, (0.5, 1.0), fam)
 
 
-def test_minor_free_cache_consistency():
-    fam = Family("fs", 1)
-    for g in enumerate_graphs(5):
-        expected = not minor_closure_oracle(g, friendship(1))
-        assert is_minor_free(g, fam) == expected
-        assert is_minor_free(g, fam) == expected  # second call hits the cache
+def test_is_minor_free_matches_the_closure_oracle():
+    for fam, pattern in (Family("fs", 1), friendship(1)), (Family("qt", 1), quadrangle_book(1)):
+        for g in enumerate_graphs(5):
+            assert is_minor_free(g, fam) == (not minor_closure_oracle(g, pattern)), (fam, g)
 
 
 def test_edge_density_profiles():
