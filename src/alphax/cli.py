@@ -4,22 +4,24 @@ suites are in alphax.lemmas.  verify-theorem --family and minor-check
 --minor-family name a forbidden family as fs(k), k triangles sharing a
 vertex, or qt(k), k quadrangles sharing a vertex: --family 'fs(2)'.
 
-verify-theorem splits the graphs of one order into --shards parts, the
-work units: every k-th graph of a --graphs file, or the minor-free
-children of every k-th minor-free graph of the order below the top
-generated order --n-to.  The main process builds each generated order
-below --n-to once, searches orders --n-from to --n-to - 1 whole, and
-gives each unit of the top order its parents.  A generated unit builds
-only the minor-free children of those parents, nothing below them.  Of
-w workers (ALPHAX_THREADS, by default the CPUs this process may run on),
-the main process forks p = min(w - 1, k - 1) children before it works;
-child j runs units 1 + j, 1 + j + p, ... on the inputs it
-inherited and pickles its results back through a pipe.  The main process
-is the last worker: it runs unit 0 and the lower orders, then reads each
-child's results and reaps it.  Where os.fork is missing, one process
-runs every unit.  The merged reports depend neither on k nor on w.  Every
-graph6 in a theorem report is a canonical labelling, so equal strings
-mean isomorphic graphs.
+verify-theorem splits the graphs of its top order --n-to into --shards
+parts, the work units, by one rule: part i of k takes items i, i + k,
+i + 2k, ...  The items are the graphs of a --graphs file, which the main
+process reads whole and checks first, or the parents of the top order,
+its family's level below --n-to, which the main process builds once
+with every level under it.  Each unit is a plain call of
+search_extremal_alphas on its own graphs or parents; a generated unit
+builds only the minor-free children of its parents, nothing below them.
+The orders --n-from to --n-to - 1 are searched whole, as units of the
+main process.  Of w workers (ALPHAX_THREADS, by default the CPUs this
+process may run on), the main process forks p = min(w - 1, k - 1)
+children once every input is read; child j runs units 1 + j,
+1 + j + p, ... on the inputs it inherited and pickles its results back
+through a pipe.  The main process is the last worker: it runs unit 0 and
+the lower orders, then reads each child's results and reaps it.  Where
+os.fork is missing, one process runs every unit.  The merged reports
+depend neither on k nor on w.  Every graph6 in a theorem report is a
+canonical labelling, so equal strings mean isomorphic graphs.
 
 Exit codes: 0 all requested checks passed, 1 a mathematical counterexample
 or check failure was found, 2 usage or resource errors, among them a
@@ -33,6 +35,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import os
 import pickle
@@ -83,9 +86,12 @@ def _worker_count() -> int:
     env = os.environ.get("ALPHAX_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            count = int(env)
         except ValueError:
             raise _UsageError(f"ALPHAX_THREADS must be an integer, got {env!r}") from None
+        if count < 1:
+            raise _UsageError(f"ALPHAX_THREADS must be >= 1, got {env!r}")
+        return count
     if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -209,6 +215,10 @@ def cmd_minor_check(args) -> int:
     header = ["graph6", "n", "minor", "contains", "nodes_explored"]
     if args.oracle:
         header.append("oracle_agrees")
+    if args.oracle:
+        for g in graphs:
+            if g.n > 7:
+                raise _UsageError(f"--oracle needs n <= 7, got {g.n}")
     rows = []
     certificates = {}
     disagreement = False
@@ -218,8 +228,6 @@ def cmd_minor_check(args) -> int:
         row = [g6, str(g.n), label, str(verdict.contains).lower(),
                str(verdict.nodes_explored)]
         if args.oracle:
-            if g.n > 7:
-                raise _UsageError(f"--oracle needs n <= 7, got {g.n}")
             agrees = minor_closure_oracle(g, pattern) == verdict.contains
             row.append(str(agrees).lower())
             if not agrees:
@@ -237,31 +245,18 @@ def cmd_minor_check(args) -> int:
 # -- verify-theorem -------------------------------------------------------
 
 
-def _theorem_unit(item) -> tuple[list[SearchPart], SearchCounts]:
-    """One work unit, order n searched at every alpha.  From the graph6
-    file ``path``, ``part`` is (index, parts), and the unit reads every
-    parts-th graph from the index-th on.  For a generated order, ``part``
-    holds the unit's parents in the family's level n - 1, or is None for
-    the whole level."""
-    n, alphas, family, path, part = item
-    if path is None:
-        return search_extremal_alphas(n, alphas, family, parents=part)
-    return search_extremal_alphas(n, alphas, family,
-                                  stream_from_graph6_file(path, n, shard=part))
-
-
-def _run_child(items: list, pipe: int, reads: list[int]) -> None:
-    """The body of a forked worker; it never returns.  It runs the units
-    items in order and pickles (True, their results), or (False, the
-    error one raised), into the write end pipe.  It leaves through
-    os._exit, so no atexit handler runs and no stdout buffer it shares
-    with the main process is flushed twice."""
+def _run_child(units: list, pipe: int, reads: list[int]) -> None:
+    """The body of a forked worker; it never returns.  It calls the units
+    in order and pickles (True, their results), or (False, the error one
+    raised), into the write end pipe.  It leaves through os._exit, so no
+    atexit handler runs and no stdout buffer it shares with the main
+    process is flushed twice."""
     code = 1
     try:
         for fd in reads:  # the read ends this process inherited
             os.close(fd)
         try:
-            payload = pickle.dumps((True, [_theorem_unit(item) for item in items]))
+            payload = pickle.dumps((True, [unit() for unit in units]))
         except BaseException as exc:  # the main process raises it again
             payload = _pickled_error(exc)
         with open(pipe, "wb") as out:
@@ -296,19 +291,21 @@ def _child_results(pid: int, status: int, data: bytes) -> list:
 
 
 def _run_units(split: list, local: list, workers: int) -> list:
-    """The results of _theorem_unit on the units split + local, in order.
+    """The results of the units split + local, zero-argument calls, in
+    order.
 
     Serial when workers is 1, when split has fewer than 2 units, or where
     os.fork is missing.  Otherwise this process forks p = min(workers - 1,
-    len(split) - 1) children before it does any work; child j runs split
-    units 1 + j, 1 + j + p, ... on the inputs it inherited and sends its
-    results back through a pipe.  This process runs split unit 0 and then
-    the local units, reads each pipe to EOF and reaps each child.  A child
+    len(split) - 1) children before it calls any unit; child j calls split
+    units 1 + j, 1 + j + p, ..., which it inherited with their inputs, so
+    nothing is pickled on the way in, and sends its results back through
+    a pipe.  This process runs split unit 0 and then the local units,
+    reads each pipe to EOF and reaps each child.  A child
     that raised has its error raised here; one that died, or exited before
     it sent its results, is a ChildProcessError.  If this process raises,
     every child still running is killed and reaped."""
     if workers == 1 or len(split) < 2 or not hasattr(os, "fork"):
-        return [_theorem_unit(item) for item in split + local]
+        return [unit() for unit in split + local]
     import signal  # only a pooled run pays the import
     p = min(workers - 1, len(split) - 1)
     pids: list[int] = []  # the children not yet reaped, in order
@@ -324,8 +321,8 @@ def _run_units(split: list, local: list, workers: int) -> list:
             finally:
                 os.close(w)
             pids.append(pid)
-        first = _theorem_unit(split[0])
-        lower = [_theorem_unit(item) for item in local]
+        first = split[0]()
+        lower = [unit() for unit in local]
         shares = []
         for r in reads:
             with open(r, "rb", closefd=False) as pipe:
@@ -393,24 +390,22 @@ def cmd_verify_theorem(args) -> int:
     parts = workers if args.shards is None else args.shards
     if parts < 1:
         raise _UsageError(f"--shards must be >= 1, got {parts}")
-    # the units of the top order, and the orders this process searches whole
-    if args.graphs is not None:
-        split = [(args.n_to, alphas, family, args.graphs, (index, parts))
-                 for index in range(parts)]
-        whole = ()
-    elif parts == 1:  # the top order is one unit, a whole level like the others
-        split, whole = [], ns
-    else:
+    # part i of the top order's graphs or parents takes items i::parts;
+    # every input is read here, before any worker is forked
+    top = functools.partial(search_extremal_alphas, args.n_to, alphas, family)
+    if args.graphs is None:
         parents = parent_level(args.n_to, family)
-        split = [(args.n_to, alphas, family, None, parents[index::parts])
-                 for index in range(parts)]
-        whole = ns[:-1]
-    local = [(n, alphas, family, None, None) for n in whole]
+        split = [functools.partial(top, parents=parents[i::parts]) for i in range(parts)]
+    else:
+        graphs = stream_from_graph6_file(args.graphs, args.n_to)
+        split = [functools.partial(top, graphs=graphs[i::parts]) for i in range(parts)]
+    local = [functools.partial(search_extremal_alphas, n, alphas, family) for n in ns[:-1]]
+    orders = [args.n_to] * parts + list(ns[:-1])  # the order of each unit
     results = _run_units(split, local, workers)
 
     units: dict[int, list[list[SearchPart]]] = {n: [] for n in ns}
-    for item, (unit_parts, _) in zip(split + local, results):
-        units[item[0]].append(unit_parts)
+    for n, (unit_parts, _) in zip(orders, results, strict=True):
+        units[n].append(unit_parts)
     counts = SearchCounts(*map(sum, zip(*(unit_counts for _, unit_counts in results))))
     reports: list[SearchReport] = [
         merge_reports([unit_parts[j] for unit_parts in units[n]], source=args.graphs)
@@ -537,10 +532,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default="0.1,0.3,0.5,0.7,0.9")
     p.add_argument("--graphs", help="graph6 file stream instead of generation")
     p.add_argument("--shards", type=int,
-                   help="split the parents of the top generated order, or the graphs "
-                        "of a --graphs file, into this many parts, the work units "
-                        "(default: one per worker, see ALPHAX_THREADS); the reports "
-                        "do not depend on it")
+                   help="split the graphs of a --graphs file, or the parents of the "
+                        "top generated order, into this many parts, the work units: "
+                        "part i takes every k-th item from the i-th on (default: one "
+                        "per worker, see ALPHAX_THREADS); the reports do not depend "
+                        "on it")
     p.add_argument("--require-from", type=int,
                    help="fail (exit 1) on mismatch at any n >= this value")
     p.add_argument("--csv", help="CSV output path (default stdout)")

@@ -25,17 +25,17 @@ Counts are pinned to the published sequences in the tests, and the
 representatives of levels 1..8 to a digest.
 
 A search reads the graphs of one order n, a generated level or a graph6
-file, as a plain tuple.  They are split into parts by one rule: part i of
-k keeps every k-th item from the i-th on.  For a graph6 file the items
-are its graphs.  For a generated level they are the parents in the level
-below, as geng's res/mod splits its output: part i of k holds the
-children of parents i, i + k, i + 2k, ...  The parts partition the
-graphs.  A part of a level is built from its own parents alone, so a
-process that holds the level below (parent_level) can hand each part its
-parents by value, and the part builds nothing below them and no child of
-another part.  A generated level has order n by construction; the file
-reader checks the order of every line against n, and that is the one
-order check.
+file, as a plain tuple.  A caller splits them into parts by one rule,
+items[i::k]: part i of k keeps every k-th item from the i-th on.  For a
+graph6 file the items are its graphs.  For a generated level they are the
+parents in the level below, as geng's res/mod splits its output: part i
+of k holds the children of parents i, i + k, i + 2k, ...  The parts
+partition the graphs.  A part of a level is built from its own parents
+alone, so a process that holds the level below (parent_level) can hand
+each part its parents by value, and the part builds nothing below them
+and no child of another part.  A generated level has order n by
+construction; the file reader reads the whole file, checks the order of
+every graph against n, and that is the one order check.
 
 A family's levels are hereditary.  Minor-free classes are closed under
 vertex deletion, and each child is its canonical parent plus the new
@@ -58,13 +58,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .canonical import canonical_data, canonical_graph, refinement_ranks
-from .graph6 import graph6_lines, graph6_order, parse_graph6, write_graph6
+from .graph6 import iter_graph6_file, write_graph6
 from .graphs import (CapacityError, Graph, extremal_fs, extremal_qt, friendship, make_empty,
                      quadrangle_book, twin_masks)
 from .minors import has_minor
@@ -75,9 +74,9 @@ MAX_GENERATED_ORDER = 9
 # the number of graphs on n unlabelled vertices, n = 0..MAX_GENERATED_ORDER
 A000088 = (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
 
-# per (family, n), one brood per graph of the family's level n - 1, in
-# order: the children kept in level n and how many children it has
-_LEVELS: dict[tuple[Family | None, int], tuple[tuple[tuple[Graph, ...], int], ...]] = {}
+# per (family, n): the children of the family's level n - 1 kept in level
+# n, in parent order, and how many children were built
+_LEVELS: dict[tuple[Family | None, int], tuple[tuple[Graph, ...], int]] = {}
 
 
 @dataclass(frozen=True)
@@ -161,15 +160,18 @@ def _brood(parent: Graph) -> tuple[Graph, ...]:
     return tuple(accepted.values())
 
 
-def _kept_broods(parents: Sequence[Graph], family: Family | None
-                 ) -> tuple[tuple[tuple[Graph, ...], int], ...]:
-    """Per parent, its minor-free children and how many children it has.
-    The parents are minor-free, so each child is searched only at its new
-    vertex; family None keeps every child."""
-    return tuple((children if family is None else
-                  tuple(c for c in children if is_minor_free(c, family, anchor=c.n - 1)),
-                  len(children))
-                 for children in map(_brood, parents))
+def _kept_children(parents: Sequence[Graph], family: Family | None
+                   ) -> tuple[tuple[Graph, ...], int]:
+    """The minor-free children of parents, in parent order, and how many
+    children they have.  The parents are minor-free, so each child is
+    searched only at its new vertex; family None keeps every child."""
+    kept: list[Graph] = []
+    built = 0
+    for children in map(_brood, parents):
+        built += len(children)
+        kept.extend(children if family is None else
+                    (c for c in children if is_minor_free(c, family, anchor=c.n - 1)))
+    return tuple(kept), built
 
 
 def parent_level(n: int, family: Family | None) -> tuple[Graph, ...]:
@@ -178,18 +180,14 @@ def parent_level(n: int, family: Family | None) -> tuple[Graph, ...]:
     return (make_empty(0),) if n == 1 else _generate_level(n - 1, family)
 
 
-def _children(broods: Sequence[tuple[tuple[Graph, ...], int]]) -> tuple[Graph, ...]:
-    return tuple(chain.from_iterable(kept for kept, _ in broods))
-
-
 def _generate_level(n: int, family: Family | None = None) -> tuple[Graph, ...]:
     """The family-minor-free graphs of order n, one per isomorphism class:
     the minor-free children of the family's level n - 1.  Family None
     keeps every class."""
-    broods = _LEVELS.get((family, n))
-    if broods is None:
-        broods = _LEVELS[family, n] = _kept_broods(parent_level(n, family), family)
-    return _children(broods)
+    level = _LEVELS.get((family, n))
+    if level is None:
+        level = _LEVELS[family, n] = _kept_children(parent_level(n, family), family)
+    return level[0]
 
 
 def _check_order(n: int) -> None:
@@ -210,25 +208,14 @@ def enumerate_graphs(n: int, family: Family | None = None) -> tuple[Graph, ...]:
     return _generate_level(n, family)
 
 
-def stream_from_graph6_file(path: str, n: int,
-                            shard: tuple[int, int] | None = None) -> tuple[Graph, ...]:
-    """The graphs of a graph6 file of order-n graphs, in file order.
-    ``shard=(i, k)`` keeps every k-th graph of the file, starting at the
-    i-th, as a generated part keeps the children of every k-th parent.
-    A part fully parses only its own lines, so the k parts parse each
-    line once; of every line it decodes the order field, so each part
-    rejects a line of another order."""
-    index, parts = (0, 1) if shard is None else shard
-    if not (parts >= 1 and 0 <= index < parts):
-        raise ValueError(f"bad shard spec {shard}")
-    graphs = []
-    for i, line in enumerate(graph6_lines(path)):
-        order = graph6_order(line)
-        if order != n:
-            raise ValueError(f"graph {i + 1} of {path} has order {order}, not {n}")
-        if i % parts == index:
-            graphs.append(parse_graph6(line))
-    return tuple(graphs)
+def stream_from_graph6_file(path: str, n: int) -> tuple[Graph, ...]:
+    """The graphs of a graph6 file of order-n graphs, in file order; a
+    graph of another order is a ValueError."""
+    graphs = tuple(iter_graph6_file(path))
+    for i, g in enumerate(graphs):
+        if g.n != n:
+            raise ValueError(f"graph {i + 1} of {path} has order {g.n}, not {n}")
+    return graphs
 
 
 # -- extremal search ------------------------------------------------------
@@ -364,13 +351,12 @@ def search_extremal_alphas(n: int, alphas: Sequence[float], family: Family,
         _check_order(n)
         if parents is None:
             _generate_level(n, family)
-            broods = _LEVELS[family, n]
+            graphs, searches = _LEVELS[family, n]
         elif any(p.n != n - 1 for p in parents):
             raise ValueError(f"the parents of order-{n} graphs have order {n - 1}")
         else:
-            broods = _kept_broods(parents, family)
-        graphs = free = _children(broods)
-        searches = sum(built for _, built in broods)
+            graphs, searches = _kept_children(parents, family)
+        free = graphs
     else:
         free = [g for g in graphs if is_minor_free(g, family)]
         searches = len(graphs)

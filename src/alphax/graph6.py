@@ -48,54 +48,33 @@ def write_graph6(g: Graph) -> str:
     return "".join(out)
 
 
-def _value(text: str) -> tuple[str, int]:
-    """One graph6 value without its line end and optional '>>graph6<<'
-    prefix, and the byte offset at which it starts."""
+def parse_graph6(text: str) -> Graph:
+    """Decode one graph6 value (optional '>>graph6<<' prefix allowed)."""
     s = text.rstrip("\r\n")
+    base = 0
     if s.startswith(HEADER):
-        return s[len(HEADER):], len(HEADER)
-    return s, 0
-
-
-def _codes(s: str, base: int) -> list[int]:
-    """The 6-bit values of the bytes of s, which starts at byte base."""
+        s = s[len(HEADER):]
+        base = len(HEADER)
+    if not s:
+        raise Graph6ParseError("empty graph6 string", base)
     vals = []
     for i, ch in enumerate(s):
         code = ord(ch)
         if not 63 <= code <= 126:
             raise Graph6ParseError(f"byte {code!r} outside graph6 range 63..126", base + i)
         vals.append(code - 63)
-    return vals
-
-
-def _order_field(vals: list[int], base: int) -> tuple[int, int]:
-    """The order n and the byte length of the order field, from the 6-bit
-    values of a value's bytes (all of them, or at least its first four)."""
-    if not vals:
-        raise Graph6ParseError("empty graph6 string", base)
-    if vals[0] != 63:
-        return vals[0], 1
-    # '~': extended order field
-    if len(vals) < 4:
-        raise Graph6ParseError("truncated extended order field", base + len(vals))
-    if vals[1] == 63:
-        raise Graph6ParseError("order beyond 258047 not supported", base + 1)
-    return vals[1] << 12 | vals[2] << 6 | vals[3], 4
-
-
-def graph6_order(text: str) -> int:
-    """The order of one graph6 value, decoding only its order field."""
-    s, base = _value(text)
-    return _order_field(_codes(s[:4], base), base)[0]
-
-
-def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 value (optional '>>graph6<<' prefix allowed)."""
-    s, base = _value(text)
-    vals = _codes(s, base)
-    n, field = _order_field(vals, base)
-    body = vals[field:]
-    body_base = base + field
+    if vals[0] == 63:  # '~': extended order field
+        if len(vals) < 4:
+            raise Graph6ParseError("truncated extended order field", base + len(s))
+        if vals[1] == 63:
+            raise Graph6ParseError("order beyond 258047 not supported", base + 1)
+        n = vals[1] << 12 | vals[2] << 6 | vals[3]
+        body = vals[4:]
+        body_base = base + 4
+    else:
+        n = vals[0]
+        body = vals[1:]
+        body_base = base + 1
     if n > MAX_VERTICES:
         raise CapacityError(f"graph6 order {n} exceeds capacity {MAX_VERTICES}")
     nbits = n * (n - 1) // 2
@@ -124,17 +103,11 @@ def parse_graph6(text: str) -> Graph:
     return Graph.from_rows(n, rows)
 
 
-def graph6_lines(path: str) -> Iterator[str]:
-    """The graph6 values of a file with one per line, skipping blank lines
-    and '>>graph6<<' header lines."""
+def iter_graph6_file(path: str) -> Iterator[Graph]:
+    """Yield graphs from a file with one graph6 value per line, skipping
+    blank lines and '>>graph6<<' header lines."""
     with open(path, "r", encoding="ascii") as fh:
         for line in fh:
             line = line.strip()
             if line and line != HEADER:
-                yield line
-
-
-def iter_graph6_file(path: str) -> Iterator[Graph]:
-    """Yield graphs from a file with one graph6 value per line."""
-    for line in graph6_lines(path):
-        yield parse_graph6(line)
+                yield parse_graph6(line)

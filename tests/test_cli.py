@@ -174,6 +174,18 @@ def test_minor_check_error_leaves_no_csv(capsys, tmp_path, argv):
     assert not path.exists()
 
 
+def test_minor_check_oracle_checks_every_order_before_any_search(capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a minor search started")
+
+    monkeypatch.setattr(cli, "has_minor", no_search)
+    code = main(["minor-check", "--g6", "C~", "--g6", "G?????", "--minor-family", "fs(1)",
+                 "--oracle"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: --oracle needs n <= 7, got 8\n"
+
+
 @pytest.mark.parametrize("command", [["alpha-index"],
                                      ["minor-check", "--minor-family", "fs(1)"]],
                          ids=["alpha-index", "minor-check"])
@@ -305,11 +317,11 @@ def test_run_units_returns_large_results_in_unit_order(tmp_path):
     # write until the main process reads; with 3 workers and 5 split units,
     # children 0 and 1 take units 1, 3 and 2, 4
     proc = _run_script(tmp_path,
-        "import os\n"
+        "import functools, os\n"
         "from alphax import cli\n"
         "big = 'x' * 200_000\n"
-        "cli._theorem_unit = lambda item: (item, os.getpid(), big)\n"
-        "results = cli._run_units([0, 1, 2, 3, 4], [5, 6], 3)\n"
+        "units = [functools.partial(lambda i: (i, os.getpid(), big), i) for i in range(7)]\n"
+        "results = cli._run_units(units[:5], units[5:], 3)\n"
         "ranks = {os.getpid(): 0}\n"
         "print([item for item, _, _ in results],\n"
         "      [ranks.setdefault(pid, len(ranks)) for _, pid, _ in results],\n"
@@ -323,12 +335,12 @@ def test_verify_theorem_exits_when_a_pool_process_dies(tmp_path):
         "import os, sys\n"
         "from alphax import cli\n"
         "main_pid = os.getpid()\n"
-        "unit = cli._theorem_unit\n"
-        "def dying(item):\n"
+        "search = cli.search_extremal_alphas\n"
+        "def dying(*args, **kwargs):\n"
         "    if os.getpid() != main_pid:\n"
         "        os._exit(9)\n"
-        "    return unit(item)\n"
-        "cli._theorem_unit = dying\n"
+        "    return search(*args, **kwargs)\n"
+        "cli.search_extremal_alphas = dying\n"
         "sys.exit(cli.main(['verify-theorem', '--family', 'fs(1)', '--n-from', '4',\n"
         "                   '--n-to', '7', '--alpha', '0.5', '--shards', '4']))\n")
     assert proc.returncode == 2 and proc.stdout == ""
@@ -337,24 +349,20 @@ def test_verify_theorem_exits_when_a_pool_process_dies(tmp_path):
 
 
 def test_verify_theorem_leaves_no_worker_running_when_the_main_process_fails(tmp_path):
-    # the child sleeps in its unit while part 0, in the main process, holds a
-    # truncated graph6 line; the run must end at once and reap the child
-    path = tmp_path / "bad.g6"
-    path.write_text("D?\nD?{\n")
+    # the child sleeps in its unit while part 0, in the main process, fails
+    # its search; the run must end at once and reap the child
     proc = _run_script(tmp_path,
         "import os, sys, time\n"
         "from alphax import cli\n"
         "main_pid = os.getpid()\n"
-        "unit = cli._theorem_unit\n"
-        "def sleepy(item):\n"
+        "def failing(*args, **kwargs):\n"
         "    if os.getpid() != main_pid:\n"
         "        time.sleep(60)\n"
-        "    return unit(item)\n"
-        "cli._theorem_unit = sleepy\n"
+        "    raise ValueError('part 0 failed')\n"
+        "cli.search_extremal_alphas = failing\n"
         "start = time.monotonic()\n"
         "code = cli.main(['verify-theorem', '--family', 'fs(1)', '--n-from', '5',\n"
-        f"                '--n-to', '5', '--alpha', '0.5', '--graphs', {str(path)!r},\n"
-        "                '--shards', '2'])\n"
+        "                 '--n-to', '5', '--alpha', '0.5', '--shards', '2'])\n"
         "try:\n"
         "    os.waitpid(-1, os.WNOHANG)\n"
         "    left = 'a child left'\n"
@@ -362,7 +370,7 @@ def test_verify_theorem_leaves_no_worker_running_when_the_main_process_fails(tmp
         "    left = 'no child left'\n"
         "print(code, left, time.monotonic() - start < 30)\n", timeout=50)
     assert proc.stdout == "2 no child left True\n"
-    assert proc.stderr == "error: need 2 edge bytes for order 5, got 1 (byte 2)\n"
+    assert proc.stderr == "error: part 0 failed\n"
 
 
 def test_a_generated_unit_builds_only_the_children_of_its_parents(capsys, monkeypatch):
@@ -371,16 +379,18 @@ def test_a_generated_unit_builds_only_the_children_of_its_parents(capsys, monkey
     # in a process that holds no level, each builds the children of its own
     # parents and no level
     monkeypatch.setenv("ALPHAX_THREADS", "1")
-    unit = cli._theorem_unit
-    items = []
-    monkeypatch.setattr(cli, "_theorem_unit", lambda item: items.append(item) or unit(item))
+    search = cli.search_extremal_alphas
+    calls = []
+    monkeypatch.setattr(cli, "search_extremal_alphas",
+                        lambda *args, **kwargs: calls.append((args, kwargs)) or
+                        search(*args, **kwargs))
     assert main([*THEOREM_GEN, "--shards", "2"]) == 0
     capsys.readouterr()
     fam = Family("fs", 2)
     parents = enumeration.parent_level(7, fam)
-    assert [(n, part is None) for n, _, _, _, part in items] == [
-        (7, False), (7, False), (4, True), (5, True), (6, True)]
-    expected = [unit(item) for item in items[:2]]
+    assert [(args[0], list(kwargs)) for args, kwargs in calls] == [
+        (7, ["parents"]), (7, ["parents"]), (4, []), (5, []), (6, [])]
+    expected = [search(*args, **kwargs) for args, kwargs in calls[:2]]
 
     def no_level(*args):
         raise AssertionError(f"level {args} built")
@@ -390,9 +400,9 @@ def test_a_generated_unit_builds_only_the_children_of_its_parents(capsys, monkey
     monkeypatch.setattr(enumeration, "_LEVELS", {})
     monkeypatch.setattr(enumeration, "_generate_level", no_level)
     monkeypatch.setattr(enumeration, "_brood", lambda p: built.append(p) or brood(p))
-    for index, item in enumerate(items[:2]):
+    for index, (args, kwargs) in enumerate(calls[:2]):
         built.clear()
-        assert unit(pickle.loads(pickle.dumps(item))) == expected[index]
+        assert search(*args, **kwargs) == expected[index]
         assert built == list(parents[index::2])
         assert len(built) == (42, 41)[index]
 
@@ -410,19 +420,22 @@ def _file_reports(capsys, tmp_path, path, family, n, alphas) -> list[tuple[str, 
 
 
 def test_verify_theorem_file_reports_do_not_depend_on_shards(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("ALPHAX_THREADS", "1")
+    # at 2 workers, forked children search the file graphs they inherited
     path = tmp_path / "six.g6"
     path.write_text("".join(write_graph6(g) + "\n" for g in enumerate_graphs(6)))
-    for family in ("fs(1)", "qt(1)"):
-        outs = _file_reports(capsys, tmp_path, path, family, 6, "0.1,0.5,0.9")
-        assert outs[0] == outs[1] == outs[2], family
-    # isomorphic copies are one tie: P_5 and K_{1,4} with each vertex as
-    # the centre, whose solves differ in float noise with the labelling
-    path = tmp_path / "copies.g6"
-    path.write_text("DhC\nDs_\nDiO\nDXG\nDFC\nD?{\n")
-    outs = _file_reports(capsys, tmp_path, path, "fs(1)", 5, "0.5")
-    assert outs[0] == outs[1] == outs[2]
-    (report,) = json.loads(outs[0][1])["reports"]
+    copies = tmp_path / "copies.g6"
+    copies.write_text("DhC\nDs_\nDiO\nDXG\nDFC\nD?{\n")
+    serial = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("ALPHAX_THREADS", threads)
+        for family in ("fs(1)", "qt(1)"):
+            outs = _file_reports(capsys, tmp_path, path, family, 6, "0.1,0.5,0.9")
+            assert outs == [serial.setdefault(family, outs[0])] * 3, (family, threads)
+        # isomorphic copies are one tie: P_5 and K_{1,4} with each vertex as
+        # the centre, whose solves differ in float noise with the labelling
+        outs = _file_reports(capsys, tmp_path, copies, "fs(1)", 5, "0.5")
+        assert outs == [serial.setdefault("copies", outs[0])] * 3, threads
+    (report,) = json.loads(serial["copies"][1])["reports"]
     assert [t["graph6"] for t in report["ties"]] == ["Ds_"] and report["unique"] is True
 
 
@@ -461,27 +474,42 @@ def test_verify_theorem_file_named_generated_is_not_a_generated_level(capsys, tm
 
 def test_verify_theorem_sharded_file_with_a_malformed_line_is_usage_error(capsys, tmp_path,
                                                                          monkeypatch):
-    monkeypatch.setenv("ALPHAX_THREADS", "1")
-    path = tmp_path / "bad.g6"
-    path.write_text("D?{\nD?\nDhC\n")  # part 1 of 2 alone owns the truncated line
-    code = main(["verify-theorem", "--family", "fs(1)", "--n-from", "5", "--n-to", "5",
-                 "--alpha", "0.5", "--graphs", str(path), "--shards", "2"])
-    out, err = capsys.readouterr()
-    assert code == 2 and out == "" and err.startswith("error: ")
+    # the main process reads the whole file before it forks any worker
+    def no_fork():
+        raise AssertionError("a worker was forked")
 
-
-def test_verify_theorem_pool_reports_a_worker_error_as_usage_error(capsys, tmp_path,
-                                                                   monkeypatch):
-    # with 2 workers the forked child reads part 1 of 2, which alone owns
-    # the truncated line; its error comes back pickled through the pipe
     monkeypatch.setenv("ALPHAX_THREADS", "2")
+    monkeypatch.setattr(os, "fork", no_fork)
     path = tmp_path / "bad.g6"
-    path.write_text("D?{\nD?\nDhC\n")
+    path.write_text("D?{\nD?\nDhC\n")  # part 1 of 2 would own the truncated line
     code = main(["verify-theorem", "--family", "fs(1)", "--n-from", "5", "--n-to", "5",
                  "--alpha", "0.5", "--graphs", str(path), "--shards", "2"])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err == "error: need 2 edge bytes for order 5, got 1 (byte 2)\n"
+
+
+def test_verify_theorem_pool_reports_a_worker_error_as_usage_error(capsys, tmp_path,
+                                                                   monkeypatch):
+    # with 2 workers the forked child searches part 1 of 2 of the file and
+    # fails; its error comes back pickled through the pipe
+    main_pid = os.getpid()
+    search = cli.search_extremal_alphas
+
+    def failing(*args, **kwargs):
+        if os.getpid() != main_pid:
+            raise SearchLimitError(500)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "search_extremal_alphas", failing)
+    monkeypatch.setenv("ALPHAX_THREADS", "2")
+    path = tmp_path / "five.g6"
+    path.write_text("D?{\nDhC\nD~{\n")
+    code = main(["verify-theorem", "--family", "fs(1)", "--n-from", "5", "--n-to", "5",
+                 "--alpha", "0.5", "--graphs", str(path), "--shards", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: minor search exceeded 500 nodes\n"
 
 
 class _LocationError(Exception):
@@ -503,14 +531,14 @@ def _local_error(message):
 def test_verify_theorem_pool_reports_a_worker_error_pickle_cannot_carry(capsys, monkeypatch,
                                                                         make, message):
     main_pid = os.getpid()
-    unit = cli._theorem_unit
+    search = cli.search_extremal_alphas
 
-    def failing(item):
+    def failing(*args, **kwargs):
         if os.getpid() != main_pid:
             raise make("no parents")
-        return unit(item)
+        return search(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_theorem_unit", failing)
+    monkeypatch.setattr(cli, "search_extremal_alphas", failing)
     monkeypatch.setenv("ALPHAX_THREADS", "2")
     code = main(["verify-theorem", "--family", "fs(1)", "--n-from", "4", "--n-to", "6",
                  "--alpha", "0.5", "--shards", "2"])
@@ -531,8 +559,8 @@ def test_errors_of_a_work_unit_survive_pickle(error):
 @pytest.mark.parametrize("shards", ["1", "3"])
 def test_verify_theorem_file_of_another_order_is_usage_error(capsys, tmp_path, monkeypatch,
                                                              shards):
-    # the order-4 graph is the second of four: at --shards 3 part 1 owns
-    # it, and parts 0 and 2 read only its order field, yet each rejects it
+    # the order-4 graph is the second of four; the whole file is checked
+    # before it is split
     monkeypatch.setenv("ALPHAX_THREADS", "1")
     path = tmp_path / "mixed.g6"
     path.write_text("D?{\nC~\nDhC\nD~{\n")
@@ -561,18 +589,21 @@ def test_verify_theorem_empty_file_holds_no_minor_free_graph(capsys, tmp_path, m
      "cannot parse family 'qt(2.0)'"),
     (["verify-theorem", "--family", "fs(1)", "--n-from", "4", "--n-to", "4"], "abc",
      "ALPHAX_THREADS must be an integer, got 'abc'"),
+    (["verify-theorem", "--family", "fs(1)", "--n-from", "4", "--n-to", "4"], "0",
+     "ALPHAX_THREADS must be >= 1, got '0'"),
     (["verify-theorem", "--family", "fs(1)", "--n-from", "4", "--n-to", "4",
       "--alpha", "0.5,abc"], None, "--alpha must be a comma-separated list of numbers"),
     (["alpha-index", "--g6", "C~", "--alpha", "0.5,abc"], None,
      "--alpha must be a comma-separated list of numbers"),
     (["verify-theorem", "--family", "fs(1)", "--n-from", "4", "--n-to", "4",
       "--alpha", ","], None, "--alpha must list at least one number, got ','"),
-], ids=["family", "minor-family", "threads", "alpha", "alpha-index", "alpha-empty"])
+], ids=["family", "minor-family", "threads", "threads-zero", "alpha", "alpha-index",
+        "alpha-empty"])
 def test_malformed_input_names_its_option(capsys, monkeypatch, argv, env, message):
     def no_work(*args):
         raise AssertionError(f"work {args} started")
 
-    monkeypatch.setattr(cli, "_theorem_unit", no_work)
+    monkeypatch.setattr(cli, "search_extremal_alphas", no_work)
     monkeypatch.setattr(enumeration, "_generate_level", no_work)
     if env is None:
         monkeypatch.delenv("ALPHAX_THREADS", raising=False)
@@ -595,7 +626,8 @@ def test_verify_theorem_rejects_bad_ranges_before_any_work(capsys, monkeypatch, 
         raise AssertionError(f"work {args} started")
 
     monkeypatch.setenv("ALPHAX_THREADS", "1")
-    monkeypatch.setattr(cli, "_theorem_unit", no_work)
+    monkeypatch.setattr(cli, "search_extremal_alphas", no_work)
+    monkeypatch.setattr(cli, "stream_from_graph6_file", no_work)
     monkeypatch.setattr(enumeration, "_generate_level", no_work)
     code = main(["verify-theorem", "--family", "fs(1)", "--alpha", "0.5", *bad])
     out, err = capsys.readouterr()
@@ -695,14 +727,11 @@ def test_import_sets_single_threaded_blas_unless_preset(preset):
 
 
 def test_import_leaves_the_pool_machinery_out(tmp_path):
-    # neither importing the CLI nor a pooled run loads multiprocessing
+    # a pooled run loads no multiprocessing either (for the import alone,
+    # see test_source.py)
     env = dict(os.environ, ALPHAX_THREADS="2",
                PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     machinery = "sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules))"
-    out = subprocess.run([sys.executable, "-c",
-                          f"import sys, alphax.cli; print({machinery})"],
-                         env=env, capture_output=True, text=True, check=True, timeout=120).stdout
-    assert out.strip() == "[]"
     run = ("cli.main(['verify-theorem', '--family', 'fs(1)', '--n-from', '4', '--n-to', '6', "
            f"'--alpha', '0.5', '--shards', '2', '--csv', {str(tmp_path / 'r.csv')!r}])")
     out = subprocess.run([sys.executable, "-c",

@@ -140,17 +140,18 @@ def _level_part(n, index, count, family=None):
     """Part index of count of the family's level n: the kept children of
     parents index, index + count, ... of level n - 1, built from them alone."""
     parents = enumeration.parent_level(n, family)[index::count]
-    return enumeration._children(enumeration._kept_broods(parents, family))
+    return enumeration._kept_children(parents, family)[0]
 
 
 def test_shards_partition_the_stream(monkeypatch):
     full = enumerate_graphs(6)
     parts = [_level_part(6, i, 3) for i in range(3)]
     assert sorted(full, key=canonical_form) == sorted(sum(parts, ()), key=canonical_form)
-    # part i holds the children of parents i, i + 3, ...: the graphs of
-    # the cached level's broods i, i + 3, ..., in the same order
-    assert parts == [enumeration._children(enumeration._LEVELS[None, 6][i::3])
-                     for i in range(3)]
+    # the level is the broods of its parents in parent order, and part i
+    # holds the broods of parents i, i + 3, ..., in the same order
+    broods = [enumeration._brood(p) for p in enumeration.parent_level(6, None)]
+    assert enumeration._LEVELS[None, 6] == (full, len(full)) == (sum(broods, ()), len(full))
+    assert parts == [sum(broods[i::3], ()) for i in range(3)]
     # and a part is built without level 6
     monkeypatch.setattr(enumeration, "_LEVELS",
                         {key: v for key, v in enumeration._LEVELS.items() if key != (None, 6)})
@@ -159,42 +160,23 @@ def test_shards_partition_the_stream(monkeypatch):
     assert _level_part(1, 1, 2) == ()
 
 
-def test_stream_from_file(tmp_path, monkeypatch):
+def test_stream_from_file(tmp_path):
     graphs = enumerate_graphs(5)[:10]
     path = tmp_path / "five.g6"
     path.write_text("\n".join(write_graph6(g) for g in graphs) + "\n")
     assert stream_from_graph6_file(str(path), 5) == graphs
-    parsed = []
-    monkeypatch.setattr(enumeration, "parse_graph6",
-                        lambda line: parsed.append(line) or parse_graph6(line))
-    # part i of k keeps every k-th graph from the i-th on, the rule of
-    # generated levels; the parts partition the file, differ in size by
-    # at most one, and parse each line once between them
-    for k in (1, 2, 3, 4, 11):
-        parsed.clear()
-        parts = [stream_from_graph6_file(str(path), 5, shard=(i, k)) for i in range(k)]
-        assert parts == [graphs[i::k] for i in range(k)]
-        sizes = [len(p) for p in parts]
-        assert sum(sizes) == 10 and max(sizes) - min(sizes) <= 1
-        assert sorted(parsed) == sorted(write_graph6(g) for g in graphs)
-    with pytest.raises(ValueError):
-        stream_from_graph6_file(str(path), 5, shard=(2, 2))
-    # a malformed line fails the part that owns it, and only that part
+    # a malformed line fails the read
     bad = tmp_path / "bad.g6"
     bad.write_text("D?{\nD?\nDhC\n")
-    assert stream_from_graph6_file(str(bad), 5, shard=(0, 2)) == (
-        parse_graph6("D?{"), parse_graph6("DhC"))
-    for shard in ((1, 2), None):
-        with pytest.raises(Graph6ParseError):
-            stream_from_graph6_file(str(bad), 5, shard=shard)
-    # every part checks the order of every line against n
+    with pytest.raises(Graph6ParseError):
+        stream_from_graph6_file(str(bad), 5)
+    # the order of every graph is checked against n
     mixed = tmp_path / "mixed.g6"
     mixed.write_text("D?{\nC~\nDhC\n")
-    for shard in ((0, 3), (1, 3), (2, 3), None):
-        with pytest.raises(ValueError, match=r"graph 2 of .*mixed\.g6 has order 4, not 5"):
-            stream_from_graph6_file(str(mixed), 5, shard=shard)
+    with pytest.raises(ValueError, match=r"graph 2 of .*mixed\.g6 has order 4, not 5"):
+        stream_from_graph6_file(str(mixed), 5)
     with pytest.raises(ValueError, match=r"graph 1 of .*mixed\.g6 has order 5, not 4"):
-        stream_from_graph6_file(str(mixed), 4, shard=(1, 3))
+        stream_from_graph6_file(str(mixed), 4)
     # an empty file holds no graph of any order
     empty = tmp_path / "empty.g6"
     empty.write_text("")

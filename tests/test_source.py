@@ -1,10 +1,14 @@
 """Source-level checks: every module parses at the oldest Python that
-pyproject.toml admits, and the package states its runtime invariants as
-raised errors, which python -O cannot strip, not as assert statements."""
+pyproject.toml admits, the package states its runtime invariants as
+raised errors, which python -O cannot strip, not as assert statements,
+and importing the CLI loads no process-pool machinery."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -26,3 +30,14 @@ def test_package_has_no_assert_statement():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_cli_import_loads_no_process_pool_machinery():
+    # the CLI forks its workers itself; concurrent.futures and
+    # multiprocessing would add their import to every run's fixed cost
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    machinery = "sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", f"import sys, alphax.cli; print({machinery})"],
+                         env=env, capture_output=True, text=True, check=True, timeout=120).stdout
+    assert out == "[]\n"

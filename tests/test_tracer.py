@@ -19,9 +19,9 @@ TRACER = os.path.join(os.path.dirname(SRC), "perfbench", "tracer.py")
 @pytest.mark.parametrize("argv, stream_calls", [
     (["verify-theorem", "--family", "fs(1)", "--n-from", "4", "--n-to", "5", "--alpha", "0.5"], 0),
     (["verify-lemmas", "--max-n", "4", "--grid-n", "6", "--trials", "10"], 0),
-    # one file read per part
+    # the main process reads the file once, before it splits it
     (["verify-theorem", "--family", "fs(1)", "--n-from", "5", "--n-to", "5", "--alpha", "0.5",
-      "--graphs", "five.g6", "--shards", "2"], 2),
+      "--graphs", "five.g6", "--shards", "2"], 1),
 ], ids=["verify-theorem", "verify-lemmas", "verify-theorem-file"])
 def test_tracer_runs_the_cli(tmp_path, argv, stream_calls):
     (tmp_path / "five.g6").write_text("D?{\nDhC\nD~{\n")
