@@ -12,7 +12,6 @@ _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .canonical import are_isomorphic, canonical_form, canonical_graph
 from .enumeration import (
     Family,
-    SearchCounts,
     SearchPart,
     SearchReport,
     edge_density_profile,

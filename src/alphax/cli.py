@@ -19,9 +19,12 @@ children once every input is read; child j runs units 1 + j,
 1 + j + p, ... on the inputs it inherited and pickles its results back
 through a pipe.  The main process is the last worker: it runs unit 0 and
 the lower orders, then reads each child's results and reaps it.  Where
-os.fork is missing, one process runs every unit.  The merged reports
-depend neither on k nor on w.  Every graph6 in a theorem report is a
-canonical labelling, so equal strings mean isomorphic graphs.
+os.fork is missing, one process runs every unit.  A unit only builds or
+reads its graphs, keeps the minor-free ones and screens them; the main
+process merges the parts of each (n, alpha) and certifies its tie band
+once, so neither the reports nor the certified solves on the stderr line
+depend on k or w.  Every graph6 in a theorem report is a canonical
+labelling, so equal strings mean isomorphic graphs.
 
 Exit codes: 0 all requested checks passed, 1 a mathematical counterexample
 or check failure was found, 2 usage or resource errors, among them a
@@ -46,7 +49,6 @@ from . import lemmas
 from .enumeration import (
     MAX_GENERATED_ORDER,
     Family,
-    SearchCounts,
     SearchPart,
     SearchReport,
     edge_density_profile,
@@ -215,7 +217,6 @@ def cmd_minor_check(args) -> int:
     header = ["graph6", "n", "minor", "contains", "nodes_explored"]
     if args.oracle:
         header.append("oracle_agrees")
-    if args.oracle:
         for g in graphs:
             if g.n > 7:
                 raise _UsageError(f"--oracle needs n <= 7, got {g.n}")
@@ -406,7 +407,6 @@ def cmd_verify_theorem(args) -> int:
     units: dict[int, list[list[SearchPart]]] = {n: [] for n in ns}
     for n, (unit_parts, _) in zip(orders, results, strict=True):
         units[n].append(unit_parts)
-    counts = SearchCounts(*map(sum, zip(*(unit_counts for _, unit_counts in results))))
     reports: list[SearchReport] = [
         merge_reports([unit_parts[j] for unit_parts in units[n]], source=args.graphs)
         for n in ns for j in range(len(alphas))
@@ -433,7 +433,8 @@ def cmd_verify_theorem(args) -> int:
             file=sys.stderr,
         )
     print(f"verify-theorem: {len(reports)} reports, {len(failures)} failures, "
-          f"{counts.searches} minor searches, {counts.certified} certified solves "
+          f"{sum(searches for _, searches in results)} minor searches, "
+          f"{sum(r.certified for r in reports)} certified solves "
           f"in {time.perf_counter() - start:.2f}s", file=sys.stderr)
     return 1 if failures else 0
 

@@ -37,6 +37,12 @@ and no child of another part.  A generated level has order n by
 construction; the file reader reads the whole file, checks the order of
 every graph against n, and that is the one order check.
 
+A part only builds or reads its graphs, keeps the minor-free ones and
+screens their alpha-indices, one batched call per alpha.  merge_reports
+joins the parts of one (n, alpha, family) and certifies the tie band
+once, over all of them, so the certified solves, like the report, do not
+depend on the split.
+
 A family's levels are hereditary.  Minor-free classes are closed under
 vertex deletion, and each child is its canonical parent plus the new
 vertex n - 1 (McKay, "Isomorph-free exhaustive generation", J.
@@ -58,7 +64,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -230,8 +235,9 @@ class TieEntry:
 
 def _near_max(entries: Sequence[TieEntry]) -> tuple[TieEntry, ...]:
     """The entries within TIE_TOL of their maximum, sorted by graph6, one
-    per graph6: of isomorphic copies, the one with the largest rho and
-    then the smallest residual, whichever part holds it."""
+    per graph6: of isomorphic copies, such as a graph6 file may hold, the
+    one with the largest rho and then the smallest residual, whatever
+    their order."""
     if not entries:
         return ()
     top = max(e.rho for e in entries)
@@ -245,24 +251,25 @@ class SearchPart:
     """One (n, alpha, family) search over the graphs of order n or a part
     of them, for merge_reports.  ``total_graphs`` counts the graphs the
     part read, which for a generated part are its minor-free graphs.
-    ``ties`` holds the minor-free graphs within TIE_TOL of the part's own
-    maximum, one per canonical graph6 and sorted by it; it is empty when
-    the part holds no minor-free graph.  Every graph within TIE_TOL of the
-    maximum over all parts is within it of its own part's maximum, so the
-    merge loses no tie."""
+    ``free`` holds the minor-free graphs, and ``estimates`` and ``bounds``
+    their screen at alpha (see screen_alpha_indices), one entry per graph;
+    nothing in a part is certified."""
 
     n: int
     alpha: float
     family: str
     total_graphs: int
-    minor_free_count: int
-    ties: tuple[TieEntry, ...]
+    free: tuple[Graph, ...]
+    estimates: tuple[float, ...]
+    bounds: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class SearchReport:
     """Outcome of one exhaustive (n, alpha, family) extremal search; each
-    graph6 in it is canonical, so equal strings mean isomorphic graphs."""
+    graph6 in it is canonical, so equal strings mean isomorphic graphs.
+    ``certified`` counts the certified alpha_index solves of the tie band,
+    which do not depend on how the graphs were split."""
 
     n: int
     alpha: float
@@ -276,6 +283,7 @@ class SearchReport:
     ties: tuple[TieEntry, ...]
     matches_construction: bool
     unique: bool
+    certified: int
 
 
 def search_extremal(n: int, alpha: float, family: Family) -> SearchReport:
@@ -287,30 +295,19 @@ def search_extremal(n: int, alpha: float, family: Family) -> SearchReport:
     return merge_reports([part])
 
 
-class SearchCounts(NamedTuple):
-    """The work behind search parts, for the CLI's stderr line.
-    ``searches`` counts the graphs whose minor verdict was searched: every
-    graph of a file, and every child of a minor-free parent of a generated
-    level.  It counts graphs, not calls, so over the parts of a search it
-    sums to the same total however it is split.  ``certified`` counts
-    certified alpha_index solves, which depend on the split."""
-
-    searches: int
-    certified: int
-
-
-def _certified_near_top(free: Sequence[Graph], alpha: float) -> list[tuple[Graph, SpectralResult]]:
+def _certified_near_top(free: Sequence[Graph], estimates: np.ndarray, bounds: np.ndarray,
+                        alpha: float) -> list[tuple[Graph, SpectralResult]]:
     """The certified alpha-index of each graph of free that can lie within
-    TIE_TOL of their maximum, in the order of free.
+    TIE_TOL of their maximum, in the order of free, given the screen of
+    free at alpha.
 
-    One batched screen bounds every index; the graph with the largest
-    estimate is certified, and its rho is at most the maximum.  A graph
-    whose index is below that rho - TIE_TOL - DEFAULT_TOL cannot reach
-    the tie band, since a certified rho lies at most the bracket width
-    DEFAULT_TOL above the index, and only the others are certified."""
+    The graph with the largest estimate is certified, and its rho is at
+    most the maximum.  A graph whose index is below that rho - TIE_TOL -
+    DEFAULT_TOL cannot reach the tie band, since a certified rho lies at
+    most the bracket width DEFAULT_TOL above the index, and only the
+    others are certified."""
     if not free:
         return []
-    estimates, bounds = screen_alpha_indices(free, alpha)
     best = int(np.argmax(estimates))
     top = alpha_index(free[best], alpha)
     floor = top.rho - TIE_TOL - DEFAULT_TOL
@@ -327,21 +324,22 @@ def _certified_near_top(free: Sequence[Graph], alpha: float) -> list[tuple[Graph
 def search_extremal_alphas(n: int, alphas: Sequence[float], family: Family,
                            graphs: Sequence[Graph] | None = None,
                            parents: Sequence[Graph] | None = None
-                           ) -> tuple[list[SearchPart], SearchCounts]:
+                           ) -> tuple[list[SearchPart], int]:
     """One search part per alpha over the order-n graphs: ``graphs``, the
     children of ``parents``, or the family's whole generated level n when
-    both are None.
+    both are None; and the number of graphs whose minor verdict was
+    searched.
 
     ``parents`` are graphs of the family's level n - 1, such as part i of
     k of parent_level(n, family), parents i, i + k, ...; their minor-free
     children are built here, and no level is.  A generated part holds only
     minor-free graphs, each searched at its new vertex when it was built;
-    the children of parents that contain the pattern are never built.
-    Each graph of ``graphs`` is searched whole, once.
-    Per alpha, only the minor-free graphs that can lie within TIE_TOL of
-    the maximum get a certified alpha_index (see _certified_near_top), and
-    only those within TIE_TOL of it a canonical graph6, whose form is
-    cached on the graph."""
+    the children of parents that contain the pattern are never built, and
+    every child of a minor-free parent counts as searched.  Each graph of
+    ``graphs`` is searched whole, once.  Per alpha, one batched
+    screen_alpha_indices call estimates and bounds the index of every
+    minor-free graph; nothing is certified or labelled canonically here,
+    so the searches sum to the same total however the graphs are split."""
     for alpha in alphas:
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"theorem searches need 0 < alpha < 1, got {alpha}")
@@ -358,21 +356,15 @@ def search_extremal_alphas(n: int, alphas: Sequence[float], family: Family,
             graphs, searches = _kept_children(parents, family)
         free = graphs
     else:
-        free = [g for g in graphs if is_minor_free(g, family)]
+        free = tuple(g for g in graphs if is_minor_free(g, family))
         searches = len(graphs)
     parts = []
-    certified = 0
     for alpha in alphas:
-        results = _certified_near_top(free, alpha)
-        certified += len(results)
-        top = max((r.rho for _, r in results), default=0.0)
-        # the candidates share _near_max's maximum and threshold
-        entries = [TieEntry(graph6=write_graph6(canonical_graph(g)), rho=r.rho,
-                            residual=r.residual)
-                   for g, r in results if r.rho >= top - TIE_TOL]
+        estimates, bounds = screen_alpha_indices(free, alpha)
         parts.append(SearchPart(n=n, alpha=alpha, family=str(family), total_graphs=len(graphs),
-                                minor_free_count=len(free), ties=_near_max(entries)))
-    return parts, SearchCounts(searches, certified)
+                                free=free, estimates=tuple(estimates.tolist()),
+                                bounds=tuple(bounds.tolist())))
+    return parts, searches
 
 
 def merge_reports(parts: Sequence[SearchPart], source: str | None = None) -> SearchReport:
@@ -382,9 +374,13 @@ def merge_reports(parts: Sequence[SearchPart], source: str | None = None) -> Sea
     Minor-free counts are summed over all parts, and so are the graphs
     read from a file.  A generated level builds only its minor-free
     graphs, so its graph count is A000088[n], the number of graphs of
-    order n.  The argmax is the smallest canonical graph6 among the ties,
-    whatever their float order, so solver rounding cannot change it, and
-    it matches the construction when their canonical graph6 strings are
+    order n.  The tie band is certified here, once over the minor-free
+    graphs of all parts (see _certified_near_top), so it and its count
+    do not depend on the split; only the graphs within TIE_TOL of its
+    maximum get a canonical graph6, whose form is cached on the graph.
+    The argmax is the smallest canonical graph6 among the ties, whatever
+    their float order, so solver rounding cannot change it, and it
+    matches the construction when their canonical graph6 strings are
     equal.  If no part holds a minor-free graph, ValueError is raised.
     Parts of a generated level are taken to cover the whole level of order
     n, so the report must pass the construction's sanity bound
@@ -402,12 +398,19 @@ def merge_reports(parts: Sequence[SearchPart], source: str | None = None) -> Sea
         total = A000088[head.n]
     else:
         total = sum(p.total_graphs for p in parts)
-    ties = _near_max([e for p in parts for e in p.ties])
-    if not ties:
+    free = [g for p in parts for g in p.free]
+    results = _certified_near_top(free, np.array([e for p in parts for e in p.estimates]),
+                                  np.array([b for p in parts for b in p.bounds]), head.alpha)
+    if not results:
         shards = f" in {len(parts)} shards" if len(parts) > 1 else ""
         origin = "the generated level" if source is None else f"stream {source!r}"
         raise ValueError(f"{origin} of order {head.n} holds no "
                          f"{head.family}-minor-free graph ({total} graphs read{shards})")
+    top = max(r.rho for _, r in results)
+    # the candidates share _near_max's maximum and threshold
+    ties = _near_max([TieEntry(graph6=write_graph6(canonical_graph(g)), rho=r.rho,
+                               residual=r.residual)
+                      for g, r in results if r.rho >= top - TIE_TOL])
     family = Family.parse(head.family)
     argmax = ties[0]
     try:
@@ -420,14 +423,15 @@ def merge_reports(parts: Sequence[SearchPart], source: str | None = None) -> Sea
         alpha=head.alpha,
         family=head.family,
         total_graphs=total,
-        minor_free_count=sum(p.minor_free_count for p in parts),
-        max_rho=max(e.rho for e in ties),
+        minor_free_count=len(free),
+        max_rho=top,
         construction_graph6=construction_g6,
         argmax_graph6=argmax.graph6,
         argmax_residual=argmax.residual,
         ties=ties,
         matches_construction=construction_g6 == argmax.graph6,
         unique=len(ties) == 1,
+        certified=len(results),
     )
     # sanity check: a whole generated level holds the construction, which,
     # when itself minor-free, can never beat the exhaustive maximum

@@ -156,23 +156,16 @@ def power_iteration(m: np.ndarray, shift: float, tol: float = DEFAULT_TOL,
 
 
 def alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
-    """alpha*D + (1-alpha)*A; diagonal alpha*deg(v), off-diagonal (1-alpha) per edge.
-
-    A is unpacked from the bit rows: row v as a little-endian 64-bit word,
-    whose byte-wise little-endian bits are columns 0..63."""
+    """alpha*D + (1-alpha)*A; diagonal alpha*deg(v), off-diagonal (1-alpha) per edge."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0,1], got {alpha}")
-    n, rows = g.n, g.rows
-    words = np.array(rows, dtype="<u8").view(np.uint8).reshape(n, 8)
-    m = (1.0 - alpha) * np.unpackbits(words, axis=1, count=n, bitorder="little")
-    m.flat[::n + 1] = [alpha * row.bit_count() for row in rows]
-    return m
+    return _alpha_matrices((g,), alpha)[0]
 
 
 def _alpha_matrices(graphs: Sequence[Graph], alpha: float) -> np.ndarray:
-    """alpha_matrix of each graph of one order n, stacked along axis 0:
-    the same entries, assembled for many graphs at once.  alpha_matrix
-    keeps its own loop, which is faster for the one graph it builds."""
+    """alpha_matrix of each graph of one order n, stacked along axis 0.
+    A is unpacked from the bit rows: row v as a little-endian 64-bit word,
+    whose byte-wise little-endian bits are columns 0..63."""
     n = graphs[0].n
     words = np.array([row for g in graphs for row in g.rows], dtype="<u8").view(np.uint8)
     adjacency = np.unpackbits(words.reshape(len(graphs), n, 8), axis=2, count=n,

@@ -273,6 +273,57 @@ def test_verify_theorem_decides_each_minor_verdict_once(tmp_path, threads):
                         proc.stderr)
 
 
+def _certified_solves(capsys, *argv) -> int:
+    code = main(["verify-theorem", *argv, "--csv", os.devnull])
+    err = capsys.readouterr().err
+    assert code == 0
+    return int(re.search(r", (\d+) certified solves in ", err).group(1))
+
+
+def _level_file(tmp_path, n) -> str:
+    path = tmp_path / f"level{n}.g6"
+    path.write_text("".join(write_graph6(g) + "\n" for g in enumerate_graphs(n)))
+    return str(path)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_certified_solves_do_not_depend_on_the_split(capsys, tmp_path, monkeypatch, threads):
+    # each tie band is certified once, after the merge, over the graphs of
+    # every part; the counts are those of one part
+    monkeypatch.setenv("ALPHAX_THREADS", threads)
+    for shards in ("1", "3", "4"):
+        assert _certified_solves(capsys, "--family", "fs(2)", "--n-from", "3", "--n-to", "8",
+                                 "--shards", shards) == 31
+    path = _level_file(tmp_path, 6)
+    for shards in ("1", "2", "3"):
+        assert _certified_solves(capsys, "--family", "qt(1)", "--n-from", "6", "--n-to", "6",
+                                 "--alpha", "0.1,0.5,0.9", "--graphs", path,
+                                 "--shards", shards) == 3
+
+
+def test_a_unit_makes_no_certified_solve(capsys, tmp_path, monkeypatch):
+    # every alpha_index solve of a run is the merge's: units that cannot
+    # solve give the same reports
+    monkeypatch.setenv("ALPHAX_THREADS", "1")
+    runs = [[*THEOREM_GEN, "--shards", "2"],
+            ["verify-theorem", "--family", "qt(1)", "--n-from", "6", "--n-to", "6",
+             "--graphs", _level_file(tmp_path, 6), "--shards", "2"]]
+    expected = [run(capsys, *argv) for argv in runs]
+    search = cli.search_extremal_alphas
+
+    def refuse(*args):
+        raise AssertionError(f"a unit solved {args}")
+
+    def unit(*args, **kwargs):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(enumeration, "alpha_index", refuse)
+            patch.setattr(spectral, "alpha_index", refuse)
+            return search(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "search_extremal_alphas", unit)
+    assert [run(capsys, *argv) for argv in runs] == expected
+
+
 def _theorem_reports(capsys, tmp_path, family, tag, *shards) -> tuple[str, str]:
     jpath = tmp_path / f"{family}-{tag}.json"
     code = main(["verify-theorem", "--family", family, "--n-from", "4", "--n-to", "7",

@@ -10,7 +10,6 @@ from alphax import (
     Graph,
     Graph6ParseError,
     InvariantError,
-    SearchPart,
     alpha_index,
     canonical_form,
     canonical_graph,
@@ -240,14 +239,19 @@ def test_search_matches_closed_form_when_construction_wins():
             assert f_inequality(r.max_rho, n, 1, 0.5)
 
 
-def test_argmax_among_ties_ignores_float_order():
+def test_argmax_among_ties_ignores_float_order(monkeypatch):
     # D~_ is the float maximum, D}o (the construction) the smaller graph6
-    parts = [SearchPart(5, 0.5, "fs(2)", 17, 1, (TieEntry("D~_", 3.1861406616346, 0.0),)),
-             SearchPart(5, 0.5, "fs(2)", 17, 1, (TieEntry("D}o", 3.1861406616345, 0.0),))]
+    planted = {"D~_": 3.1861406616346, "D}o": 3.1861406616345}
+    original = enumeration.alpha_index
+    monkeypatch.setattr(enumeration, "alpha_index", lambda g, alpha: dataclasses.replace(
+        original(g, alpha), rho=planted[write_graph6(canonical_graph(g))]))
+    parts = [search_extremal_alphas(5, (0.5,), Family("fs", 2), (parse_graph6(g6),))[0][0]
+             for g6 in planted]
     for ordered in (parts, parts[::-1]):
         r = merge_reports(ordered)
         assert r.argmax_graph6 == "D}o" and r.matches_construction and not r.unique
         assert r.max_rho == 3.1861406616346
+        assert [(t.graph6, t.rho) for t in r.ties] == sorted(planted.items())
         assert (r.total_graphs, r.minor_free_count) == (34, 2)
 
 
@@ -294,8 +298,14 @@ def test_only_tie_candidates_are_labelled_canonically(tmp_path, monkeypatch):
     monkeypatch.setattr(canonical, "canonical_data", counted)
     parts, _ = search_extremal_alphas(9, (0.1, 0.5, 0.9), Family("fs", 1),
                                       stream_from_graph6_file(str(path), 9))
-    assert all(p.minor_free_count == 60 for p in parts)
-    assert 0 < len(calls) <= len({t.graph6 for p in parts for t in p.ties})
+    assert all(len(p.free) == 60 for p in parts)
+    assert calls == []  # a part labels nothing
+    reports = [merge_reports([p], source=str(path)) for p in parts]
+    # the merge labels the construction once per report, and of the file's
+    # graphs only the ties
+    read = {id(g) for g in parts[0].free}
+    labelled = [g for g in calls if id(g) in read]
+    assert 0 < len(labelled) <= len({t.graph6 for r in reports for t in r.ties})
 
 
 def test_search_below_construction_raises():
@@ -335,7 +345,7 @@ def test_merge_skips_shard_without_minor_free_graph():
     parts = _parts(4, 0.5, fam, 4)
     empty = parts[3]
     assert empty.total_graphs == 4
-    assert empty.minor_free_count == 0 and empty.ties == ()
+    assert empty.free == empty.estimates == empty.bounds == ()
     merged = merge_reports(parts)
     assert merged == direct
     with pytest.raises(ValueError, match=r"fs\(1\)"):
@@ -354,7 +364,7 @@ def test_merge_of_generated_parts_checks_the_construction_bound():
                if any(canonical_form(g) == star for g in _level_part(6, i, 3))]
     assert holders == [0]
     rest = parts[1:]
-    assert all(p.minor_free_count for p in rest)
+    assert all(p.free for p in rest)
     with pytest.raises(InvariantError, match="construction"):
         merge_reports(rest)
     # a file stream makes no claim to be complete
@@ -373,9 +383,12 @@ def test_merge_searches_the_construction_only_when_its_bound_fails(monkeypatch):
     report = merge_reports(parts)
     assert calls == []
     # a construction whose index is above the maximum is searched, and
-    # one that contains the pattern bounds nothing
+    # one that contains the pattern bounds nothing; the level's own copy
+    # of it keeps its index
     planted = dataclasses.replace(alpha_index(fam.construction(6), 0.5), rho=report.max_rho + 1.0)
-    monkeypatch.setattr(enumeration, "alpha_index", lambda g, alpha: planted)
+    level = {id(g) for p in parts for g in p.free}
+    monkeypatch.setattr(enumeration, "alpha_index",
+                        lambda g, alpha: alpha_index(g, alpha) if id(g) in level else planted)
     monkeypatch.setattr(enumeration, "is_minor_free",
                         lambda g, family, anchor=None: calls.append(g) or False)
     assert merge_reports(parts) == report
@@ -385,9 +398,9 @@ def test_merge_searches_the_construction_only_when_its_bound_fails(monkeypatch):
 def test_search_extremal_alphas_matches_one_alpha_at_a_time():
     fam = Family("qt", 1)
     alphas = (0.1, 0.5, 0.9)
-    parts, counts = search_extremal_alphas(6, alphas, fam)
+    parts, searches = search_extremal_alphas(6, alphas, fam)
     # the 45 children of the 17 qt(1)-free graphs of order 5, of 156 graphs
-    assert counts.searches == 45
+    assert searches == 45
     for alpha, part in zip(alphas, parts):
         assert merge_reports([part]) == search_extremal(6, alpha, fam)
     with pytest.raises(ValueError):
@@ -479,7 +492,7 @@ def test_anchored_search_needs_the_parent_verdict():
         assert verdict.contains and validate_model(c, h, verdict.model)
 
 
-def _unscreened_part(n, alpha, fam, graphs):
+def _unscreened_ties(alpha, fam, graphs):
     # the search without hereditary levels or screen: every verdict searched
     # whole, every minor-free graph certified
     free = [g for g in graphs if not has_minor(g, fam.pattern()).contains]
@@ -487,7 +500,7 @@ def _unscreened_part(n, alpha, fam, graphs):
     top = max(r.rho for r in results)
     entries = [TieEntry(write_graph6(canonical_graph(g)), r.rho, r.residual)
                for g, r in zip(free, results) if r.rho >= top - TIE_TOL]
-    return SearchPart(n, alpha, str(fam), len(graphs), len(free), enumeration._near_max(entries))
+    return len(free), enumeration._near_max(entries)
 
 
 @pytest.mark.parametrize("family", ["fs(1)", "qt(1)", "fs(2)", "qt(2)"])
@@ -497,18 +510,24 @@ def test_screened_search_matches_certifying_every_graph(family):
     certified = 0
     for n in range(1, 8):
         graphs = enumerate_graphs(n)
-        parts, counts = search_extremal_alphas(n, alphas, fam)
-        reference = [_unscreened_part(n, a, fam, graphs) for a in alphas]
-        # a generated part reads only the minor-free graphs
-        assert parts == [dataclasses.replace(p, total_graphs=p.minor_free_count)
-                         for p in reference]
+        parts, searches = search_extremal_alphas(n, alphas, fam)
         # a file stream of the same graphs gets the screen, and each of its
         # graphs is searched
-        stream_parts, stream_counts = search_extremal_alphas(n, alphas, fam, list(graphs))
-        assert stream_parts == reference
-        assert stream_counts.searches == len(graphs) >= counts.searches
-        certified += counts.certified
-        assert counts.certified >= sum(len(p.ties) for p in parts)
+        stream_parts, stream_searches = search_extremal_alphas(n, alphas, fam, list(graphs))
+        assert stream_searches == len(graphs) >= searches
+        for alpha, part, stream_part in zip(alphas, parts, stream_parts, strict=True):
+            free, ties = _unscreened_ties(alpha, fam, graphs)
+            # a generated part reads only the minor-free graphs
+            assert part.total_graphs == len(part.free) == free
+            assert stream_part.total_graphs == len(graphs)
+            report = merge_reports([part])
+            stream_report = merge_reports([stream_part], source="level.g6")
+            for r in (report, stream_report):
+                assert r.ties == ties and r.minor_free_count == free
+                assert r.max_rho == max(t.rho for t in ties)
+                assert r.certified >= len(ties)
+            assert stream_report.certified == report.certified
+            certified += report.certified
     # the screen certifies a few graphs per alpha, not every minor-free one
     assert certified < sum(MINOR_FREE[family][:7]) * len(alphas) / 5
 
@@ -518,9 +537,9 @@ def test_generated_shards_inherit_the_level_verdicts(monkeypatch):
     # i, i + k, ... of the level below, and is built from them alone
     fam = Family("fs", 2)
     alphas = (0.3, 0.7)
-    whole, counts = search_extremal_alphas(7, alphas, fam)
+    whole, searches = search_extremal_alphas(7, alphas, fam)
     # the children of the 83 fs(2)-free graphs of level 6 are searched
-    assert counts.searches == 289
+    assert searches == 289
     parents = enumeration.parent_level(7, fam)
     assert parents == enumerate_graphs(6, family=fam) and len(parents) == 83
     # each graph of the level is its parent plus the last vertex
@@ -534,8 +553,8 @@ def test_generated_shards_inherit_the_level_verdicts(monkeypatch):
         for j in range(len(alphas)):
             assert (merge_reports([parts[j] for parts, _ in results])
                     == merge_reports([whole[j]]))
-        assert sum(c.searches for _, c in results) == counts.searches
-        assert [parts[0].minor_free_count for parts, _ in results] == [
+        assert sum(part_searches for _, part_searches in results) == searches
+        assert [len(parts[0].free) for parts, _ in results] == [
             sum(k % count == i for k in owners) for i in range(count)]
     assert (fam, 7) not in enumeration._LEVELS
     with pytest.raises(ValueError):
