@@ -19,7 +19,7 @@ from .enumeration import (
     is_minor_free,
     merge_reports,
     search_extremal,
-    search_extremal_alphas,
+    search_part,
     stream_from_graph6_file,
 )
 from .graph6 import Graph6ParseError, iter_graph6_file, parse_graph6, write_graph6

@@ -4,14 +4,15 @@ suites are in alphax.lemmas.  verify-theorem --family and minor-check
 --minor-family name a forbidden family as fs(k), k triangles sharing a
 vertex, or qt(k), k quadrangles sharing a vertex: --family 'fs(2)'.
 
-verify-theorem splits the graphs of its top order --n-to into --shards
-parts, the work units, by one rule: part i of k takes items i, i + k,
-i + 2k, ...  The items are the graphs of a --graphs file, which the main
-process reads whole and checks first, or the parents of the top order,
-its family's level below --n-to, which the main process builds once
-with every level under it.  Each unit is a plain call of
-search_extremal_alphas on its own graphs or parents; a generated unit
-builds only the minor-free children of its parents, nothing below them.
+verify-theorem splits the graphs of its top order --n-to into k parts,
+the work units, by one rule: part i of k takes items i, i + k, i + 2k,
+...  The items are the graphs of a --graphs file, which the main process
+reads whole and checks first, or the parents of the top order, its
+family's level below --n-to, which the main process builds once with
+every level under it.  k is --shards, but never more than the items, nor
+less than 1.  Each unit is a plain call of search_part on its own graphs
+or parents; a generated unit builds only the minor-free children of its
+parents, nothing below them.
 The orders --n-from to --n-to - 1 are searched whole, as units of the
 main process.  Of w workers (ALPHAX_THREADS, by default the CPUs this
 process may run on), the main process forks p = min(w - 1, k - 1)
@@ -20,11 +21,11 @@ children once every input is read; child j runs units 1 + j,
 through a pipe.  The main process is the last worker: it runs unit 0 and
 the lower orders, then reads each child's results and reaps it.  Where
 os.fork is missing, one process runs every unit.  A unit only builds or
-reads its graphs, keeps the minor-free ones and screens them; the main
-process merges the parts of each (n, alpha) and certifies its tie band
-once, so neither the reports nor the certified solves on the stderr line
-depend on k or w.  Every graph6 in a theorem report is a canonical
-labelling, so equal strings mean isomorphic graphs.
+reads its graphs and keeps the minor-free ones; the main process merges
+the parts of each order and, per alpha, screens and certifies its tie
+band once, so neither the reports nor the certified solves on the
+stderr line depend on k or w.  Every graph6 in a theorem report is a
+canonical labelling, so equal strings mean isomorphic graphs.
 
 Exit codes: 0 all requested checks passed, 1 a mathematical counterexample
 or check failure was found, 2 usage or resource errors, among them a
@@ -49,12 +50,11 @@ from . import lemmas
 from .enumeration import (
     MAX_GENERATED_ORDER,
     Family,
-    SearchPart,
     SearchReport,
     edge_density_profile,
     merge_reports,
     parent_level,
-    search_extremal_alphas,
+    search_part,
     stream_from_graph6_file,
 )
 from .graph6 import Graph6ParseError, iter_graph6_file, parse_graph6, write_graph6
@@ -383,34 +383,26 @@ def cmd_verify_theorem(args) -> int:
     if args.graphs is not None and args.n_from != args.n_to:
         raise _UsageError(f"a --graphs file holds one order; need --n-from = --n-to, "
                           f"got {args.n_from} and {args.n_to}")
-    if args.graphs is None and args.n_to > MAX_GENERATED_ORDER:
-        raise CapacityError(f"generation is limited to n <= {MAX_GENERATED_ORDER}; "
-                            f"pass --graphs for larger orders")
     ns = range(args.n_from, args.n_to + 1)
     workers = _worker_count()
-    parts = workers if args.shards is None else args.shards
-    if parts < 1:
-        raise _UsageError(f"--shards must be >= 1, got {parts}")
-    # part i of the top order's graphs or parents takes items i::parts;
-    # every input is read here, before any worker is forked
-    top = functools.partial(search_extremal_alphas, args.n_to, alphas, family)
+    shards = workers if args.shards is None else args.shards
+    if shards < 1:
+        raise _UsageError(f"--shards must be >= 1, got {shards}")
+    # part i of the top order's graphs or parents takes items i::parts, so
+    # more parts than items would be empty; every input is read here,
+    # before any worker is forked
     if args.graphs is None:
-        parents = parent_level(args.n_to, family)
-        split = [functools.partial(top, parents=parents[i::parts]) for i in range(parts)]
+        key, items = "parents", parent_level(args.n_to, family)
     else:
-        graphs = stream_from_graph6_file(args.graphs, args.n_to)
-        split = [functools.partial(top, graphs=graphs[i::parts]) for i in range(parts)]
-    local = [functools.partial(search_extremal_alphas, n, alphas, family) for n in ns[:-1]]
-    orders = [args.n_to] * parts + list(ns[:-1])  # the order of each unit
+        key, items = "graphs", stream_from_graph6_file(args.graphs, args.n_to)
+    parts = max(1, min(shards, len(items)))
+    split = [functools.partial(search_part, args.n_to, family, **{key: items[i::parts]})
+             for i in range(parts)]
+    local = [functools.partial(search_part, n, family) for n in ns[:-1]]
     results = _run_units(split, local, workers)
-
-    units: dict[int, list[list[SearchPart]]] = {n: [] for n in ns}
-    for n, (unit_parts, _) in zip(orders, results, strict=True):
-        units[n].append(unit_parts)
-    reports: list[SearchReport] = [
-        merge_reports([unit_parts[j] for unit_parts in units[n]], source=args.graphs)
-        for n in ns for j in range(len(alphas))
-    ]
+    reports = [r for n in ns
+               for r in merge_reports([p for p in results if p.n == n], alphas,
+                                      source=args.graphs)]
     _write_csv(args.csv, THEOREM_COLUMNS, [_report_row(r) for r in reports])
 
     failures = []
@@ -433,7 +425,7 @@ def cmd_verify_theorem(args) -> int:
             file=sys.stderr,
         )
     print(f"verify-theorem: {len(reports)} reports, {len(failures)} failures, "
-          f"{sum(searches for _, searches in results)} minor searches, "
+          f"{sum(p.searched for p in results)} minor searches, "
           f"{sum(r.certified for r in reports)} certified solves "
           f"in {time.perf_counter() - start:.2f}s", file=sys.stderr)
     return 1 if failures else 0
@@ -534,10 +526,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graphs", help="graph6 file stream instead of generation")
     p.add_argument("--shards", type=int,
                    help="split the graphs of a --graphs file, or the parents of the "
-                        "top generated order, into this many parts, the work units: "
-                        "part i takes every k-th item from the i-th on (default: one "
-                        "per worker, see ALPHAX_THREADS); the reports do not depend "
-                        "on it")
+                        "top generated order, into this many parts, the work units, "
+                        "but never more parts than items: part i takes every k-th "
+                        "item from the i-th on (default: one per worker, see "
+                        "ALPHAX_THREADS); the reports do not depend on it")
     p.add_argument("--require-from", type=int,
                    help="fail (exit 1) on mismatch at any n >= this value")
     p.add_argument("--csv", help="CSV output path (default stdout)")

@@ -37,11 +37,11 @@ and no child of another part.  A generated level has order n by
 construction; the file reader reads the whole file, checks the order of
 every graph against n, and that is the one order check.
 
-A part only builds or reads its graphs, keeps the minor-free ones and
-screens their alpha-indices, one batched call per alpha.  merge_reports
-joins the parts of one (n, alpha, family) and certifies the tie band
-once, over all of them, so the certified solves, like the report, do not
-depend on the split.
+A part (search_part) only builds or reads its graphs and keeps the
+minor-free ones; it makes no spectral call.  merge_reports joins the
+parts of one (n, family) and, per alpha, screens and certifies the tie
+band once, over all of them, so the screens and the certified solves,
+like the reports, do not depend on the split.
 
 A family's levels are hereditary.  Minor-free classes are closed under
 vertex deletion, and each child is its canonical parent plus the new
@@ -181,7 +181,9 @@ def _kept_children(parents: Sequence[Graph], family: Family | None
 
 def parent_level(n: int, family: Family | None) -> tuple[Graph, ...]:
     """The parents of the family's level n: its level n - 1, built once
-    and cached; level 1 has the graph on no vertices."""
+    and cached; level 1 has the graph on no vertices.  An order outside
+    1..MAX_GENERATED_ORDER is refused before anything is built."""
+    _check_order(n)
     return (make_empty(0),) if n == 1 else _generate_level(n - 1, family)
 
 
@@ -248,20 +250,16 @@ def _near_max(entries: Sequence[TieEntry]) -> tuple[TieEntry, ...]:
 
 @dataclass(frozen=True)
 class SearchPart:
-    """One (n, alpha, family) search over the graphs of order n or a part
-    of them, for merge_reports.  ``total_graphs`` counts the graphs the
-    part read, which for a generated part are its minor-free graphs.
-    ``free`` holds the minor-free graphs, and ``estimates`` and ``bounds``
-    their screen at alpha (see screen_alpha_indices), one entry per graph;
-    nothing in a part is certified."""
+    """The minor-free graphs of order n, or of a part of them, for
+    merge_reports.  ``searched`` counts the graphs whose minor verdict the
+    part searched: every graph of a file part, and every child built for a
+    generated part.  ``free`` holds the minor-free graphs; nothing in a
+    part is screened or certified."""
 
     n: int
-    alpha: float
-    family: str
-    total_graphs: int
+    family: Family
+    searched: int
     free: tuple[Graph, ...]
-    estimates: tuple[float, ...]
-    bounds: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -289,25 +287,24 @@ class SearchReport:
 def search_extremal(n: int, alpha: float, family: Family) -> SearchReport:
     """Filter level n to the minor-free family, maximize the alpha-index,
     and compare the argmax against the closed-form construction.  Other
-    graphs, or parts of a level, are searched by search_extremal_alphas
-    and merged by merge_reports."""
-    (part,), _ = search_extremal_alphas(n, (alpha,), family)
-    return merge_reports([part])
+    graphs, parts of a level, or several alphas are searched by
+    search_part and merged by merge_reports."""
+    return merge_reports([search_part(n, family)], (alpha,))[0]
 
 
-def _certified_near_top(free: Sequence[Graph], estimates: np.ndarray, bounds: np.ndarray,
-                        alpha: float) -> list[tuple[Graph, SpectralResult]]:
-    """The certified alpha-index of each graph of free that can lie within
-    TIE_TOL of their maximum, in the order of free, given the screen of
-    free at alpha.
+def _certified_near_top(free: Sequence[Graph], alpha: float
+                        ) -> list[tuple[Graph, SpectralResult]]:
+    """The certified alpha-index of each graph of free, which is not
+    empty, that can lie within TIE_TOL of their maximum, in the order of
+    free.
 
-    The graph with the largest estimate is certified, and its rho is at
-    most the maximum.  A graph whose index is below that rho - TIE_TOL -
-    DEFAULT_TOL cannot reach the tie band, since a certified rho lies at
-    most the bracket width DEFAULT_TOL above the index, and only the
-    others are certified."""
-    if not free:
-        return []
+    One batched screen_alpha_indices call estimates and bounds the index
+    of every graph.  The graph with the largest estimate is certified,
+    and its rho is at most the maximum.  A graph whose bound is below that
+    rho - TIE_TOL - DEFAULT_TOL cannot reach the tie band, since a
+    certified rho lies at most the bracket width DEFAULT_TOL above the
+    index, and only the others are certified."""
+    estimates, bounds = screen_alpha_indices(free, alpha)
     best = int(np.argmax(estimates))
     top = alpha_index(free[best], alpha)
     floor = top.rho - TIE_TOL - DEFAULT_TOL
@@ -321,14 +318,11 @@ def _certified_near_top(free: Sequence[Graph], estimates: np.ndarray, bounds: np
     return results
 
 
-def search_extremal_alphas(n: int, alphas: Sequence[float], family: Family,
-                           graphs: Sequence[Graph] | None = None,
-                           parents: Sequence[Graph] | None = None
-                           ) -> tuple[list[SearchPart], int]:
-    """One search part per alpha over the order-n graphs: ``graphs``, the
-    children of ``parents``, or the family's whole generated level n when
-    both are None; and the number of graphs whose minor verdict was
-    searched.
+def search_part(n: int, family: Family, graphs: Sequence[Graph] | None = None,
+                parents: Sequence[Graph] | None = None) -> SearchPart:
+    """The minor-free graphs of order n among ``graphs``, among the
+    children of ``parents``, or of the family's whole generated level n
+    when both are None.
 
     ``parents`` are graphs of the family's level n - 1, such as part i of
     k of parent_level(n, family), parents i, i + k, ...; their minor-free
@@ -336,112 +330,103 @@ def search_extremal_alphas(n: int, alphas: Sequence[float], family: Family,
     minor-free graphs, each searched at its new vertex when it was built;
     the children of parents that contain the pattern are never built, and
     every child of a minor-free parent counts as searched.  Each graph of
-    ``graphs`` is searched whole, once.  Per alpha, one batched
-    screen_alpha_indices call estimates and bounds the index of every
-    minor-free graph; nothing is certified or labelled canonically here,
-    so the searches sum to the same total however the graphs are split."""
-    for alpha in alphas:
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"theorem searches need 0 < alpha < 1, got {alpha}")
+    ``graphs`` is searched whole, once.  No spectral call is made here, so
+    the searches sum to the same total however the graphs are split."""
     if graphs is not None and parents is not None:
         raise ValueError("pass graphs or the parents of a generated part, not both")
-    if graphs is None:
-        _check_order(n)
-        if parents is None:
-            _generate_level(n, family)
-            graphs, searches = _LEVELS[family, n]
-        elif any(p.n != n - 1 for p in parents):
-            raise ValueError(f"the parents of order-{n} graphs have order {n - 1}")
-        else:
-            graphs, searches = _kept_children(parents, family)
-        free = graphs
+    if graphs is not None:
+        return SearchPart(n, family, len(graphs),
+                          tuple(g for g in graphs if is_minor_free(g, family)))
+    _check_order(n)
+    if parents is None:
+        _generate_level(n, family)
+        free, searched = _LEVELS[family, n]
+    elif any(p.n != n - 1 for p in parents):
+        raise ValueError(f"the parents of order-{n} graphs have order {n - 1}")
     else:
-        free = tuple(g for g in graphs if is_minor_free(g, family))
-        searches = len(graphs)
-    parts = []
-    for alpha in alphas:
-        estimates, bounds = screen_alpha_indices(free, alpha)
-        parts.append(SearchPart(n=n, alpha=alpha, family=str(family), total_graphs=len(graphs),
-                                free=free, estimates=tuple(estimates.tolist()),
-                                bounds=tuple(bounds.tolist())))
-    return parts, searches
+        free, searched = _kept_children(parents, family)
+    return SearchPart(n, family, searched, free)
 
 
-def merge_reports(parts: Sequence[SearchPart], source: str | None = None) -> SearchReport:
-    """The report of the search parts of one (n, alpha, family), read from
-    the graph6 file ``source``, or generated when it is None.
+def merge_reports(parts: Sequence[SearchPart], alphas: Sequence[float],
+                  source: str | None = None) -> list[SearchReport]:
+    """The reports of the search parts of one (n, family), one per alpha
+    in order, read from the graph6 file ``source``, or generated when it
+    is None.
 
     Minor-free counts are summed over all parts, and so are the graphs
     read from a file.  A generated level builds only its minor-free
     graphs, so its graph count is A000088[n], the number of graphs of
-    order n.  The tie band is certified here, once over the minor-free
-    graphs of all parts (see _certified_near_top), so it and its count
-    do not depend on the split; only the graphs within TIE_TOL of its
-    maximum get a canonical graph6, whose form is cached on the graph.
-    The argmax is the smallest canonical graph6 among the ties, whatever
-    their float order, so solver rounding cannot change it, and it
-    matches the construction when their canonical graph6 strings are
-    equal.  If no part holds a minor-free graph, ValueError is raised.
-    Parts of a generated level are taken to cover the whole level of order
-    n, so the report must pass the construction's sanity bound
-    (InvariantError otherwise): a minor-free construction is no more than
-    TIE_TOL above the maximum.  The construction is searched only when its
-    index is above that, so a report that passes searches it not at all."""
+    order n.  Per alpha, the tie band is screened and certified here, once
+    over the minor-free graphs of all parts (see _certified_near_top), so
+    it and its count do not depend on the split; only the graphs within
+    TIE_TOL of its maximum get a canonical graph6, whose form is cached on
+    the graph, and the construction gets one once per order.  The argmax
+    is the smallest canonical graph6 among the ties, whatever their float
+    order, so solver rounding cannot change it, and it matches the
+    construction when their canonical graph6 strings are equal.  If no
+    part holds a minor-free graph, ValueError is raised.  Parts of a
+    generated level are taken to cover the whole level of order n, so each
+    report must pass the construction's sanity bound (InvariantError
+    otherwise): a minor-free construction is no more than TIE_TOL above
+    the maximum.  The construction is searched only when its index is
+    above that, so a report that passes searches it not at all."""
     if not parts:
         raise ValueError("nothing to merge")
-    head = parts[0]
-    for p in parts[1:]:
-        if (p.n, p.alpha, p.family) != (head.n, head.alpha, head.family):
-            raise ValueError("cannot merge reports for different (n, alpha, family)")
+    n, family = parts[0].n, parts[0].family
+    if any((p.n, p.family) != (n, family) for p in parts):
+        raise ValueError("cannot merge parts of different (n, family)")
+    for alpha in alphas:
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"theorem searches need 0 < alpha < 1, got {alpha}")
     if source is None:
-        _check_order(head.n)
-        total = A000088[head.n]
+        _check_order(n)
+        total = A000088[n]
     else:
-        total = sum(p.total_graphs for p in parts)
+        total = sum(p.searched for p in parts)
     free = [g for p in parts for g in p.free]
-    results = _certified_near_top(free, np.array([e for p in parts for e in p.estimates]),
-                                  np.array([b for p in parts for b in p.bounds]), head.alpha)
-    if not results:
-        shards = f" in {len(parts)} shards" if len(parts) > 1 else ""
+    if not free:
         origin = "the generated level" if source is None else f"stream {source!r}"
-        raise ValueError(f"{origin} of order {head.n} holds no "
-                         f"{head.family}-minor-free graph ({total} graphs read{shards})")
-    top = max(r.rho for _, r in results)
-    # the candidates share _near_max's maximum and threshold
-    ties = _near_max([TieEntry(graph6=write_graph6(canonical_graph(g)), rho=r.rho,
-                               residual=r.residual)
-                      for g, r in results if r.rho >= top - TIE_TOL])
-    family = Family.parse(head.family)
-    argmax = ties[0]
+        raise ValueError(f"{origin} of order {n} holds no "
+                         f"{family}-minor-free graph ({total} graphs read)")
     try:
-        construction = family.construction(head.n)
+        construction = family.construction(n)
     except ValueError:  # no construction below order param + 1
         construction = None
     construction_g6 = None if construction is None else write_graph6(canonical_graph(construction))
-    report = SearchReport(
-        n=head.n,
-        alpha=head.alpha,
-        family=head.family,
-        total_graphs=total,
-        minor_free_count=len(free),
-        max_rho=top,
-        construction_graph6=construction_g6,
-        argmax_graph6=argmax.graph6,
-        argmax_residual=argmax.residual,
-        ties=ties,
-        matches_construction=construction_g6 == argmax.graph6,
-        unique=len(ties) == 1,
-        certified=len(results),
-    )
-    # sanity check: a whole generated level holds the construction, which,
-    # when itself minor-free, can never beat the exhaustive maximum
-    if source is None and construction is not None:
-        construction_rho = alpha_index(construction, head.alpha).rho
-        if not report.max_rho >= construction_rho - TIE_TOL and is_minor_free(construction, family):
-            raise InvariantError(
-                f"exhaustive maximum {report.max_rho!r} at n={head.n}, alpha={head.alpha} is "
-                f"below the index {construction_rho!r} of the minor-free {family} construction")
-    return report
+    reports = []
+    for alpha in alphas:
+        results = _certified_near_top(free, alpha)
+        top = max(r.rho for _, r in results)
+        # the candidates share _near_max's maximum and threshold
+        ties = _near_max([TieEntry(graph6=write_graph6(canonical_graph(g)), rho=r.rho,
+                                   residual=r.residual)
+                          for g, r in results if r.rho >= top - TIE_TOL])
+        argmax = ties[0]
+        reports.append(SearchReport(
+            n=n,
+            alpha=alpha,
+            family=str(family),
+            total_graphs=total,
+            minor_free_count=len(free),
+            max_rho=top,
+            construction_graph6=construction_g6,
+            argmax_graph6=argmax.graph6,
+            argmax_residual=argmax.residual,
+            ties=ties,
+            matches_construction=construction_g6 == argmax.graph6,
+            unique=len(ties) == 1,
+            certified=len(results),
+        ))
+        # sanity check: a whole generated level holds the construction,
+        # which, when itself minor-free, can never beat the exhaustive maximum
+        if source is None and construction is not None:
+            construction_rho = alpha_index(construction, alpha).rho
+            if not top >= construction_rho - TIE_TOL and is_minor_free(construction, family):
+                raise InvariantError(
+                    f"exhaustive maximum {top!r} at n={n}, alpha={alpha} is below "
+                    f"the index {construction_rho!r} of the minor-free {family} construction")
+    return reports
 
 
 def edge_density_profile(n: int, family: Family) -> int:

@@ -288,39 +288,49 @@ def _level_file(tmp_path, n) -> str:
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_certified_solves_do_not_depend_on_the_split(capsys, tmp_path, monkeypatch, threads):
-    # each tie band is certified once, after the merge, over the graphs of
-    # every part; the counts are those of one part
+    # each tie band is screened and certified once, after the merge, in the
+    # main process, over the graphs of every part; the counts are those of
+    # one part
     monkeypatch.setenv("ALPHAX_THREADS", threads)
+    screens = []
+    screen = enumeration.screen_alpha_indices
+    monkeypatch.setattr(enumeration, "screen_alpha_indices",
+                        lambda graphs, alpha: screens.append(alpha) or screen(graphs, alpha))
     for shards in ("1", "3", "4"):
+        screens.clear()
         assert _certified_solves(capsys, "--family", "fs(2)", "--n-from", "3", "--n-to", "8",
                                  "--shards", shards) == 31
+        assert len(screens) == 6 * 5  # one screen per (n, alpha)
     path = _level_file(tmp_path, 6)
     for shards in ("1", "2", "3"):
+        screens.clear()
         assert _certified_solves(capsys, "--family", "qt(1)", "--n-from", "6", "--n-to", "6",
                                  "--alpha", "0.1,0.5,0.9", "--graphs", path,
                                  "--shards", shards) == 3
+        assert screens == [0.1, 0.5, 0.9]
 
 
 def test_a_unit_makes_no_certified_solve(capsys, tmp_path, monkeypatch):
-    # every alpha_index solve of a run is the merge's: units that cannot
-    # solve give the same reports
+    # every alpha_index solve and every screen of a run is the merge's:
+    # units that can do neither give the same reports
     monkeypatch.setenv("ALPHAX_THREADS", "1")
     runs = [[*THEOREM_GEN, "--shards", "2"],
             ["verify-theorem", "--family", "qt(1)", "--n-from", "6", "--n-to", "6",
              "--graphs", _level_file(tmp_path, 6), "--shards", "2"]]
     expected = [run(capsys, *argv) for argv in runs]
-    search = cli.search_extremal_alphas
+    search = cli.search_part
 
     def refuse(*args):
         raise AssertionError(f"a unit solved {args}")
 
     def unit(*args, **kwargs):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(enumeration, "alpha_index", refuse)
-            patch.setattr(spectral, "alpha_index", refuse)
+            for module in (enumeration, spectral):
+                patch.setattr(module, "alpha_index", refuse)
+                patch.setattr(module, "screen_alpha_indices", refuse)
             return search(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "search_extremal_alphas", unit)
+    monkeypatch.setattr(cli, "search_part", unit)
     assert [run(capsys, *argv) for argv in runs] == expected
 
 
@@ -386,12 +396,12 @@ def test_verify_theorem_exits_when_a_pool_process_dies(tmp_path):
         "import os, sys\n"
         "from alphax import cli\n"
         "main_pid = os.getpid()\n"
-        "search = cli.search_extremal_alphas\n"
+        "search = cli.search_part\n"
         "def dying(*args, **kwargs):\n"
         "    if os.getpid() != main_pid:\n"
         "        os._exit(9)\n"
         "    return search(*args, **kwargs)\n"
-        "cli.search_extremal_alphas = dying\n"
+        "cli.search_part = dying\n"
         "sys.exit(cli.main(['verify-theorem', '--family', 'fs(1)', '--n-from', '4',\n"
         "                   '--n-to', '7', '--alpha', '0.5', '--shards', '4']))\n")
     assert proc.returncode == 2 and proc.stdout == ""
@@ -410,7 +420,7 @@ def test_verify_theorem_leaves_no_worker_running_when_the_main_process_fails(tmp
         "    if os.getpid() != main_pid:\n"
         "        time.sleep(60)\n"
         "    raise ValueError('part 0 failed')\n"
-        "cli.search_extremal_alphas = failing\n"
+        "cli.search_part = failing\n"
         "start = time.monotonic()\n"
         "code = cli.main(['verify-theorem', '--family', 'fs(1)', '--n-from', '5',\n"
         "                 '--n-to', '5', '--alpha', '0.5', '--shards', '2'])\n"
@@ -430,9 +440,9 @@ def test_a_generated_unit_builds_only_the_children_of_its_parents(capsys, monkey
     # in a process that holds no level, each builds the children of its own
     # parents and no level
     monkeypatch.setenv("ALPHAX_THREADS", "1")
-    search = cli.search_extremal_alphas
+    search = cli.search_part
     calls = []
-    monkeypatch.setattr(cli, "search_extremal_alphas",
+    monkeypatch.setattr(cli, "search_part",
                         lambda *args, **kwargs: calls.append((args, kwargs)) or
                         search(*args, **kwargs))
     assert main([*THEOREM_GEN, "--shards", "2"]) == 0
@@ -545,14 +555,14 @@ def test_verify_theorem_pool_reports_a_worker_error_as_usage_error(capsys, tmp_p
     # with 2 workers the forked child searches part 1 of 2 of the file and
     # fails; its error comes back pickled through the pipe
     main_pid = os.getpid()
-    search = cli.search_extremal_alphas
+    search = cli.search_part
 
     def failing(*args, **kwargs):
         if os.getpid() != main_pid:
             raise SearchLimitError(500)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "search_extremal_alphas", failing)
+    monkeypatch.setattr(cli, "search_part", failing)
     monkeypatch.setenv("ALPHAX_THREADS", "2")
     path = tmp_path / "five.g6"
     path.write_text("D?{\nDhC\nD~{\n")
@@ -582,14 +592,14 @@ def _local_error(message):
 def test_verify_theorem_pool_reports_a_worker_error_pickle_cannot_carry(capsys, monkeypatch,
                                                                         make, message):
     main_pid = os.getpid()
-    search = cli.search_extremal_alphas
+    search = cli.search_part
 
     def failing(*args, **kwargs):
         if os.getpid() != main_pid:
             raise make("no parents")
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "search_extremal_alphas", failing)
+    monkeypatch.setattr(cli, "search_part", failing)
     monkeypatch.setenv("ALPHAX_THREADS", "2")
     code = main(["verify-theorem", "--family", "fs(1)", "--n-from", "4", "--n-to", "6",
                  "--alpha", "0.5", "--shards", "2"])
@@ -630,7 +640,25 @@ def test_verify_theorem_empty_file_holds_no_minor_free_graph(capsys, tmp_path, m
                  "--alpha", "0.5", "--graphs", str(path), "--shards", "2"])
     err = capsys.readouterr().err
     assert code == 2
-    assert "empty.g6" in err and "fs(1)-minor-free graph (0 graphs read in 2 shards)" in err
+    assert "empty.g6" in err and "fs(1)-minor-free graph (0 graphs read)" in err
+
+
+def test_never_more_parts_than_items(capsys, tmp_path, monkeypatch):
+    # a file of 3 graphs makes 3 units, and the 2 fs(1)-free graphs of
+    # order 2, the parents of order 3, make 2, however many are asked for
+    monkeypatch.setenv("ALPHAX_THREADS", "1")
+    run_units = cli._run_units
+    splits = []
+    monkeypatch.setattr(cli, "_run_units", lambda split, local, workers:
+                        splits.append(len(split)) or run_units(split, local, workers))
+    path = tmp_path / "five.g6"
+    path.write_text("D?{\nDhC\nD~{\n")
+    for argv, units in ((["--n-from", "5", "--n-to", "5", "--graphs", str(path)], 3),
+                        (["--n-from", "2", "--n-to", "3"], 2)):
+        outs = [run(capsys, "verify-theorem", "--family", "fs(1)", "--alpha", "0.5", *argv,
+                        "--shards", shards) for shards in ("1", "1000")]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+        assert splits[-2:] == [1, units]
 
 
 @pytest.mark.parametrize("argv, env, message", [
@@ -654,7 +682,7 @@ def test_malformed_input_names_its_option(capsys, monkeypatch, argv, env, messag
     def no_work(*args):
         raise AssertionError(f"work {args} started")
 
-    monkeypatch.setattr(cli, "search_extremal_alphas", no_work)
+    monkeypatch.setattr(cli, "search_part", no_work)
     monkeypatch.setattr(enumeration, "_generate_level", no_work)
     if env is None:
         monkeypatch.delenv("ALPHAX_THREADS", raising=False)
@@ -677,7 +705,7 @@ def test_verify_theorem_rejects_bad_ranges_before_any_work(capsys, monkeypatch, 
         raise AssertionError(f"work {args} started")
 
     monkeypatch.setenv("ALPHAX_THREADS", "1")
-    monkeypatch.setattr(cli, "search_extremal_alphas", no_work)
+    monkeypatch.setattr(cli, "search_part", no_work)
     monkeypatch.setattr(cli, "stream_from_graph6_file", no_work)
     monkeypatch.setattr(enumeration, "_generate_level", no_work)
     code = main(["verify-theorem", "--family", "fs(1)", "--alpha", "0.5", *bad])

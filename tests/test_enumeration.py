@@ -26,13 +26,14 @@ from alphax import (
     parse_graph6,
     quadrangle_book,
     search_extremal,
+    search_part,
     stream_from_graph6_file,
     validate_model,
     write_graph6,
 )
 from alphax import canonical, enumeration
 from alphax.canonical import are_isomorphic, canonical_data, refinement_ranks
-from alphax.enumeration import TieEntry, search_extremal_alphas
+from alphax.enumeration import TieEntry
 from alphax.spectral import TIE_TOL
 from alphax.graphs import bits, friendship, twin_masks
 from test_minors import _is_forest, _is_triangle_cactus
@@ -227,8 +228,7 @@ def test_search_stable_under_stream_permutation():
     graphs = list(enumerate_graphs(6))
     for _ in range(3):
         rng.shuffle(graphs)
-        (part,), _ = search_extremal_alphas(6, (0.3,), fam, graphs)
-        assert merge_reports([part]) == ref
+        assert merge_reports([search_part(6, fam, graphs)], (0.3,)) == [ref]
 
 
 def test_search_matches_closed_form_when_construction_wins():
@@ -245,10 +245,9 @@ def test_argmax_among_ties_ignores_float_order(monkeypatch):
     original = enumeration.alpha_index
     monkeypatch.setattr(enumeration, "alpha_index", lambda g, alpha: dataclasses.replace(
         original(g, alpha), rho=planted[write_graph6(canonical_graph(g))]))
-    parts = [search_extremal_alphas(5, (0.5,), Family("fs", 2), (parse_graph6(g6),))[0][0]
-             for g6 in planted]
+    parts = [search_part(5, Family("fs", 2), (parse_graph6(g6),)) for g6 in planted]
     for ordered in (parts, parts[::-1]):
-        r = merge_reports(ordered)
+        (r,) = merge_reports(ordered, (0.5,))
         assert r.argmax_graph6 == "D}o" and r.matches_construction and not r.unique
         assert r.max_rho == 3.1861406616346
         assert [(t.graph6, t.rho) for t in r.ties] == sorted(planted.items())
@@ -296,44 +295,45 @@ def test_only_tie_candidates_are_labelled_canonically(tmp_path, monkeypatch):
         return original(g)
 
     monkeypatch.setattr(canonical, "canonical_data", counted)
-    parts, _ = search_extremal_alphas(9, (0.1, 0.5, 0.9), Family("fs", 1),
-                                      stream_from_graph6_file(str(path), 9))
-    assert all(len(p.free) == 60 for p in parts)
+    part = search_part(9, Family("fs", 1), stream_from_graph6_file(str(path), 9))
+    assert len(part.free) == 60
     assert calls == []  # a part labels nothing
-    reports = [merge_reports([p], source=str(path)) for p in parts]
-    # the merge labels the construction once per report, and of the file's
-    # graphs only the ties
-    read = {id(g) for g in parts[0].free}
+    reports = merge_reports([part], (0.1, 0.5, 0.9), source=str(path))
+    # the merge labels the construction once for all three reports, and of
+    # the file's graphs only the ties
+    read = {id(g) for g in part.free}
     labelled = [g for g in calls if id(g) in read]
     assert 0 < len(labelled) <= len({t.graph6 for r in reports for t in r.ties})
+    assert len(calls) - len(labelled) == 1
 
 
 def test_search_below_construction_raises():
     # graphs that claim to be the generated level but miss the construction
-    parts, _ = search_extremal_alphas(4, (0.5,), Family("fs", 1), (make_path(4),))
+    parts = [search_part(4, Family("fs", 1), (make_path(4),))]
     with pytest.raises(InvariantError):
-        merge_reports(parts)
+        merge_reports(parts, (0.5,))
     # a file claims no completeness, whatever its name
-    assert not merge_reports(parts, source="generated").matches_construction
+    assert not merge_reports(parts, (0.5,), source="generated")[0].matches_construction
 
 
-def _parts(n, alpha, fam, count):
-    return [search_extremal_alphas(n, (alpha,), fam, _level_part(n, i, count))[0][0]
-            for i in range(count)]
+def _parts(n, fam, count):
+    return [search_part(n, fam, _level_part(n, i, count)) for i in range(count)]
 
 
 def test_merge_matches_unsharded():
     fam = Family("qt", 1)
-    direct = search_extremal(6, 0.5, fam)
-    parts = _parts(6, 0.5, fam, 3)
-    assert merge_reports(parts) == direct
+    direct = [search_extremal(6, 0.5, fam)]
+    parts = _parts(6, fam, 3)
+    assert merge_reports(parts, (0.5,)) == direct
     # the report does not depend on the order of the parts
-    assert merge_reports(parts[::-1]) == direct
-    assert merge_reports([parts[1], parts[2], parts[0]]) == direct
+    assert merge_reports(parts[::-1], (0.5,)) == direct
+    assert merge_reports([parts[1], parts[2], parts[0]], (0.5,)) == direct
     with pytest.raises(ValueError):
-        merge_reports([])
+        merge_reports([], (0.5,))
     with pytest.raises(ValueError):
-        merge_reports([parts[0], _parts(5, 0.5, fam, 1)[0]])
+        merge_reports([parts[0], _parts(5, fam, 1)[0]], (0.5,))
+    with pytest.raises(ValueError):
+        merge_reports([parts[0], _parts(6, Family("fs", 1), 1)[0]], (0.5,))
 
 
 def test_merge_skips_shard_without_minor_free_graph():
@@ -342,16 +342,15 @@ def test_merge_skips_shard_without_minor_free_graph():
     assert len(_level_part(4, 3, 4)) == 4
     assert not any(is_minor_free(g, fam) for g in _level_part(4, 3, 4))
     direct = search_extremal(4, 0.5, fam)
-    parts = _parts(4, 0.5, fam, 4)
+    parts = _parts(4, fam, 4)
     empty = parts[3]
-    assert empty.total_graphs == 4
-    assert empty.free == empty.estimates == empty.bounds == ()
-    merged = merge_reports(parts)
-    assert merged == direct
+    assert empty.searched == 4
+    assert empty.free == ()
+    assert merge_reports(parts, (0.5,)) == [direct]
     with pytest.raises(ValueError, match=r"fs\(1\)"):
-        merge_reports([empty, empty])
-    with pytest.raises(ValueError, match=r"'hosts\.g6' of order 4 .*\(8 graphs read in 2 shards"):
-        merge_reports([empty, empty], source="hosts.g6")
+        merge_reports([empty, empty], (0.5,))
+    with pytest.raises(ValueError, match=r"'hosts\.g6' of order 4 .*\(8 graphs read\)$"):
+        merge_reports([empty, empty], (0.5,), source="hosts.g6")
 
 
 def test_merge_of_generated_parts_checks_the_construction_bound():
@@ -359,28 +358,29 @@ def test_merge_of_generated_parts_checks_the_construction_bound():
     # part but the one that holds it loses the maximum
     fam = Family("fs", 1)
     star = canonical_form(fam.construction(6))
-    parts = _parts(6, 0.5, fam, 3)
+    parts = _parts(6, fam, 3)
     holders = [i for i in range(3)
                if any(canonical_form(g) == star for g in _level_part(6, i, 3))]
     assert holders == [0]
     rest = parts[1:]
     assert all(p.free for p in rest)
     with pytest.raises(InvariantError, match="construction"):
-        merge_reports(rest)
+        merge_reports(rest, (0.5,))
     # a file stream makes no claim to be complete
-    assert merge_reports(rest, source="hosts.g6").max_rho < merge_reports(parts).max_rho
+    (partial,) = merge_reports(rest, (0.5,), source="hosts.g6")
+    assert partial.max_rho < merge_reports(parts, (0.5,))[0].max_rho
 
 
 def test_merge_searches_the_construction_only_when_its_bound_fails(monkeypatch):
     # a complete level holds the construction, whose index is at most its
     # maximum, so a passing merge never searches the construction
     fam = Family("fs", 1)
-    parts = _parts(6, 0.5, fam, 3)
+    parts = _parts(6, fam, 3)
     calls = []
     free = enumeration.is_minor_free
     monkeypatch.setattr(enumeration, "is_minor_free",
                         lambda g, family, anchor=None: calls.append(g) or free(g, family, anchor))
-    report = merge_reports(parts)
+    (report,) = merge_reports(parts, (0.5,))
     assert calls == []
     # a construction whose index is above the maximum is searched, and
     # one that contains the pattern bounds nothing; the level's own copy
@@ -391,20 +391,19 @@ def test_merge_searches_the_construction_only_when_its_bound_fails(monkeypatch):
                         lambda g, alpha: alpha_index(g, alpha) if id(g) in level else planted)
     monkeypatch.setattr(enumeration, "is_minor_free",
                         lambda g, family, anchor=None: calls.append(g) or False)
-    assert merge_reports(parts) == report
+    assert merge_reports(parts, (0.5,)) == [report]
     assert calls == [fam.construction(6)]
 
 
 def test_search_extremal_alphas_matches_one_alpha_at_a_time():
     fam = Family("qt", 1)
     alphas = (0.1, 0.5, 0.9)
-    parts, searches = search_extremal_alphas(6, alphas, fam)
+    part = search_part(6, fam)
     # the 45 children of the 17 qt(1)-free graphs of order 5, of 156 graphs
-    assert searches == 45
-    for alpha, part in zip(alphas, parts):
-        assert merge_reports([part]) == search_extremal(6, alpha, fam)
+    assert part.searched == 45
+    assert merge_reports([part], alphas) == [search_extremal(6, alpha, fam) for alpha in alphas]
     with pytest.raises(ValueError):
-        search_extremal_alphas(6, (0.5, 1.0), fam)
+        merge_reports([part], (0.5, 1.0))
 
 
 def test_is_minor_free_matches_the_closure_oracle():
@@ -510,19 +509,19 @@ def test_screened_search_matches_certifying_every_graph(family):
     certified = 0
     for n in range(1, 8):
         graphs = enumerate_graphs(n)
-        parts, searches = search_extremal_alphas(n, alphas, fam)
+        part = search_part(n, fam)
         # a file stream of the same graphs gets the screen, and each of its
         # graphs is searched
-        stream_parts, stream_searches = search_extremal_alphas(n, alphas, fam, list(graphs))
-        assert stream_searches == len(graphs) >= searches
-        for alpha, part, stream_part in zip(alphas, parts, stream_parts, strict=True):
+        stream_part = search_part(n, fam, list(graphs))
+        assert stream_part.searched == len(graphs) >= part.searched
+        reports = merge_reports([part], alphas)
+        stream_reports = merge_reports([stream_part], alphas, source="level.g6")
+        for alpha, report, stream_report in zip(alphas, reports, stream_reports, strict=True):
             free, ties = _unscreened_ties(alpha, fam, graphs)
-            # a generated part reads only the minor-free graphs
-            assert part.total_graphs == len(part.free) == free
-            assert stream_part.total_graphs == len(graphs)
-            report = merge_reports([part])
-            stream_report = merge_reports([stream_part], source="level.g6")
+            # a generated part builds only the minor-free graphs
+            assert len(part.free) == len(stream_part.free) == free
             for r in (report, stream_report):
+                assert r.total_graphs == len(graphs)
                 assert r.ties == ties and r.minor_free_count == free
                 assert r.max_rho == max(t.rho for t in ties)
                 assert r.certified >= len(ties)
@@ -537,9 +536,9 @@ def test_generated_shards_inherit_the_level_verdicts(monkeypatch):
     # i, i + k, ... of the level below, and is built from them alone
     fam = Family("fs", 2)
     alphas = (0.3, 0.7)
-    whole, searches = search_extremal_alphas(7, alphas, fam)
+    whole = search_part(7, fam)
     # the children of the 83 fs(2)-free graphs of level 6 are searched
-    assert searches == 289
+    assert whole.searched == 289
     parents = enumeration.parent_level(7, fam)
     assert parents == enumerate_graphs(6, family=fam) and len(parents) == 83
     # each graph of the level is its parent plus the last vertex
@@ -548,20 +547,17 @@ def test_generated_shards_inherit_the_level_verdicts(monkeypatch):
     monkeypatch.setattr(enumeration, "_LEVELS", {
         key: v for key, v in enumeration._LEVELS.items() if key != (fam, 7)})
     for count in (2, 3, 4):
-        results = [search_extremal_alphas(7, alphas, fam, parents=parents[i::count])
-                   for i in range(count)]
-        for j in range(len(alphas)):
-            assert (merge_reports([parts[j] for parts, _ in results])
-                    == merge_reports([whole[j]]))
-        assert sum(part_searches for _, part_searches in results) == searches
-        assert [len(parts[0].free) for parts, _ in results] == [
+        results = [search_part(7, fam, parents=parents[i::count]) for i in range(count)]
+        assert merge_reports(results, alphas) == merge_reports([whole], alphas)
+        assert sum(p.searched for p in results) == whole.searched
+        assert [len(p.free) for p in results] == [
             sum(k % count == i for k in owners) for i in range(count)]
     assert (fam, 7) not in enumeration._LEVELS
     with pytest.raises(ValueError):
-        search_extremal_alphas(7, alphas, fam, enumerate_graphs(7), parents=parents)
+        search_part(7, fam, enumerate_graphs(7), parents=parents)
     with pytest.raises(ValueError, match="order 6"):
-        search_extremal_alphas(7, alphas, fam, parents=enumerate_graphs(5, family=fam))
+        search_part(7, fam, parents=enumerate_graphs(5, family=fam))
     # parents past the generation cap are refused before any child is built
     monkeypatch.setattr(enumeration, "_brood", lambda parent: pytest.fail("child built"))
     with pytest.raises(CapacityError):
-        search_extremal_alphas(10, alphas, fam, parents=[Graph.from_rows(9, [0] * 9)])
+        search_part(10, fam, parents=[Graph.from_rows(9, [0] * 9)])

@@ -49,8 +49,8 @@ def _without_construction(original):
         construction = canonical_form(family.construction(n))
         rest = tuple(g for g in enumeration.enumerate_graphs(n)
                      if canonical_form(g) != construction)
-        (part,), _ = enumeration.search_extremal_alphas(n, (alpha,), family, rest)
-        return enumeration.merge_reports([part], source="rest")
+        part = enumeration.search_part(n, family, rest)
+        return enumeration.merge_reports([part], (alpha,), source="rest")[0]
     return search
 
 
