@@ -14,7 +14,6 @@ from .enumeration import (
     Family,
     SearchPart,
     SearchReport,
-    edge_density_profile,
     enumerate_graphs,
     is_minor_free,
     merge_reports,

@@ -13,19 +13,18 @@ every level under it.  k is --shards, but never more than the items, nor
 less than 1.  Each unit is a plain call of search_part on its own graphs
 or parents; a generated unit builds only the minor-free children of its
 parents, nothing below them.
-The orders --n-from to --n-to - 1 are searched whole, as units of the
-main process.  Of w workers (ALPHAX_THREADS, by default the CPUs this
-process may run on), the main process forks p = min(w - 1, k - 1)
-children once every input is read; child j runs units 1 + j,
-1 + j + p, ... on the inputs it inherited and pickles its results back
-through a pipe.  The main process is the last worker: it runs unit 0 and
-the lower orders, then reads each child's results and reaps it.  Where
-os.fork is missing, one process runs every unit.  A unit only builds or
-reads its graphs and keeps the minor-free ones; the main process merges
-the parts of each order and, per alpha, screens and certifies its tie
-band once, so neither the reports nor the certified solves on the
-stderr line depend on k or w.  Every graph6 in a theorem report is a
-canonical labelling, so equal strings mean isomorphic graphs.
+Of w workers (ALPHAX_THREADS, by default the CPUs this process may run
+on), q = min(w, k) processes run the units, one where os.fork is
+missing: once every input is read, the main process, process 0, forks
+processes 1 to q - 1, and process j runs units j, j + q, j + 2q, ... on
+the inputs it inherited; a child pickles its results back through a
+pipe.  The orders --n-from to --n-to - 1 are no units: the main process
+then reads each whole from the levels it built under the top order.  A
+unit only builds or reads its graphs and keeps the minor-free ones; the
+main process merges the parts of each order and, per alpha, screens and
+certifies its tie band once, so neither the reports nor the certified
+solves on the stderr line depend on k or w.  Every graph6 in a theorem
+report is a canonical labelling, so equal strings mean isomorphic graphs.
 
 Exit codes: 0 all requested checks passed, 1 a mathematical counterexample
 or check failure was found, 2 usage or resource errors, among them a
@@ -51,7 +50,7 @@ from .enumeration import (
     MAX_GENERATED_ORDER,
     Family,
     SearchReport,
-    edge_density_profile,
+    enumerate_graphs,
     merge_reports,
     parent_level,
     search_part,
@@ -212,6 +211,8 @@ def _minor_pattern(args) -> tuple[str, Graph]:
 
 
 def cmd_minor_check(args) -> int:
+    if args.node_cap < 1:
+        raise _UsageError(f"--node-cap must be >= 1, got {args.node_cap}")
     graphs = _load_graphs(args)
     label, pattern = _minor_pattern(args)
     header = ["graph6", "n", "minor", "contains", "nodes_explored"]
@@ -291,40 +292,38 @@ def _child_results(pid: int, status: int, data: bytes) -> list:
     return value
 
 
-def _run_units(split: list, local: list, workers: int) -> list:
-    """The results of the units split + local, zero-argument calls, in
-    order.
+def _run_units(units: list, workers: int) -> list:
+    """The results of units, zero-argument calls, in order.
 
-    Serial when workers is 1, when split has fewer than 2 units, or where
-    os.fork is missing.  Otherwise this process forks p = min(workers - 1,
-    len(split) - 1) children before it calls any unit; child j calls split
-    units 1 + j, 1 + j + p, ..., which it inherited with their inputs, so
+    q = min(workers, len(units)) processes run them, one where os.fork
+    is missing.  This process is process 0: it forks processes 1 to
+    q - 1 before it calls any unit, and process j calls units j, j + q,
+    j + 2q, ...  A child inherited its units with their inputs, so
     nothing is pickled on the way in, and sends its results back through
-    a pipe.  This process runs split unit 0 and then the local units,
-    reads each pipe to EOF and reaps each child.  A child
-    that raised has its error raised here; one that died, or exited before
-    it sent its results, is a ChildProcessError.  If this process raises,
-    every child still running is killed and reaped."""
-    if workers == 1 or len(split) < 2 or not hasattr(os, "fork"):
-        return [unit() for unit in split + local]
+    a pipe; result i is the (i // q)-th of process i % q.  This process
+    calls its own units, then reads each pipe to EOF and reaps each
+    child.  A child that raised has its error raised here; one that died,
+    or exited before it sent its results, is a ChildProcessError.  If
+    this process raises, every child still running is killed and
+    reaped."""
+    q = min(workers, len(units)) if hasattr(os, "fork") else 1
+    if q <= 1:
+        return [unit() for unit in units]
     import signal  # only a pooled run pays the import
-    p = min(workers - 1, len(split) - 1)
     pids: list[int] = []  # the children not yet reaped, in order
     reads: list[int] = []  # the read end of each child's pipe
     try:
-        for j in range(p):
+        for j in range(1, q):
             r, w = os.pipe()
             reads.append(r)
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _run_child(split[1 + j::p], w, reads)
+                    _run_child(units[j::q], w, reads)
             finally:
                 os.close(w)
             pids.append(pid)
-        first = split[0]()
-        lower = [unit() for unit in local]
-        shares = []
+        shares = [[unit() for unit in units[::q]]]
         for r in reads:
             with open(r, "rb", closefd=False) as pipe:
                 data = pipe.read()
@@ -336,8 +335,7 @@ def _run_units(split: list, local: list, workers: int) -> list:
             os.waitpid(pid, 0)
         for r in reads:
             os.close(r)
-    # split unit i >= 1 ran in child (i - 1) % p, as its ((i - 1) // p)-th unit
-    return [first] + [shares[(i - 1) % p][(i - 1) // p] for i in range(1, len(split))] + lower
+    return [shares[i % q][i // q] for i in range(len(units))]
 
 
 def _report_row(r: SearchReport) -> list[str]:
@@ -383,7 +381,6 @@ def cmd_verify_theorem(args) -> int:
     if args.graphs is not None and args.n_from != args.n_to:
         raise _UsageError(f"a --graphs file holds one order; need --n-from = --n-to, "
                           f"got {args.n_from} and {args.n_to}")
-    ns = range(args.n_from, args.n_to + 1)
     workers = _worker_count()
     shards = workers if args.shards is None else args.shards
     if shards < 1:
@@ -396,13 +393,12 @@ def cmd_verify_theorem(args) -> int:
     else:
         key, items = "graphs", stream_from_graph6_file(args.graphs, args.n_to)
     parts = max(1, min(shards, len(items)))
-    split = [functools.partial(search_part, args.n_to, family, **{key: items[i::parts]})
-             for i in range(parts)]
-    local = [functools.partial(search_part, n, family) for n in ns[:-1]]
-    results = _run_units(split, local, workers)
-    reports = [r for n in ns
-               for r in merge_reports([p for p in results if p.n == n], alphas,
-                                      source=args.graphs)]
+    top = _run_units([functools.partial(search_part, args.n_to, family, **{key: items[i::parts]})
+                      for i in range(parts)], workers)
+    # the lower orders are cache reads of the levels parent_level built
+    levels = [[search_part(n, family)] for n in range(args.n_from, args.n_to)] + [top]
+    reports = [r for level in levels
+               for r in merge_reports(level, alphas, source=args.graphs)]
     _write_csv(args.csv, THEOREM_COLUMNS, [_report_row(r) for r in reports])
 
     failures = []
@@ -425,7 +421,7 @@ def cmd_verify_theorem(args) -> int:
             file=sys.stderr,
         )
     print(f"verify-theorem: {len(reports)} reports, {len(failures)} failures, "
-          f"{sum(p.searched for p in results)} minor searches, "
+          f"{sum(p.searched for level in levels for p in level)} minor searches, "
           f"{sum(r.certified for r in reports)} certified solves "
           f"in {time.perf_counter() - start:.2f}s", file=sys.stderr)
     return 1 if failures else 0
@@ -468,7 +464,8 @@ def cmd_verify_lemmas(args) -> int:
         print(f"  {dt:.1f}s", file=sys.stderr)
     for fam in (Family("fs", 1), Family("qt", 1)):
         if args.max_n >= 2:  # the profile starts at n = 2
-            budget = ", ".join(f"n={n}:{edge_density_profile(n, fam)}"
+            # the edge count of the densest minor-free graph of each order
+            budget = ", ".join(f"n={n}:{max(g.edge_count() for g in enumerate_graphs(n, fam))}"
                                for n in range(2, args.max_n + 1))
             print(f"density {fam}: max edges {budget}")
     if args.json:

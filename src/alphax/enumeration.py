@@ -235,16 +235,17 @@ class TieEntry:
     residual: float
 
 
-def _near_max(entries: Sequence[TieEntry]) -> tuple[TieEntry, ...]:
-    """The entries within TIE_TOL of their maximum, sorted by graph6, one
-    per graph6: of isomorphic copies, such as a graph6 file may hold, the
-    one with the largest rho and then the smallest residual, whatever
-    their order."""
-    if not entries:
-        return ()
-    top = max(e.rho for e in entries)
-    best = {e.graph6: e for e in sorted(entries, key=lambda e: (e.rho, -e.residual))
-            if e.rho >= top - TIE_TOL}
+def _near_max(results: Sequence[tuple[Graph, SpectralResult]]) -> tuple[TieEntry, ...]:
+    """The tie band of results, certified (graph, alpha-index) pairs: a
+    canonically labelled entry for each graph within TIE_TOL of their
+    maximum, and no canonical labelling of any other graph.  The entries
+    are sorted by graph6, one per graph6: of isomorphic copies, such as a
+    graph6 file may hold, the one with the largest rho and then the
+    smallest residual, whatever their order."""
+    top = max(r.rho for _, r in results)
+    band = [TieEntry(write_graph6(canonical_graph(g)), r.rho, r.residual)
+            for g, r in results if r.rho >= top - TIE_TOL]
+    best = {e.graph6: e for e in sorted(band, key=lambda e: (e.rho, -e.residual))}
     return tuple(sorted(best.values(), key=lambda e: e.graph6))
 
 
@@ -360,8 +361,9 @@ def merge_reports(parts: Sequence[SearchPart], alphas: Sequence[float],
     order n.  Per alpha, the tie band is screened and certified here, once
     over the minor-free graphs of all parts (see _certified_near_top), so
     it and its count do not depend on the split; only the graphs within
-    TIE_TOL of its maximum get a canonical graph6, whose form is cached on
-    the graph, and the construction gets one once per order.  The argmax
+    TIE_TOL of its maximum get a canonical graph6 (see _near_max), whose
+    form is cached on the graph, and the construction gets one once per
+    order.  The argmax
     is the smallest canonical graph6 among the ties, whatever their float
     order, so solver rounding cannot change it, and it matches the
     construction when their canonical graph6 strings are equal.  If no
@@ -397,11 +399,8 @@ def merge_reports(parts: Sequence[SearchPart], alphas: Sequence[float],
     reports = []
     for alpha in alphas:
         results = _certified_near_top(free, alpha)
-        top = max(r.rho for _, r in results)
-        # the candidates share _near_max's maximum and threshold
-        ties = _near_max([TieEntry(graph6=write_graph6(canonical_graph(g)), rho=r.rho,
-                                   residual=r.residual)
-                          for g, r in results if r.rho >= top - TIE_TOL])
+        ties = _near_max(results)
+        top = max(t.rho for t in ties)
         argmax = ties[0]
         reports.append(SearchReport(
             n=n,
@@ -427,9 +426,3 @@ def merge_reports(parts: Sequence[SearchPart], alphas: Sequence[float],
                     f"exhaustive maximum {top!r} at n={n}, alpha={alpha} is below "
                     f"the index {construction_rho!r} of the minor-free {family} construction")
     return reports
-
-
-def edge_density_profile(n: int, family: Family) -> int:
-    """Empirical support for the linear edge bound: the edge count of the
-    densest member of the minor-free family at order n."""
-    return max(g.edge_count() for g in enumerate_graphs(n, family=family))

@@ -18,7 +18,9 @@ from alphax import (
     friendship,
     make_complete_bipartite,
     make_path,
+    minor_closure_oracle,
     parse_graph6,
+    quadrangle_book,
     validate_model,
     write_graph6,
 )
@@ -375,19 +377,19 @@ def _run_script(tmp_path, body: str, timeout: float = 120) -> subprocess.Complet
 
 def test_run_units_returns_large_results_in_unit_order(tmp_path):
     # each result is larger than a pipe's buffer, so a child blocks in its
-    # write until the main process reads; with 3 workers and 5 split units,
-    # children 0 and 1 take units 1, 3 and 2, 4
+    # write until the main process reads; with 3 workers and 7 units,
+    # process j of 3 takes units j, j + 3, ...
     proc = _run_script(tmp_path,
         "import functools, os\n"
         "from alphax import cli\n"
         "big = 'x' * 200_000\n"
         "units = [functools.partial(lambda i: (i, os.getpid(), big), i) for i in range(7)]\n"
-        "results = cli._run_units(units[:5], units[5:], 3)\n"
+        "results = cli._run_units(units, 3)\n"
         "ranks = {os.getpid(): 0}\n"
         "print([item for item, _, _ in results],\n"
         "      [ranks.setdefault(pid, len(ranks)) for _, pid, _ in results],\n"
         "      all(text == big for _, _, text in results))\n", timeout=60)
-    assert proc.stdout == "[0, 1, 2, 3, 4, 5, 6] [0, 1, 2, 1, 2, 0, 0] True\n"
+    assert proc.stdout == "[0, 1, 2, 3, 4, 5, 6] [0, 1, 2, 0, 1, 2, 0] True\n"
 
 
 def test_verify_theorem_exits_when_a_pool_process_dies(tmp_path):
@@ -645,20 +647,29 @@ def test_verify_theorem_empty_file_holds_no_minor_free_graph(capsys, tmp_path, m
 
 def test_never_more_parts_than_items(capsys, tmp_path, monkeypatch):
     # a file of 3 graphs makes 3 units, and the 2 fs(1)-free graphs of
-    # order 2, the parents of order 3, make 2, however many are asked for
+    # order 2, the parents of order 3, make 2, however many are asked for;
+    # the units are parts of the top order alone
     monkeypatch.setenv("ALPHAX_THREADS", "1")
     run_units = cli._run_units
-    splits = []
-    monkeypatch.setattr(cli, "_run_units", lambda split, local, workers:
-                        splits.append(len(split)) or run_units(split, local, workers))
+    orders = []  # the order of each unit's part, per _run_units call
+
+    def recorded(units, workers):
+        parts = run_units(units, workers)
+        orders.append([p.n for p in parts])
+        return parts
+
+    monkeypatch.setattr(cli, "_run_units", recorded)
     path = tmp_path / "five.g6"
     path.write_text("D?{\nDhC\nD~{\n")
-    for argv, units in ((["--n-from", "5", "--n-to", "5", "--graphs", str(path)], 3),
-                        (["--n-from", "2", "--n-to", "3"], 2)):
+    for argv, units in ((["--n-from", "5", "--n-to", "5", "--graphs", str(path)], [5] * 3),
+                        (["--n-from", "2", "--n-to", "3"], [3] * 2)):
         outs = [run(capsys, "verify-theorem", "--family", "fs(1)", "--alpha", "0.5", *argv,
                         "--shards", shards) for shards in ("1", "1000")]
         assert outs[0] == outs[1] and outs[0][0] == 0
-        assert splits[-2:] == [1, units]
+        assert orders[-2:] == [units[:1], units]
+    code, _ = run(capsys, "verify-theorem", "--family", "fs(1)", "--alpha", "0.5",
+                  "--n-from", "4", "--n-to", "7", "--shards", "3")
+    assert code == 0 and orders[-1] == [7] * 3
 
 
 @pytest.mark.parametrize("argv, env, message", [
@@ -676,13 +687,16 @@ def test_never_more_parts_than_items(capsys, tmp_path, monkeypatch):
      "--alpha must be a comma-separated list of numbers"),
     (["verify-theorem", "--family", "fs(1)", "--n-from", "4", "--n-to", "4",
       "--alpha", ","], None, "--alpha must list at least one number, got ','"),
+    (["minor-check", "--g6", "C~", "--minor-family", "fs(1)", "--node-cap", "-1"], None,
+     "--node-cap must be >= 1, got -1"),
 ], ids=["family", "minor-family", "threads", "threads-zero", "alpha", "alpha-index",
-        "alpha-empty"])
+        "alpha-empty", "node-cap"])
 def test_malformed_input_names_its_option(capsys, monkeypatch, argv, env, message):
     def no_work(*args):
         raise AssertionError(f"work {args} started")
 
     monkeypatch.setattr(cli, "search_part", no_work)
+    monkeypatch.setattr(cli, "has_minor", no_work)
     monkeypatch.setattr(enumeration, "_generate_level", no_work)
     if env is None:
         monkeypatch.delenv("ALPHAX_THREADS", raising=False)
@@ -763,6 +777,23 @@ def test_verify_lemmas_quick(capsys, monkeypatch, tmp_path):
     assert "minor-free-structure: pass" in out
     assert "extremal-at-half: pass" in out
     assert "density fs(1)" in out
+
+
+def test_verify_lemmas_density_lines(capsys, monkeypatch):
+    # each density line gives the edge count of the densest minor-free
+    # graph of each order n = 2..--max-n
+    monkeypatch.setenv("ALPHAX_THREADS", "1")
+    code, out = run(capsys, "verify-lemmas", "--max-n", "6", "--grid-n", "1", "--trials", "0")
+    assert code == 0
+    lines = [line for line in out.splitlines() if line.startswith("density ")]
+    # the fs(1)-free graphs are the forests
+    forests = ", ".join(f"n={n}:{n - 1}" for n in range(2, 7))
+    assert lines[0] == f"density fs(1): max edges {forests}"
+    # independent oracle: densest 5-vertex graph with no 4-cycle minor
+    best = max(g.edge_count() for g in enumerate_graphs(5)
+               if not minor_closure_oracle(g, quadrangle_book(1)))
+    assert lines[1].startswith("density qt(1): max edges ")
+    assert f"n=5:{best}," in lines[1] and best == 6
 
 
 def test_verify_lemmas_prints_no_density_line_for_an_empty_range(capsys, monkeypatch):

@@ -13,7 +13,6 @@ from alphax import (
     alpha_index,
     canonical_form,
     canonical_graph,
-    edge_density_profile,
     enumerate_graphs,
     f_inequality,
     has_minor,
@@ -33,8 +32,6 @@ from alphax import (
 )
 from alphax import canonical, enumeration
 from alphax.canonical import are_isomorphic, canonical_data, refinement_ranks
-from alphax.enumeration import TieEntry
-from alphax.spectral import TIE_TOL
 from alphax.graphs import bits, friendship, twin_masks
 from test_minors import _is_forest, _is_triangle_cactus
 
@@ -412,17 +409,6 @@ def test_is_minor_free_matches_the_closure_oracle():
             assert is_minor_free(g, fam) == (not minor_closure_oracle(g, pattern)), (fam, g)
 
 
-def test_edge_density_profiles():
-    for n in range(2, 7):
-        assert edge_density_profile(n, Family("fs", 1)) == n - 1  # forests
-    # independent oracle: densest 5-vertex graph with no 4-cycle minor
-    best = max(
-        (g.edge_count() for g in enumerate_graphs(5)
-         if not minor_closure_oracle(g, quadrangle_book(1))),
-    )
-    assert edge_density_profile(5, Family("qt", 1)) == best == 6
-
-
 # minor-free counts of generated levels 1..8 (fs(1): forests, A005195,
 # to n = 9, the first level above the full levels the tests build)
 MINOR_FREE = {
@@ -496,10 +482,7 @@ def _unscreened_ties(alpha, fam, graphs):
     # whole, every minor-free graph certified
     free = [g for g in graphs if not has_minor(g, fam.pattern()).contains]
     results = [alpha_index(g, alpha) for g in free]
-    top = max(r.rho for r in results)
-    entries = [TieEntry(write_graph6(canonical_graph(g)), r.rho, r.residual)
-               for g, r in zip(free, results) if r.rho >= top - TIE_TOL]
-    return len(free), enumeration._near_max(entries)
+    return len(free), enumeration._near_max(list(zip(free, results)))
 
 
 @pytest.mark.parametrize("family", ["fs(1)", "qt(1)", "fs(2)", "qt(2)"])
