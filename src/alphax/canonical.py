@@ -1,6 +1,6 @@
 """Canonical forms for isomorphism testing on small graphs.
 
-The canonical form of a graph is a byte string that is identical for two
+The canonical form of a graph is a string that is identical for two
 graphs exactly when they are isomorphic.  It is computed by degree
 refinement (iterated neighborhood coloring) followed by a branch-and-bound
 search over color-respecting vertex orderings that maximizes the
@@ -20,10 +20,10 @@ twin of v.  The twin closure of the last vertices kept is therefore the
 full Aut(G)-orbit, and a star costs one prefix per position instead of
 one per subset of its leaves.
 
-The bytes encode the canonically labeled graph itself: block p of the
+The form is the graph6 of the canonically labeled graph: block p of the
 bit sequence holds the adjacency of the vertex at position p to positions
-0..p-1.  So canonical_graph decodes the (cached) canonical form instead of
-searching a second time.
+0..p-1, position 0 first, which is graph6's column p.  So canonical_graph
+parses the (cached) canonical form instead of searching a second time.
 
 Positions take the refinement cells in rank order, so the last position
 of an optimal ordering always holds a vertex of the top cell.  The
@@ -38,6 +38,7 @@ is oracle-checked against full permutation brute force in the tests.
 
 from __future__ import annotations
 
+from .graph6 import encode_graph6, parse_graph6
 from .graphs import Graph, bits, twin_masks
 
 
@@ -58,8 +59,9 @@ def refinement_ranks(g: Graph) -> list[int]:
             return ranks
 
 
-def canonical_data(g: Graph, ranks: list[int] | None = None) -> tuple[bytes, frozenset[int]]:
-    """Canonical bytes and the orbit of the canonically-last vertex.
+def canonical_data(g: Graph, ranks: list[int] | None = None) -> tuple[str, frozenset[int]]:
+    """The canonical form, a graph6 string, and the orbit of the
+    canonically-last vertex.
 
     The last-vertex orbit is exactly the set of vertices that can sit in
     the final position of an optimal ordering; it drives the accept test
@@ -68,7 +70,7 @@ def canonical_data(g: Graph, ranks: list[int] | None = None) -> tuple[bytes, fro
     """
     n = g.n
     if n == 0:
-        return b"\x00", frozenset()
+        return "?", frozenset()
     if ranks is None:
         ranks = refinement_ranks(g)
     twins = twin_masks(g.rows)
@@ -108,40 +110,25 @@ def canonical_data(g: Graph, ranks: list[int] | None = None) -> tuple[bytes, fro
         if block == best:
             last_orbit |= twins[v]
 
-    acc = 1  # sentinel bit keeps leading zero blocks significant
+    acc = 0
     for pos, block in enumerate(blocks):
-        if pos:
-            acc = acc << pos | block
-    payload = acc.to_bytes((acc.bit_length() + 7) // 8, "big")
-    return bytes([n]) + payload, frozenset(bits(last_orbit))
+        acc = acc << pos | block
+    return encode_graph6(n, acc), frozenset(bits(last_orbit))
 
 
-def canonical_form(g: Graph) -> bytes:
-    """Relabeling-invariant encoding; equal bytes iff isomorphic."""
+def canonical_form(g: Graph) -> str:
+    """The graph6 of the canonically labelled copy of g; equal strings
+    iff isomorphic."""
     if g._canon is None:
         object.__setattr__(g, "_canon", canonical_data(g)[0])
     return g._canon
 
 
 def canonical_graph(g: Graph) -> Graph:
-    """A canonically labeled copy: identical output for isomorphic inputs.
-
-    Decoded from the canonical form: block p (p bits, position 0 most
-    significant) is the adjacency of vertex p to vertices 0..p-1.
-    """
+    """A canonically labeled copy: identical output for isomorphic inputs,
+    parsed from the canonical form, which it keeps."""
     form = canonical_form(g)
-    n = form[0]
-    acc = int.from_bytes(form[1:], "big")
-    shift = n * (n - 1) // 2  # bits below the sentinel
-    rows = [0] * n
-    for p in range(1, n):
-        shift -= p
-        block = acc >> shift & ((1 << p) - 1)
-        for q in range(p):
-            if block >> (p - 1 - q) & 1:
-                rows[p] |= 1 << q
-                rows[q] |= 1 << p
-    h = Graph.from_rows(n, rows)
+    h = parse_graph6(form)
     object.__setattr__(h, "_canon", form)
     return h
 

@@ -24,7 +24,8 @@ unit only builds or reads its graphs and keeps the minor-free ones; the
 main process merges the parts of each order and, per alpha, screens and
 certifies its tie band once, so neither the reports nor the certified
 solves on the stderr line depend on k or w.  Every graph6 in a theorem
-report is a canonical labelling, so equal strings mean isomorphic graphs.
+report is a canonical form (canonical.canonical_form), so equal strings
+mean isomorphic graphs.
 
 Exit codes: 0 all requested checks passed, 1 a mathematical counterexample
 or check failure was found, 2 usage or resource errors, among them a

@@ -67,7 +67,7 @@ from functools import cache
 
 import numpy as np
 
-from .canonical import canonical_data, canonical_graph, refinement_ranks
+from .canonical import canonical_data, canonical_form, refinement_ranks
 from .graph6 import iter_graph6_file, write_graph6
 from .graphs import (CapacityError, Graph, extremal_fs, extremal_qt, friendship, make_empty,
                      quadrangle_book, twin_masks)
@@ -145,7 +145,7 @@ def _brood(parent: Graph) -> tuple[Graph, ...]:
     swaps = [(1 << (lower.bit_length() - 1), 1 << w)
              for w, twins in enumerate(twin_masks(parent.rows))
              if (lower := twins & ((1 << w) - 1))]
-    accepted: dict[bytes, Graph] = {}
+    accepted: dict[str, Graph] = {}
     for mask in range(1 << (n - 1)):
         k = mask.bit_count()
         if k > low + 1 or mask & tight[k] != tight[k]:
@@ -158,10 +158,10 @@ def _brood(parent: Graph) -> tuple[Graph, ...]:
         ranks = refinement_ranks(child)
         if ranks[n - 1] != max(ranks):
             continue
-        cbytes, last_orbit = canonical_data(child, ranks)
-        if n - 1 in last_orbit and cbytes not in accepted:
-            object.__setattr__(child, "_canon", cbytes)
-            accepted[cbytes] = child
+        form, last_orbit = canonical_data(child, ranks)
+        if n - 1 in last_orbit and form not in accepted:
+            object.__setattr__(child, "_canon", form)
+            accepted[form] = child
     return tuple(accepted.values())
 
 
@@ -236,14 +236,14 @@ class TieEntry:
 
 
 def _near_max(results: Sequence[tuple[Graph, SpectralResult]]) -> tuple[TieEntry, ...]:
-    """The tie band of results, certified (graph, alpha-index) pairs: a
-    canonically labelled entry for each graph within TIE_TOL of their
-    maximum, and no canonical labelling of any other graph.  The entries
-    are sorted by graph6, one per graph6: of isomorphic copies, such as a
-    graph6 file may hold, the one with the largest rho and then the
-    smallest residual, whatever their order."""
+    """The tie band of results, certified (graph, alpha-index) pairs: an
+    entry labelled by its canonical form, the canonical graph6, for each
+    graph within TIE_TOL of their maximum; no other graph gets a canonical
+    form.  The entries are sorted by graph6, one per graph6: of isomorphic
+    copies, such as a graph6 file may hold, the one with the largest rho
+    and then the smallest residual, whatever their order."""
     top = max(r.rho for _, r in results)
-    band = [TieEntry(write_graph6(canonical_graph(g)), r.rho, r.residual)
+    band = [TieEntry(canonical_form(g), r.rho, r.residual)
             for g, r in results if r.rho >= top - TIE_TOL]
     best = {e.graph6: e for e in sorted(band, key=lambda e: (e.rho, -e.residual))}
     return tuple(sorted(best.values(), key=lambda e: e.graph6))
@@ -304,13 +304,16 @@ def _certified_near_top(free: Sequence[Graph], alpha: float
     and its rho is at most the maximum.  A graph whose bound is below that
     rho - TIE_TOL - DEFAULT_TOL cannot reach the tie band, since a
     certified rho lies at most the bracket width DEFAULT_TOL above the
-    index, and only the others are certified."""
+    index, and only the others are certified.  The graph with the largest
+    estimate is kept whatever its bound, so its bound is checked too."""
     estimates, bounds = screen_alpha_indices(free, alpha)
     best = int(np.argmax(estimates))
     top = alpha_index(free[best], alpha)
     floor = top.rho - TIE_TOL - DEFAULT_TOL
+    keep = ~(bounds < floor)  # a NaN bound keeps its graph
+    keep[best] = True
     results = []
-    for i in map(int, np.flatnonzero(~(bounds < floor))):  # a NaN bound keeps its graph
+    for i in map(int, np.flatnonzero(keep)):
         r = top if i == best else alpha_index(free[i], alpha)
         if not bounds[i] >= r.lower:
             raise InvariantError(f"screen bound {float(bounds[i])!r} of {write_graph6(free[i])} "
@@ -361,17 +364,16 @@ def merge_reports(parts: Sequence[SearchPart], alphas: Sequence[float],
     order n.  Per alpha, the tie band is screened and certified here, once
     over the minor-free graphs of all parts (see _certified_near_top), so
     it and its count do not depend on the split; only the graphs within
-    TIE_TOL of its maximum get a canonical graph6 (see _near_max), whose
-    form is cached on the graph, and the construction gets one once per
-    order.  The argmax
-    is the smallest canonical graph6 among the ties, whatever their float
-    order, so solver rounding cannot change it, and it matches the
-    construction when their canonical graph6 strings are equal.  If no
-    part holds a minor-free graph, ValueError is raised.  Parts of a
-    generated level are taken to cover the whole level of order n, so each
-    report must pass the construction's sanity bound (InvariantError
-    otherwise): a minor-free construction is no more than TIE_TOL above
-    the maximum.  The construction is searched only when its index is
+    TIE_TOL of its maximum get a canonical form, their canonical graph6,
+    cached on the graph (see _near_max), and the construction gets one
+    once per order.  The argmax is the smallest canonical graph6 among the
+    ties, whatever their float order, so solver rounding cannot change it,
+    and it matches the construction when their canonical graph6 strings
+    are equal.  If no part holds a minor-free graph, ValueError is raised.
+    Parts of a generated level are taken to cover the whole level of order
+    n, so each report must pass the construction's sanity bound
+    (InvariantError otherwise): a minor-free construction is no more than
+    TIE_TOL above the maximum.  The construction is searched only when its index is
     above that, so a report that passes searches it not at all."""
     if not parts:
         raise ValueError("nothing to merge")
@@ -395,7 +397,7 @@ def merge_reports(parts: Sequence[SearchPart], alphas: Sequence[float],
         construction = family.construction(n)
     except ValueError:  # no construction below order param + 1
         construction = None
-    construction_g6 = None if construction is None else write_graph6(canonical_graph(construction))
+    construction_g6 = None if construction is None else canonical_form(construction)
     reports = []
     for alpha in alphas:
         results = _certified_near_top(free, alpha)

@@ -27,25 +27,26 @@ class Graph6ParseError(ValueError):
         return f"{self.args[0]} (byte {self.offset})"
 
 
-def write_graph6(g: Graph) -> str:
-    n = g.n
+def encode_graph6(n: int, bits: int) -> str:
+    """The graph6 string of order n whose upper triangle, in column order
+    with (0,1) the most significant of its n(n-1)/2 bits, is ``bits``."""
     if n <= 62:
         out = [chr(n + 63)]
     else:
         out = ["~", chr((n >> 12 & 63) + 63), chr((n >> 6 & 63) + 63), chr((n & 63) + 63)]
+    nbits = n * (n - 1) // 2
+    groups = (nbits + 5) // 6
+    bits <<= 6 * groups - nbits  # zero padding
+    out.extend(chr((bits >> 6 * i & 63) + 63) for i in reversed(range(groups)))
+    return "".join(out)
+
+
+def write_graph6(g: Graph) -> str:
     acc = 0
-    nbits = 0
-    for col in range(1, n):
+    for col in range(1, g.n):
         for row in range(col):
             acc = acc << 1 | (g.rows[row] >> col & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr((acc << (6 - nbits)) + 63))
-    return "".join(out)
+    return encode_graph6(g.n, acc)
 
 
 def parse_graph6(text: str) -> Graph:

@@ -9,7 +9,6 @@ certificate before the assertion fires.
 import json
 import time
 
-import numpy as np
 import pytest
 
 from alphax import (

@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 
@@ -17,6 +16,8 @@ from alphax import (
     make_complete_bipartite,
     make_empty,
     make_path,
+    parse_graph6,
+    write_graph6,
 )
 from alphax.canonical import canonical_data, refinement_ranks
 from conftest import random_graph
@@ -135,6 +136,20 @@ def _relabelled(g: Graph, rng) -> Graph:
     perm = list(range(g.n))
     rng.shuffle(perm)
     return g.relabel(perm)
+
+
+def test_canonical_form_is_the_canonical_graph6(rng):
+    # the form is the graph6 of the canonically labelled copy: it reads
+    # back to that copy and is one string per isomorphism class; orders
+    # 63 and 64 take graph6's four-byte order field
+    graphs = [Graph(0)] + [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    graphs += [random_graph(n, rng.random(), rng) for n in (62, 63, 64) for _ in range(3)]
+    for g in graphs:
+        form = canonical_form(_uncached(g))
+        assert write_graph6(parse_graph6(form)) == form
+        assert canonical_graph(_uncached(g)) == parse_graph6(form)
+        for _ in range(3):
+            assert canonical_form(_relabelled(g, rng)) == form
 
 
 def _twin_rich_graphs():

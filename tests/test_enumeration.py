@@ -313,6 +313,20 @@ def test_search_below_construction_raises():
     assert not merge_reports(parts, (0.5,), source="generated")[0].matches_construction
 
 
+def test_a_broken_bound_on_the_best_estimate_is_caught(monkeypatch):
+    # every bound below its certified index: the best-estimate graph falls
+    # below the floor, yet its bound is checked, not dropped unchecked
+    screen = enumeration.screen_alpha_indices
+
+    def lowered(graphs, alpha):
+        estimates, bounds = screen(graphs, alpha)
+        return estimates, bounds - 1
+
+    monkeypatch.setattr(enumeration, "screen_alpha_indices", lowered)
+    with pytest.raises(InvariantError, match=r"screen bound .* of E\}r\? "):
+        search_extremal(6, 0.5, Family("fs", 2))
+
+
 def _parts(n, fam, count):
     return [search_part(n, fam, _level_part(n, i, count)) for i in range(count)]
 

@@ -41,3 +41,21 @@ def test_cli_import_loads_no_process_pool_machinery():
     out = subprocess.run([sys.executable, "-c", f"import sys, alphax.cli; print({machinery})"],
                          env=env, capture_output=True, text=True, check=True, timeout=120).stdout
     assert out == "[]\n"
+
+
+def test_no_unused_imports():
+    # no linter is among the test dependencies, so an import that its
+    # module never reads again is caught here; an attribute chain such as
+    # np.zeros reads its root name
+    found = []
+    paths = [p for p in ROOT.glob("src/alphax/*.py") if p.name != "__init__.py"]
+    for path in sorted([*paths, *ROOT.glob("tests/*.py")]):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.relative_to(ROOT)}:{node.lineno} {alias.name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+                  for alias in node.names
+                  if (alias.asname or alias.name).split(".")[0] not in read]
+    assert found == []
