@@ -63,8 +63,10 @@ from .spectral import (
     QuotientMatrix,
     SpectralResult,
     alpha_index,
+    alpha_indices,
     alpha_matrix,
     certify_top,
+    certify_tops,
     f_inequality,
     jacobi_eigh,
     join_quotient_index,

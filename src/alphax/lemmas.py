@@ -14,10 +14,13 @@
 - corollary: at alpha = 1/2 the F_1- and Q_1-minor-free argmax is the
   construction, and unique.
 
-Layer functions are called through their modules (spectral.alpha_index,
-not a name imported from spectral): perfbench/tracer.py rebinds a traced
-function only in the modules it lists, so a name bound here at import
-would escape it.  Tests plant failures the same way.
+The suites solve once per order: join_grid and signless each make one
+batched, certified spectral.alpha_indices call per order, not one solve
+per matrix.  Layer functions are called through their modules
+(spectral.alpha_indices, not a name imported from spectral):
+perfbench/tracer.py rebinds a traced function only in the modules it
+lists, so a name bound here at import would escape it.  Tests plant
+failures the same way.
 """
 
 from __future__ import annotations
@@ -55,14 +58,21 @@ class Tally:
 
 def join_grid(grid_n: int) -> tuple[Tally, Tally]:
     """The closed-form and Nikiforov-bound tallies of the grid s = 1..3,
-    n = s+1..grid_n, alpha in GRID_ALPHAS."""
+    n = s+1..grid_n, alpha in GRID_ALPHAS.  One alpha_indices call solves
+    every (s, alpha) cell of an order; the tallies then walk the grid in
+    s, n, alpha order, so the first failure named is the first in it."""
+    rhos = {}
+    for n in range(2, grid_n + 1):
+        hosts = {s: graphs.extremal_fs(n, s) for s in (1, 2, 3) if s < n}
+        cells = [(s, a) for s in hosts for a in GRID_ALPHAS]
+        found = spectral.alpha_indices([hosts[s] for s, _ in cells], [a for _, a in cells])
+        rhos.update(((s, n, a), r.rho) for (s, a), r in zip(cells, found, strict=True))
     closed, bounds = Tally(), Tally()
     worst = 0.0
     for s in (1, 2, 3):
         for n in range(s + 1, grid_n + 1):
-            g = graphs.extremal_fs(n, s)
             for a in GRID_ALPHAS:
-                rho = spectral.alpha_index(g, a).rho
+                rho = rhos[s, n, a]
                 want = spectral.join_quotient_index(n, s, a)
                 diff = abs(rho - want)
                 worst = max(worst, diff)
@@ -88,11 +98,15 @@ def _line_graph_index(g: Graph) -> float:
 
 
 def signless(max_n: int) -> Tally:
+    """q = 2 rho_{1/2} against 2 + lambda_max(A(L(G))), one alpha_indices
+    call per order."""
     tally = Tally()
     worst = 0.0
     for n in range(1, max_n + 1):
-        for g in enumeration.enumerate_graphs(n):
-            q = spectral.signless_laplacian_index(g)
+        level = list(enumeration.enumerate_graphs(n))
+        found = spectral.alpha_indices(level, [0.5] * len(level))
+        for g, r in zip(level, found, strict=True):
+            q = 2.0 * r.rho
             want = 2.0 + _line_graph_index(g) if g.edge_count() else 0.0
             diff = abs(q - want)
             worst = max(worst, diff)

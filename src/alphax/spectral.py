@@ -6,13 +6,20 @@ closed-form spectral bounds.
 diagonal); each entry is the same float a per-edge fill would store.
 
 The eigensolver is LAPACK, through ``numpy.linalg.eigh`` of the full dense
-symmetric matrix (orders are <= 64 here).  Each result is certified by a
-two-sided a-posteriori bracket on the largest eigenvalue that needs no
-second solver (see ``certify_top``): the Rayleigh quotient of the top
-vector from below (Courant-Fischer), and Bauer-Fike applied to the whole
-computed decomposition from above, which bounds every eigenvalue of the
-matrix, including any the solver missed.  Other solves whose vector is
-not needed go through ``numpy.linalg.eigvalsh``.
+symmetric matrix (orders are <= 64 here).  ``alpha_indices`` solves many
+graphs of one order, each at its own alpha, by stacking their A_alpha
+matrices into batched ``eigh`` calls, and ``certify_tops`` certifies the
+whole stack at once in numpy.  Each result gets a two-sided a-posteriori
+bracket on the largest eigenvalue that needs no second solver: the
+Rayleigh quotient of the top vector from below (Courant-Fischer), and
+Bauer-Fike applied to the whole computed decomposition from above, which
+bounds every eigenvalue of the matrix, including any the solver missed.
+Every dot product and norm of the certificate is one BLAS ddot per
+member (a stacked (1 x N)(N x 1) matmul), so a member's bracket is
+bit-equal to the one a single solve gives.  ``alpha_index`` and
+``certify_top`` are batches of one: there is one certificate path.
+Other solves whose vector is not needed go through
+``numpy.linalg.eigvalsh``.
 
 ``screen_alpha_indices`` bounds many indices at once, so that a search
 certifies only the graphs that can come near its maximum.  It stacks
@@ -45,8 +52,8 @@ DEFAULT_TOL = 1e-10
 OFF_DIAGONAL_TOL = 1e-13
 TIE_TOL = 1e-9
 _EPS = float(np.finfo(np.float64).eps)
-# screen_alpha_indices: matrix entries per batched eigh call, and the
-# floor, relative to the largest entry, of its positive test vector
+# matrix entries per batched eigh call, and the floor, relative to the
+# largest entry, of screen_alpha_indices's positive test vector
 _SCREEN_ENTRIES = 1 << 18
 _SCREEN_FLOOR = 1e-8
 
@@ -159,19 +166,21 @@ def alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
     """alpha*D + (1-alpha)*A; diagonal alpha*deg(v), off-diagonal (1-alpha) per edge."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0,1], got {alpha}")
-    return _alpha_matrices((g,), alpha)[0]
+    return _alpha_matrices((g,), (alpha,))[0]
 
 
-def _alpha_matrices(graphs: Sequence[Graph], alpha: float) -> np.ndarray:
-    """alpha_matrix of each graph of one order n, stacked along axis 0.
-    A is unpacked from the bit rows: row v as a little-endian 64-bit word,
-    whose byte-wise little-endian bits are columns 0..63."""
+def _alpha_matrices(graphs: Sequence[Graph], alphas: Sequence[float]) -> np.ndarray:
+    """alpha_matrix of each graph of one order n at its own alpha, stacked
+    along axis 0.  A is unpacked from the bit rows: row v as a
+    little-endian 64-bit word, whose byte-wise little-endian bits are
+    columns 0..63."""
     n = graphs[0].n
     words = np.array([row for g in graphs for row in g.rows], dtype="<u8").view(np.uint8)
     adjacency = np.unpackbits(words.reshape(len(graphs), n, 8), axis=2, count=n,
                               bitorder="little")
-    m = (1.0 - alpha) * adjacency
-    m.reshape(len(graphs), n * n)[:, ::n + 1] = alpha * adjacency.sum(axis=2)
+    a = np.asarray(alphas, dtype=np.float64)[:, None]
+    m = (1.0 - a)[:, :, None] * adjacency
+    m.reshape(len(graphs), n * n)[:, ::n + 1] = a * adjacency.sum(axis=2)
     return m
 
 
@@ -194,9 +203,35 @@ class SpectralResult:
         return self.vector / top
 
 
-def certify_top(m: np.ndarray, w: np.ndarray, v: np.ndarray, tol: float) -> SpectralResult:
-    """Certify a computed eigendecomposition m ~ v diag(w) v^T (w ascending)
-    by a two-sided bracket on the largest eigenvalue of the symmetric m.
+def _solves(graphs: Sequence[Graph], alphas: Sequence[float]):
+    """Stacks (m, w, v) of the A_alpha matrices of graphs[i] at alphas[i]
+    (one order, at least one graph) and their numpy.linalg.eigh, one
+    batched call per at most _SCREEN_ENTRIES matrix entries."""
+    n = graphs[0].n
+    step = max(1, _SCREEN_ENTRIES // (n * n))  # matrices per batch
+    for first in range(0, len(graphs), step):
+        m = _alpha_matrices(graphs[first:first + step], alphas[first:first + step])
+        yield (m, *np.linalg.eigh(m))
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (k, N) stacks, one BLAS ddot per row,
+    so each equals the float numpy.dot gives for that row alone."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each member of a stack, as numpy.linalg.norm of
+    that member alone computes it (the square root of one ddot)."""
+    flat = a.reshape(len(a), -1)
+    return np.sqrt(_dots(flat, flat))
+
+
+def certify_tops(m: np.ndarray, w: Sequence[np.ndarray], v: Sequence[np.ndarray],
+                 tol: float) -> list[SpectralResult]:
+    """Certify computed eigendecompositions m[i] ~ v[i] diag(w[i]) v[i]^T
+    (each w[i] ascending) of a stack m of k symmetric n x n matrices by a
+    two-sided bracket on the largest eigenvalue of each.
 
     lower is the Rayleigh quotient of the top column, a lower bound for any
     vector (Courant-Fischer).  upper is w_max + |R| sqrt(1+d)/(1-d), where
@@ -204,47 +239,80 @@ def certify_top(m: np.ndarray, w: np.ndarray, v: np.ndarray, tol: float) -> Spec
     the 2-norms): with v square and d < 1, Bauer-Fike puts every eigenvalue
     of m within that distance of some w_i.  Both bounds are widened by an
     n*eps*|m| slack for the rounding of their own evaluation.
-    Raises ConvergenceError when the top residual or the bracket width
-    exceeds tol, or when v is not a full square basis.
+    w and v are stacks or sequences of one array per member; every
+    member's shapes are checked before any number.  Raises
+    ConvergenceError when a member's v is not a full square basis, or for
+    the first member whose top residual or bracket width exceeds tol or
+    whose basis is far from orthonormal.
     """
-    n = m.shape[0]
-    if w.shape != (n,) or v.shape != (n, n):
+    k, n = len(m), m.shape[-1]
+    if len(w) != k or len(v) != k:
         raise ConvergenceError(
-            f"decomposition of shape {w.shape}, {v.shape} does not cover order {n}", math.inf)
-    rho = float(w[-1])
-    x = v[:, -1].copy()
+            f"{len(w)} spectra and {len(v)} bases for {k} matrices", math.inf)
+    for wi, vi in zip(w, v):
+        if wi.shape != (n,) or vi.shape != (n, n):
+            raise ConvergenceError(
+                f"decomposition of shape {wi.shape}, {vi.shape} does not cover order {n}",
+                math.inf)
+    w, v = np.asarray(w), np.asarray(v)
+    rho = w[:, -1]
+    x = v[:, :, -1].copy()
     # orient so the dominant entry is positive (Perron sign convention)
-    top = int(np.argmax(np.abs(x)))
-    if x[top] < 0:
-        x = -x
-    mx = m @ x
-    residual = float(np.linalg.norm(mx - rho * x))
-    if residual > tol:
-        raise ConvergenceError("top eigenpair failed residual certification", residual)
-    slack = n * _EPS * float(np.linalg.norm(m))
-    lower = float(x @ mx) / float(x @ x) - slack
-    delta = float(np.linalg.norm(v.T @ v - np.eye(n)))
-    if not delta < 1.0:
-        raise ConvergenceError(
-            f"eigenvector basis far from orthonormal (|V^T V - I| = {delta:.3e})", residual)
-    spread = float(np.linalg.norm(m @ v - v * w))
-    upper = float(np.max(w)) + spread * math.sqrt(1.0 + delta) / (1.0 - delta) + slack
-    if not upper - lower <= tol:
-        raise ConvergenceError(
-            f"certificate bracket [{lower!r}, {upper!r}] is wider than {tol:.3e}", residual)
-    return SpectralResult(rho=rho, vector=x, residual=residual, lower=lower, upper=upper)
+    flip = x[np.arange(k), np.abs(x).argmax(axis=1)] < 0
+    x[flip] = -x[flip]
+    mx = np.matmul(m, x[:, :, None])[:, :, 0]
+    residual = _norms(mx - rho[:, None] * x)
+    slack = n * _EPS * _norms(m)
+    lower = _dots(x, mx) / _dots(x, x) - slack
+    delta = _norms(np.matmul(v.transpose(0, 2, 1), v) - np.eye(n))
+    spread = _norms(np.matmul(m, v) - v * w[:, None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):  # d >= 1 fails below
+        upper = w.max(axis=1) + spread * np.sqrt(1.0 + delta) / (1.0 - delta) + slack
+    failed = (residual > tol) | ~(delta < 1.0) | ~(upper - lower <= tol)
+    if failed.any():
+        i = int(failed.argmax())
+        if residual[i] > tol:
+            raise ConvergenceError("top eigenpair failed residual certification",
+                                   float(residual[i]))
+        if not delta[i] < 1.0:
+            raise ConvergenceError(f"eigenvector basis far from orthonormal "
+                                   f"(|V^T V - I| = {delta[i]:.3e})", float(residual[i]))
+        raise ConvergenceError(f"certificate bracket [{float(lower[i])!r}, {float(upper[i])!r}] "
+                               f"is wider than {tol:.3e}", float(residual[i]))
+    return [SpectralResult(*fields) for fields in zip(
+        rho.tolist(), x, residual.tolist(), lower.tolist(), upper.tolist())]
+
+
+def certify_top(m: np.ndarray, w: np.ndarray, v: np.ndarray, tol: float) -> SpectralResult:
+    """certify_tops of the one decomposition m ~ v diag(w) v^T."""
+    return certify_tops(m[None], (w,), (v,), tol)[0]
+
+
+def alpha_indices(graphs: Sequence[Graph], alphas: Sequence[float],
+                  tol: float = DEFAULT_TOL) -> list[SpectralResult]:
+    """Largest eigenvalue of A_alpha of graphs[i] at alphas[i], for graphs
+    of one order: batched LAPACK solves (see _solves), each stack
+    certified by certify_tops."""
+    if len(alphas) != len(graphs):
+        raise ValueError(f"{len(alphas)} alphas for {len(graphs)} graphs")
+    n = graphs[0].n if graphs else 1
+    if n < 1:
+        raise ValueError("alpha_index needs at least one vertex")
+    if any(g.n != n for g in graphs):
+        raise ValueError("certified graphs must share one order")
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    for a in alphas:
+        if not 0.0 <= a <= 1.0:
+            raise ValueError(f"alpha must lie in [0,1], got {a}")
+    if not graphs:
+        return []
+    return [r for m, w, v in _solves(graphs, alphas) for r in certify_tops(m, w, v, tol)]
 
 
 def alpha_index(g: Graph, alpha: float, tol: float = DEFAULT_TOL) -> SpectralResult:
-    """Largest eigenvalue of A_alpha(G) by one LAPACK solve, certified by
-    certify_top."""
-    if g.n < 1:
-        raise ValueError("alpha_index needs at least one vertex")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    m = alpha_matrix(g, alpha)
-    w, v = np.linalg.eigh(m)
-    return certify_top(m, w, v, tol)
+    """Largest eigenvalue of A_alpha(G): alpha_indices of the one graph."""
+    return alpha_indices((g,), (alpha,), tol)[0]
 
 
 def screen_alpha_indices(graphs: Sequence[Graph], alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -260,10 +328,7 @@ def screen_alpha_indices(graphs: Sequence[Graph], alpha: float) -> tuple[np.ndar
     if n < 1 or any(g.n != n for g in graphs):
         raise ValueError("screened graphs must share one order of at least one vertex")
     estimates, bounds = [], []
-    step = max(1, _SCREEN_ENTRIES // (n * n))  # matrices per batch
-    for first in range(0, len(graphs), step):
-        m = _alpha_matrices(graphs[first:first + step], alpha)
-        w, v = np.linalg.eigh(m)
+    for m, w, v in _solves(graphs, (alpha,) * len(graphs)):
         x = np.abs(v[:, :, -1])
         x = np.maximum(x, _SCREEN_FLOOR * x.max(axis=1, keepdims=True))
         ratio = (np.matmul(m, x[:, :, None])[:, :, 0] / x).max(axis=1)

@@ -142,7 +142,10 @@ def test_alpha_index_signless_once_per_graph(capsys, monkeypatch):
 def test_signless_suite_rejects_a_wrong_index(monkeypatch):
     tally = lemmas.signless(4)
     assert (tally.checks, tally.violations, tally.first) == (18, 0, None)
-    monkeypatch.setattr(spectral, "signless_laplacian_index", lambda g: g.edge_count() / 2)
+    # q = 2 rho read as half the edge count
+    monkeypatch.setattr(spectral, "alpha_indices", lambda level, alphas: [
+        spectral.SpectralResult(rho=g.edge_count() / 4, vector=None, residual=0.0,
+                                lower=0.0, upper=0.0) for g in level])
     tally = lemmas.signless(4)
     assert tally.checks == 18 and tally.violations > 0 and tally.first is not None
 

@@ -20,12 +20,23 @@ def test_closed_form_counts_every_failing_check(monkeypatch):
     assert tally.first.startswith("s=1 n=2 alpha=0.1: ")
 
 
+def test_the_grid_walks_s_then_n_then_alpha(monkeypatch):
+    # wrong cells at s = 1 from n = 5 and at every s = 2 cell: a walk in
+    # s, n, alpha order meets s=1 n=5 first, an order-major walk s=2 n=3
+    exact = spectral.join_quotient_index
+    monkeypatch.setattr(spectral, "join_quotient_index", lambda n, s, a: exact(n, s, a) + (
+        1e-6 if (s == 1 and n >= 5) or s == 2 else 0.0))
+    closed = lemmas.join_grid(8)[0]
+    assert closed.violations == 9 * (8 - 4) + 9 * (8 - 2)
+    assert closed.first.startswith("s=1 n=5 alpha=0.1: ")
+
+
 @pytest.mark.parametrize("grid_n", [4, 12])
 def test_one_walk_of_the_grid_feeds_both_tallies(monkeypatch, grid_n):
     # with every index read as 0, every check of both suites fails: the
     # index is below each closed form and each lower bound
     zero = spectral.SpectralResult(rho=0.0, vector=np.ones(1), residual=0.0, lower=0.0, upper=0.0)
-    monkeypatch.setattr(spectral, "alpha_index", lambda g, a: zero)
+    monkeypatch.setattr(spectral, "alpha_indices", lambda gs, alphas: [zero] * len(gs))
     grid = 9 * sum(grid_n - s for s in (1, 2, 3))
     closed, bounds = lemmas.join_grid(grid_n)
     assert (closed.checks, closed.violations) == (grid, grid)

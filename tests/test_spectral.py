@@ -10,8 +10,10 @@ from alphax import (
     NonEquitablePartitionError,
     QuotientMatrix,
     alpha_index,
+    alpha_indices,
     alpha_matrix,
     certify_top,
+    certify_tops,
     disjoint_union,
     enumerate_graphs,
     extremal_fs,
@@ -54,9 +56,10 @@ def test_alpha_matrix_equals_the_edge_by_edge_definition(rng):
             got = alpha_matrix(g, a)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
-            # the screen's stacked assembly stores the same floats
-            stacked = spectral._alpha_matrices([g, g], a)
+            # the stacked assembly, one alpha per graph, stores the same floats
+            stacked = spectral._alpha_matrices([g, g], [1.0 - a, a])
             assert stacked.shape == (2, g.n, g.n) and np.array_equal(stacked[1], want)
+            assert np.array_equal(stacked[0], alpha_matrix(g, 1.0 - a))
 
 
 def test_alpha_matrix_endpoints():
@@ -179,12 +182,8 @@ def test_screen_bounds_every_certified_index(rng):
         screen_alpha_indices([make_path(3), make_path(4)], 0.5)
 
 
-def test_certificate_rejects_corrupted_decompositions(rng):
-    g = random_graph(12, 0.5, rng)
-    m = alpha_matrix(g, 0.3)
-    w, v = np.linalg.eigh(m)
-    r = certify_top(m, w, v, 1e-10)  # positive control
-    assert r.lower <= r.rho <= r.upper
+def _corruptions(w, v, rng):
+    """Six ways a decomposition (w, v) of an order-12 matrix can be wrong."""
     bad_top_value = w.copy()
     bad_top_value[-1] += 1e-7
     bad_low_value = w.copy()  # top pair intact: only the Bauer-Fike bound sees it
@@ -195,10 +194,83 @@ def test_certificate_rejects_corrupted_decompositions(rng):
     missed_top[:, -1] = v[:, -2]
     missed_w = w.copy()
     missed_w[-1] = w[-2]
-    for ww, vv in ((bad_top_value, v), (bad_low_value, v), (w, bad_top_vector),
-                   (w, v[:, 1:]), (w[1:], v[:, 1:]), (missed_w, missed_top)):
+    return ((bad_top_value, v), (bad_low_value, v), (w, bad_top_vector),
+            (w, v[:, 1:]), (w[1:], v[:, 1:]), (missed_w, missed_top))
+
+
+def test_certificate_rejects_corrupted_decompositions(rng):
+    g = random_graph(12, 0.5, rng)
+    m = alpha_matrix(g, 0.3)
+    w, v = np.linalg.eigh(m)
+    r = certify_top(m, w, v, 1e-10)  # positive control
+    assert r.lower <= r.rho <= r.upper
+    for ww, vv in _corruptions(w, v, rng):
         with pytest.raises(ConvergenceError):
             certify_top(m, ww, vv, 1e-10)
+    # each corruption planted in one member of an otherwise valid batch
+    ms = spectral._alpha_matrices([random_graph(12, 0.5, rng) for _ in range(5)], [0.3] * 5)
+    ws, vs = np.linalg.eigh(ms)
+    for top, spectrum in zip(certify_tops(ms, ws, vs, 1e-10), ws):  # positive control
+        assert top.lower <= top.rho <= top.upper and top.rho == spectrum[-1]
+    for member in (0, 2, 4):
+        for ww, vv in _corruptions(ws[member], vs[member], rng):
+            planted_w, planted_v = list(ws), list(vs)
+            planted_w[member], planted_v[member] = ww, vv
+            with pytest.raises(ConvergenceError):
+                certify_tops(ms, planted_w, planted_v, 1e-10)
+
+
+def _single_certificate(m):
+    """rho, vector, residual, lower and upper of one matrix by the
+    single-solve certificate's formulas, written out here."""
+    n = m.shape[0]
+    w, v = np.linalg.eigh(m)
+    rho = float(w[-1])
+    x = v[:, -1].copy()
+    if x[int(np.argmax(np.abs(x)))] < 0:
+        x = -x
+    mx = m @ x
+    residual = float(np.linalg.norm(mx - rho * x))
+    slack = n * spectral._EPS * float(np.linalg.norm(m))
+    lower = float(x @ mx) / float(x @ x) - slack
+    delta = float(np.linalg.norm(v.T @ v - np.eye(n)))
+    spread = float(np.linalg.norm(m @ v - v * w))
+    upper = float(np.max(w)) + spread * math.sqrt(1.0 + delta) / (1.0 - delta) + slack
+    return rho, x, residual, lower, upper
+
+
+@pytest.mark.parametrize("entries", [spectral._SCREEN_ENTRIES, 1 << 12],
+                         ids=["one-batch", "many-batches"])
+def test_batched_certificate_is_bit_equal_to_single_solves(monkeypatch, rng, entries):
+    monkeypatch.setattr(spectral, "_SCREEN_ENTRIES", entries)
+    alphas = (0.1, 0.5, 0.9)
+    levels = [list(enumerate_graphs(n)) for n in range(1, 8)]
+    levels += [[random_graph(n, rng.random(), rng) for _ in range(4)] for n in (20, 40, 63, 64)]
+    cases = 0
+    for level in levels:
+        gs = [g for g in level for _ in alphas]
+        results = alpha_indices(gs, alphas * len(level))
+        assert len(results) == len(gs)
+        for g, a, r in zip(gs, alphas * len(level), results):
+            rho, x, residual, lower, upper = _single_certificate(alpha_matrix(g, a))
+            assert (r.rho, r.residual, r.lower, r.upper) == (rho, residual, lower, upper)
+            assert r.vector.shape == x.shape and np.array_equal(r.vector, x)
+            cases += 1
+    assert cases == 3 * (1252 + 16)
+
+
+def test_alpha_indices_rejects_bad_input():
+    assert alpha_indices([], []) == []
+    for graphs, alphas, tol in (([make_path(3), make_path(4)], [0.5, 0.5], 1e-10),
+                                ([make_empty(0)], [0.5], 1e-10),
+                                ([make_path(3)], [-0.1], 1e-10),
+                                ([make_path(3)], [1.5], 1e-10),
+                                ([make_path(3)], [math.nan], 1e-10),
+                                ([make_path(3), make_path(3)], [0.5], 1e-10),
+                                ([make_path(3)], [0.5], 0.0),
+                                ([make_path(3)], [0.5], -1e-10)):
+        with pytest.raises(ValueError):
+            alpha_indices(graphs, alphas, tol)
 
 
 def test_power_iteration_cross_checks(rng):
