@@ -27,11 +27,27 @@ solves on the stderr line depend on k or w.  Every graph6 in a theorem
 report is a canonical form (canonical.canonical_form), so equal strings
 mean isomorphic graphs.
 
+verify-lemmas runs its suites as units under the same share rule.  The
+grid's orders 2..--grid-n are its items: part i of k solves orders i,
+i + k, ... (lemmas.grid_indices), k being w, but never more than the
+orders, nor less than 1.  Then come one unit each for signless and
+intersection, and one for structure, corollary and the density lines,
+which all read the fs(1) and qt(1) levels that a process builds once.
+The main process merges the grid's cells and walks them in s, n, alpha
+order (lemmas.grid_tallies), then prints every suite in a fixed order,
+so the output does not depend on w; each suite's time on stderr is
+measured in the process that ran it, the grid's as its parts' sum plus
+the walk.
+
 Exit codes: 0 all requested checks passed, 1 a mathematical counterexample
 or check failure was found, 2 usage or resource errors, among them a
-worker process that died before it sent its results.  Reports are
-byte-deterministic: fixed column order and 12-significant-digit floats;
-wall-clock timings go to stderr only.
+worker process that died before it sent its results, and a stdout that
+could not be written.  Reports are byte-deterministic: fixed column order
+and 12-significant-digit floats; wall-clock timings go to stderr only.
+Run as python -m alphax.cli, the process flushes stdout and stderr once
+main() has returned and leaves through os._exit, as its forked workers
+do: interpreter shutdown would free every object one by one, and after a
+fork each freed page takes a copy-on-write fault.
 """
 
 from __future__ import annotations
@@ -294,7 +310,8 @@ def _child_results(pid: int, status: int, data: bytes) -> list:
 
 
 def _run_units(units: list, workers: int) -> list:
-    """The results of units, zero-argument calls, in order.
+    """The results of units, zero-argument calls, in order: the one share
+    rule of verify-theorem's parts and verify-lemmas' suites.
 
     q = min(workers, len(units)) processes run them, one where os.fork
     is missing.  This process is process 0: it forks processes 1 to
@@ -431,26 +448,58 @@ def cmd_verify_theorem(args) -> int:
 # -- verify-lemmas --------------------------------------------------------
 
 
+def _timed(fn, *args) -> tuple:
+    """(fn(*args), the seconds it took), timed in the process that ran it."""
+    t0 = time.perf_counter()
+    result = fn(*args)
+    return result, time.perf_counter() - t0
+
+
+def _level_unit(max_n: int) -> tuple:
+    """The work that reads the fs(1) and qt(1) levels to order max_n, as
+    one unit, since a process builds each level once: structure and
+    corollary, each timed, and the density lines, which give the edge
+    count of the densest minor-free graph of each order 2..max_n."""
+    suites = _timed(lemmas.structure, max_n), _timed(lemmas.corollary, max_n)
+    density = []
+    if max_n >= 2:  # the profile starts at n = 2
+        for fam in (Family("fs", 1), Family("qt", 1)):
+            budget = ", ".join(f"n={n}:{max(g.edge_count() for g in enumerate_graphs(n, fam))}"
+                               for n in range(2, max_n + 1))
+            density.append(f"density {fam}: max edges {budget}")
+    return (*suites, density)
+
+
 def cmd_verify_lemmas(args) -> int:
     if not 1 <= args.max_n <= MAX_GENERATED_ORDER:
         raise _UsageError(f"need 1 <= --max-n <= {MAX_GENERATED_ORDER}, got {args.max_n}")
     for option, value in (("--grid-n", args.grid_n), ("--trials", args.trials)):
         if value < 0:
             raise _UsageError(f"{option} must be >= 0, got {value}")
-    # each entry: the suite names and a function returning their tallies
-    suites = [
-        (("closed-form-quotient", "nikiforov-bounds"), lambda: lemmas.join_grid(args.grid_n)),
-        (("signless-identity",), lambda: [lemmas.signless(args.max_n)]),
-        (("intersection-bound",), lambda: [lemmas.intersection(args.trials, args.seed)]),
-        (("minor-free-structure",), lambda: [lemmas.structure(args.max_n)]),
-        (("extremal-at-half",), lambda: [lemmas.corollary(args.max_n)]),
-    ]
+    workers = _worker_count()
+    # the grid's orders split as verify-theorem's items do, part i of k
+    # taking orders[i::k]; then signless, intersection and the level unit
+    orders = range(2, args.grid_n + 1)
+    parts = max(1, min(workers, len(orders)))
+    units = [functools.partial(_timed, lemmas.grid_indices, orders[i::parts])
+             for i in range(parts)]
+    units += [functools.partial(_timed, lemmas.signless, args.max_n),
+              functools.partial(_timed, lemmas.intersection, args.trials, args.seed),
+              functools.partial(_level_unit, args.max_n)]
+    *grid, signless, intersection, (structure, corollary, density) = _run_units(units, workers)
+    t0 = time.perf_counter()
+    rhos = {cell: rho for part, _ in grid for cell, rho in part.items()}
+    join = lemmas.grid_tallies(args.grid_n, rhos)
+    # the grid's time: its parts' solves and the walk
+    join_s = sum(dt for _, dt in grid) + time.perf_counter() - t0
+    # each entry: the suite names, their tallies and the seconds they took
+    suites = [(("closed-form-quotient", "nikiforov-bounds"), join, join_s)]
+    suites += [((name,), (tally,), dt) for name, (tally, dt) in (
+        ("signless-identity", signless), ("intersection-bound", intersection),
+        ("minor-free-structure", structure), ("extremal-at-half", corollary))]
     total_bad = 0
     rows = []
-    for names, fn in suites:
-        t0 = time.perf_counter()
-        tallies = fn()
-        dt = time.perf_counter() - t0
+    for names, tallies, dt in suites:
         for name, tally in zip(names, tallies, strict=True):
             total_bad += tally.violations
             status = "FAIL" if tally.violations else "pass" if tally.checks else "skip"
@@ -463,12 +512,8 @@ def cmd_verify_lemmas(args) -> int:
             rows.append({"suite": name, "checks": tally.checks, "violations": tally.violations,
                          "first_counterexample": tally.first})
         print(f"  {dt:.1f}s", file=sys.stderr)
-    for fam in (Family("fs", 1), Family("qt", 1)):
-        if args.max_n >= 2:  # the profile starts at n = 2
-            # the edge count of the densest minor-free graph of each order
-            budget = ", ".join(f"n={n}:{max(g.edge_count() for g in enumerate_graphs(n, fam))}"
-                               for n in range(2, args.max_n + 1))
-            print(f"density {fam}: max edges {budget}")
+    for line in density:
+        print(line)
     if args.json:
         _write_json(args.json, {"schema": 1, "suites": rows})
     return 1 if total_bad else 0
@@ -558,8 +603,28 @@ def main(argv=None) -> int:
         return 2
 
 
+def _exit(code: int) -> None:
+    """Flush stdout and stderr and end the process with code, through
+    os._exit: interpreter shutdown would free every object one by one,
+    and after a fork each page it frees takes a copy-on-write fault.  A
+    flush that fails, such as on a pipe closed by its reader, makes the
+    code 2; its error line is printed unless main() has printed one, as
+    it has whenever it returns 2, so a run prints at most one."""
+    try:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            if code != 2:
+                code = 2
+                print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.flush()
+    except OSError:  # stderr cannot be written either
+        code = 2
+    os._exit(code)
+
+
 if __name__ == "__main__":
     # move the objects of the imports to the permanent generation, which no
     # collection traverses; not in main(), which tests call in one process
     gc.freeze()
-    sys.exit(main())
+    _exit(main())

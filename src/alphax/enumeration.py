@@ -72,7 +72,7 @@ from .graph6 import iter_graph6_file, write_graph6
 from .graphs import (CapacityError, Graph, extremal_fs, extremal_qt, friendship, make_empty,
                      quadrangle_book, twin_masks)
 from .minors import has_minor
-from .spectral import (DEFAULT_TOL, TIE_TOL, InvariantError, SpectralResult, alpha_index,
+from .spectral import (DEFAULT_TOL, TIE_TOL, InvariantError, SpectralResult, alpha_indices,
                        screen_alpha_indices)
 
 MAX_GENERATED_ORDER = 9
@@ -267,7 +267,7 @@ class SearchPart:
 class SearchReport:
     """Outcome of one exhaustive (n, alpha, family) extremal search; each
     graph6 in it is canonical, so equal strings mean isomorphic graphs.
-    ``certified`` counts the certified alpha_index solves of the tie band,
+    ``certified`` counts the certified A_alpha solves of the tie band,
     which do not depend on how the graphs were split."""
 
     n: int
@@ -300,21 +300,25 @@ def _certified_near_top(free: Sequence[Graph], alpha: float
     free.
 
     One batched screen_alpha_indices call estimates and bounds the index
-    of every graph.  The graph with the largest estimate is certified,
-    and its rho is at most the maximum.  A graph whose bound is below that
-    rho - TIE_TOL - DEFAULT_TOL cannot reach the tie band, since a
-    certified rho lies at most the bracket width DEFAULT_TOL above the
-    index, and only the others are certified.  The graph with the largest
-    estimate is kept whatever its bound, so its bound is checked too."""
+    of every graph.  The graph with the largest estimate is certified
+    first, and its rho is at most the maximum.  A graph whose bound is
+    below that rho - TIE_TOL - DEFAULT_TOL cannot reach the tie band,
+    since a certified rho lies at most the bracket width DEFAULT_TOL
+    above the index, and the others are certified in one alpha_indices
+    call.  The graph with the largest estimate is kept whatever its
+    bound, so its bound is checked too."""
     estimates, bounds = screen_alpha_indices(free, alpha)
     best = int(np.argmax(estimates))
-    top = alpha_index(free[best], alpha)
+    (top,) = alpha_indices([free[best]], [alpha])
     floor = top.rho - TIE_TOL - DEFAULT_TOL
     keep = ~(bounds < floor)  # a NaN bound keeps its graph
-    keep[best] = True
+    keep[best] = False
+    rest = np.flatnonzero(keep).tolist()
+    solved = dict(zip(rest, alpha_indices([free[i] for i in rest], [alpha] * len(rest))))
+    solved[best] = top
     results = []
-    for i in map(int, np.flatnonzero(keep)):
-        r = top if i == best else alpha_index(free[i], alpha)
+    for i in sorted(solved):
+        r = solved[i]
         if not bounds[i] >= r.lower:
             raise InvariantError(f"screen bound {float(bounds[i])!r} of {write_graph6(free[i])} "
                                  f"at alpha={alpha} is below its certified index {r.lower!r}")
@@ -398,8 +402,14 @@ def merge_reports(parts: Sequence[SearchPart], alphas: Sequence[float],
     except ValueError:  # no construction below order param + 1
         construction = None
     construction_g6 = None if construction is None else canonical_form(construction)
+    # a whole generated level holds the construction, which, when itself
+    # minor-free, can never beat the exhaustive maximum: its index at
+    # every alpha, from one call, bounds each report from below
+    bounded = source is None and construction is not None
+    construction_rhos = ([r.rho for r in alpha_indices([construction] * len(alphas), alphas)]
+                         if bounded else [])
     reports = []
-    for alpha in alphas:
+    for i, alpha in enumerate(alphas):
         results = _certified_near_top(free, alpha)
         ties = _near_max(results)
         top = max(t.rho for t in ties)
@@ -419,12 +429,9 @@ def merge_reports(parts: Sequence[SearchPart], alphas: Sequence[float],
             unique=len(ties) == 1,
             certified=len(results),
         ))
-        # sanity check: a whole generated level holds the construction,
-        # which, when itself minor-free, can never beat the exhaustive maximum
-        if source is None and construction is not None:
-            construction_rho = alpha_index(construction, alpha).rho
-            if not top >= construction_rho - TIE_TOL and is_minor_free(construction, family):
-                raise InvariantError(
-                    f"exhaustive maximum {top!r} at n={n}, alpha={alpha} is below "
-                    f"the index {construction_rho!r} of the minor-free {family} construction")
+        if (bounded and not top >= construction_rhos[i] - TIE_TOL
+                and is_minor_free(construction, family)):
+            raise InvariantError(
+                f"exhaustive maximum {top!r} at n={n}, alpha={alpha} is below "
+                f"the index {construction_rhos[i]!r} of the minor-free {family} construction")
     return reports

@@ -4,7 +4,10 @@
   joined with n-s independent vertices is the largest root of its 2x2
   quotient (spectral.join_quotient_index), and it meets Nikiforov's
   basic and strong lower bounds.  Each matrix is solved once and its
-  index feeds both tallies.
+  index feeds both tallies.  The grid runs in two steps: grid_indices
+  solves the cells of some orders, and grid_tallies walks the merged
+  cells in s, n, alpha order, so the orders can be solved in several
+  processes and the first failure named is still the first in the walk.
 - signless: q = 2*rho_{1/2} = 2 + lambda_max(A(L(G))) for every graph,
   as Q = D + A = R R^T and R^T R = 2I + A(L(G)) for the incidence matrix R.
 - intersection: |N_1 & ... & N_k| >= sum |N_i| - (k-1)|N_1 | ... | N_k|.
@@ -26,7 +29,7 @@ failures the same way.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,17 +59,26 @@ class Tally:
                 self.first = describe()
 
 
-def join_grid(grid_n: int) -> tuple[Tally, Tally]:
-    """The closed-form and Nikiforov-bound tallies of the grid s = 1..3,
-    n = s+1..grid_n, alpha in GRID_ALPHAS.  One alpha_indices call solves
-    every (s, alpha) cell of an order; the tallies then walk the grid in
-    s, n, alpha order, so the first failure named is the first in it."""
+def grid_indices(orders: Iterable[int]) -> dict[tuple[int, int, float], float]:
+    """The solve step of join_grid: {(s, n, alpha): rho} for each order n
+    of orders, s = 1..3 below n and alpha in GRID_ALPHAS.  One
+    alpha_indices call solves every (s, alpha) cell of an order, so the
+    orders can be split among processes and their cells merged."""
     rhos = {}
-    for n in range(2, grid_n + 1):
+    for n in orders:
         hosts = {s: graphs.extremal_fs(n, s) for s in (1, 2, 3) if s < n}
         cells = [(s, a) for s in hosts for a in GRID_ALPHAS]
         found = spectral.alpha_indices([hosts[s] for s, _ in cells], [a for _, a in cells])
         rhos.update(((s, n, a), r.rho) for (s, a), r in zip(cells, found, strict=True))
+    return rhos
+
+
+def grid_tallies(grid_n: int, rhos: dict[tuple[int, int, float], float]) -> tuple[Tally, Tally]:
+    """The closed-form and Nikiforov-bound tallies of the grid s = 1..3,
+    n = s+1..grid_n, alpha in GRID_ALPHAS, read from rhos (grid_indices
+    of the orders 2..grid_n).  The walk is in s, n, alpha order, whatever
+    the order the cells were solved in, so the first failure named is the
+    first in it."""
     closed, bounds = Tally(), Tally()
     worst = 0.0
     for s in (1, 2, 3):
@@ -84,6 +96,11 @@ def join_grid(grid_n: int) -> tuple[Tally, Tally]:
                                                f"basic={b.basic} strong={b.strong}")
     closed.note = f"worst |diff|={worst:.2e}"
     return closed, bounds
+
+
+def join_grid(grid_n: int) -> tuple[Tally, Tally]:
+    """The grid's two tallies, solved and walked in one process."""
+    return grid_tallies(grid_n, grid_indices(range(2, grid_n + 1)))
 
 
 def _line_graph_index(g: Graph) -> float:

@@ -24,9 +24,9 @@ from alphax import (
     validate_model,
     write_graph6,
 )
-from alphax import cli, enumeration, lemmas, spectral
+from alphax import cli, enumeration, graphs, lemmas, minors, spectral
 from alphax.cli import main
-from alphax.minors import MinorModel
+from alphax.minors import MinorModel, StructureReport, StructureViolation
 
 SRC = os.path.dirname(os.path.dirname(cli.__file__))
 
@@ -316,7 +316,7 @@ def test_certified_solves_do_not_depend_on_the_split(capsys, tmp_path, monkeypat
 
 
 def test_a_unit_makes_no_certified_solve(capsys, tmp_path, monkeypatch):
-    # every alpha_index solve and every screen of a run is the merge's:
+    # every certified solve and every screen of a run is the merge's:
     # units that can do neither give the same reports
     monkeypatch.setenv("ALPHAX_THREADS", "1")
     runs = [[*THEOREM_GEN, "--shards", "2"],
@@ -330,8 +330,8 @@ def test_a_unit_makes_no_certified_solve(capsys, tmp_path, monkeypatch):
 
     def unit(*args, **kwargs):
         with pytest.MonkeyPatch.context() as patch:
-            for module in (enumeration, spectral):
-                patch.setattr(module, "alpha_index", refuse)
+            for module in (enumeration, spectral):  # spectral.alpha_index calls alpha_indices
+                patch.setattr(module, "alpha_indices", refuse)
                 patch.setattr(module, "screen_alpha_indices", refuse)
             return search(*args, **kwargs)
 
@@ -736,13 +736,18 @@ def test_verify_theorem_rejects_bad_alpha(capsys):
     assert code == 2
 
 
+# the lemma functions verify-lemmas calls
+LEMMA_SUITES = ("grid_indices", "grid_tallies", "signless", "intersection", "structure",
+                "corollary")
+
+
 @pytest.mark.parametrize("max_n", ["0", "10"])
 def test_verify_lemmas_rejects_max_n_outside_generation_before_any_suite(capsys, monkeypatch,
                                                                          max_n):
     def no_suite(*args):
         raise AssertionError("a suite started")
 
-    for name in ("join_grid", "signless", "intersection", "structure", "corollary"):
+    for name in LEMMA_SUITES:
         monkeypatch.setattr(lemmas, name, no_suite)
     code = main(["verify-lemmas", "--max-n", max_n])
     out, err = capsys.readouterr()
@@ -755,12 +760,123 @@ def test_verify_lemmas_rejects_a_negative_count_before_any_suite(capsys, monkeyp
     def no_suite(*args):
         raise AssertionError("a suite started")
 
-    for name in ("join_grid", "signless", "intersection", "structure", "corollary"):
+    for name in LEMMA_SUITES:
         monkeypatch.setattr(lemmas, name, no_suite)
     code = main(["verify-lemmas", option, value])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err == f"error: {option} must be >= 0, got {value}\n"
+
+
+def test_verify_lemmas_rejects_zero_workers_before_any_suite(capsys, monkeypatch):
+    def no_suite(*args):
+        raise AssertionError("a suite started")
+
+    for name in LEMMA_SUITES:
+        monkeypatch.setattr(lemmas, name, no_suite)
+    monkeypatch.setenv("ALPHAX_THREADS", "0")
+    code = main(["verify-lemmas", "--grid-n", "6", "--max-n", "3", "--trials", "10"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: ALPHAX_THREADS must be >= 1, got '0'\n"
+
+
+def _lemma_outputs(capsys, tmp_path, monkeypatch) -> list[tuple[int, str, str]]:
+    """(exit code, stdout, JSON) of one verify-lemmas run at 1, 2 and 3 workers."""
+    outputs = []
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("ALPHAX_THREADS", threads)
+        path = tmp_path / f"lemmas-{threads}.json"
+        code, out = run(capsys, "verify-lemmas", "--grid-n", "12", "--max-n", "5",
+                        "--trials", "200", "--json", str(path))
+        outputs.append((code, out, path.read_text()))
+    return outputs
+
+
+def test_verify_lemmas_pool_matches_one_worker(capsys, tmp_path, monkeypatch):
+    # with 2 workers the child runs grid part 1 and intersection, with 3
+    # the children run grid parts 1 and 2, the level unit and signless
+    outputs = _lemma_outputs(capsys, tmp_path, monkeypatch)
+    assert outputs[0][0] == 0 and outputs[1:] == outputs[:1] * 2
+
+
+def test_verify_lemmas_pool_names_the_same_first_failure(capsys, tmp_path, monkeypatch):
+    # failures planted in the grid walk at s = 2, in intersection (a child
+    # at 2 workers) and in the qt(1) structure (a child at 3 workers)
+    exact = spectral.join_quotient_index
+    monkeypatch.setattr(spectral, "join_quotient_index",
+                        lambda n, s, a: exact(n, s, a) + (1e-6 if s == 2 else 0.0))
+    bound = graphs.intersection_lower_bound
+    monkeypatch.setattr(graphs, "intersection_lower_bound",
+                        lambda sets: (0, 1) if len(sets) == 3 else bound(sets))
+    check = minors.check_qt_structure
+    monkeypatch.setattr(minors, "check_qt_structure", lambda g, t, a_set, b_set: StructureReport(
+        ok=False, violations=(StructureViolation("planted", (0,)),))
+        if g.n == 5 else check(g, t, a_set, b_set))
+    outputs = _lemma_outputs(capsys, tmp_path, monkeypatch)
+    assert outputs[0][0] == 1 and outputs[1:] == outputs[:1] * 2
+    firsts = re.findall(r"^  first counterexample: (.*)$", outputs[0][1], re.M)
+    assert len(firsts) == 3
+    assert firsts[0].startswith("s=2 n=3 alpha=0.1: ")
+    assert firsts[1].startswith("sets=[") and firsts[2].startswith("qt(1) ")
+
+
+def _lemmas_script(prelude: str) -> str:
+    # verify-lemmas at 2 workers in a fresh interpreter: process 0 runs
+    # grid part 0, signless and the level unit, process 1 grid part 1 and
+    # intersection; afterwards it prints the exit code and whether a child
+    # is left
+    return ("import os, sys, time\n"
+            "from alphax import cli, lemmas, spectral\n"
+            "main_pid = os.getpid()\n"
+            + prelude +
+            "start = time.monotonic()\n"
+            "code = cli.main(['verify-lemmas', '--grid-n', '12', '--max-n', '5',\n"
+            "                 '--trials', '200'])\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "    left = 'a child left'\n"
+            "except ChildProcessError:\n"
+            "    left = 'no child left'\n"
+            "print(code, left, time.monotonic() - start < 30)\n")
+
+
+def test_verify_lemmas_exits_when_a_pool_process_dies(tmp_path):
+    proc = _run_script(tmp_path, _lemmas_script(
+        "def dying(*args):\n"
+        "    os._exit(9)\n"
+        "lemmas.intersection = dying\n"), timeout=60)
+    assert proc.stdout == "2 no child left True\n"
+    assert re.fullmatch(r"error: worker process \d+ exited with status 9 "
+                        r"before it sent its results\n", proc.stderr)
+
+
+def test_verify_lemmas_reports_a_child_convergence_error(tmp_path):
+    # grid part 1 fails its solves in the child; the error comes back
+    # pickled, and no suite line is printed
+    proc = _run_script(tmp_path, _lemmas_script(
+        "solve = spectral.alpha_indices\n"
+        "def failing(graphs, alphas):\n"
+        "    if os.getpid() != main_pid:\n"
+        "        raise spectral.ConvergenceError('planted', 0.5)\n"
+        "    return solve(graphs, alphas)\n"
+        "spectral.alpha_indices = failing\n"), timeout=60)
+    assert proc.stdout == "2 no child left True\n"
+    assert proc.stderr == "error: planted (best residual 5.000e-01)\n"
+
+
+def test_verify_lemmas_leaves_no_worker_running_when_the_main_process_fails(tmp_path):
+    # the child sleeps in intersection while signless, in the main
+    # process, fails; the run must end at once and reap the child
+    proc = _run_script(tmp_path, _lemmas_script(
+        "def sleeping(*args):\n"
+        "    time.sleep(60)\n"
+        "lemmas.intersection = sleeping\n"
+        "def failing(*args):\n"
+        "    raise spectral.ConvergenceError('signless failed', 1.0)\n"
+        "lemmas.signless = failing\n"), timeout=50)
+    assert proc.stdout == "2 no child left True\n"
+    assert proc.stderr == "error: signless failed (best residual 1.000e+00)\n"
 
 
 def test_verify_lemmas_quick(capsys, monkeypatch, tmp_path):
@@ -825,6 +941,51 @@ def test_verify_lemmas_reports_a_suite_without_checks_as_skipped(capsys, monkeyp
         (name, 0, 0, None) for name in ("closed-form-quotient", "nikiforov-bounds",
                                         "intersection-bound", "minor-free-structure",
                                         "extremal-at-half")]
+
+
+def _cli_process(argv, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """python -m alphax.cli argv run to its end, with stdout block-buffered
+    as on any pipe (PYTHONUNBUFFERED unset)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-m", "alphax.cli", *argv], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["construct", "--family", "complete", "--n", "4"], 0, "C~\n", ""),
+    (["verify-theorem", "--family", "qt(2)", "--n-from", "5", "--n-to", "5", "--alpha", "0.5",
+      "--require-from", "5", "--csv", os.devnull], 1, "", "COUNTEREXAMPLE family=qt(2) n=5 "),
+    (["alpha-index", "--g6", "D?\x01"], 2, "", "error: "),
+], ids=["pass", "counterexample", "usage"])
+def test_cli_process_passes_its_exit_code_through(argv, code, out, err):
+    proc = _cli_process(argv)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert proc.stderr.startswith(err) and "Traceback" not in proc.stderr
+
+
+def test_cli_process_writes_a_large_csv_to_its_pipe_complete(tmp_path):
+    argv = ["alpha-index", "--graphs", _level_file(tmp_path, 7), "--alpha", "0.1,0.5,0.9"]
+    proc = _cli_process(argv)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert main([*argv, "--out", str(tmp_path / "rows.csv")]) == 0
+    assert proc.stdout == (tmp_path / "rows.csv").read_text()
+    assert len(proc.stdout.splitlines()) == 1 + 3 * 1044
+
+
+@pytest.mark.parametrize("large", [False, True], ids=["at-the-final-flush", "while-writing"])
+def test_cli_process_on_a_closed_pipe_exits_2_with_one_error_line(tmp_path, large):
+    # a one-row CSV stays in stdout's buffer until the final flush; the
+    # rows of the 1044 graphs of order 7 overflow it while main() writes
+    source = ["--graphs", _level_file(tmp_path, 7)] if large else ["--g6", "C~"]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _cli_process(["alpha-index", *source], stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: [Errno 32] Broken pipe\n"
 
 
 @pytest.mark.parametrize("preset", [None, "3"])

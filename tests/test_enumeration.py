@@ -239,9 +239,10 @@ def test_search_matches_closed_form_when_construction_wins():
 def test_argmax_among_ties_ignores_float_order(monkeypatch):
     # D~_ is the float maximum, D}o (the construction) the smaller graph6
     planted = {"D~_": 3.1861406616346, "D}o": 3.1861406616345}
-    original = enumeration.alpha_index
-    monkeypatch.setattr(enumeration, "alpha_index", lambda g, alpha: dataclasses.replace(
-        original(g, alpha), rho=planted[write_graph6(canonical_graph(g))]))
+    original = enumeration.alpha_indices
+    monkeypatch.setattr(enumeration, "alpha_indices", lambda gs, alphas: [
+        dataclasses.replace(r, rho=planted[write_graph6(canonical_graph(g))])
+        for g, r in zip(gs, original(gs, alphas))])
     parts = [search_part(5, Family("fs", 2), (parse_graph6(g6),)) for g6 in planted]
     for ordered in (parts, parts[::-1]):
         (r,) = merge_reports(ordered, (0.5,))
@@ -398,8 +399,8 @@ def test_merge_searches_the_construction_only_when_its_bound_fails(monkeypatch):
     # of it keeps its index
     planted = dataclasses.replace(alpha_index(fam.construction(6), 0.5), rho=report.max_rho + 1.0)
     level = {id(g) for p in parts for g in p.free}
-    monkeypatch.setattr(enumeration, "alpha_index",
-                        lambda g, alpha: alpha_index(g, alpha) if id(g) in level else planted)
+    monkeypatch.setattr(enumeration, "alpha_indices", lambda gs, alphas: [
+        alpha_index(g, alpha) if id(g) in level else planted for g, alpha in zip(gs, alphas)])
     monkeypatch.setattr(enumeration, "is_minor_free",
                         lambda g, family, anchor=None: calls.append(g) or False)
     assert merge_reports(parts, (0.5,)) == [report]
