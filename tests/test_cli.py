@@ -736,44 +736,36 @@ def test_verify_theorem_rejects_bad_alpha(capsys):
     assert code == 2
 
 
-# the lemma functions verify-lemmas calls
-LEMMA_SUITES = ("grid_indices", "grid_tallies", "signless", "intersection", "structure",
-                "corollary")
-
-
-@pytest.mark.parametrize("max_n", ["0", "10"])
-def test_verify_lemmas_rejects_max_n_outside_generation_before_any_suite(capsys, monkeypatch,
-                                                                         max_n):
+@pytest.fixture
+def no_lemma_suite(monkeypatch):
+    # every lemma function verify-lemmas calls fails the test if called
     def no_suite(*args):
         raise AssertionError("a suite started")
 
-    for name in LEMMA_SUITES:
+    for name in ("grid_indices", "grid_tallies", "signless", "intersection", "structure",
+                 "corollary"):
         monkeypatch.setattr(lemmas, name, no_suite)
+
+
+@pytest.mark.parametrize("max_n", ["0", "10"])
+def test_verify_lemmas_rejects_max_n_outside_generation_before_any_suite(capsys, no_lemma_suite,
+                                                                         max_n):
     code = main(["verify-lemmas", "--max-n", max_n])
     out, err = capsys.readouterr()
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("option, value", [("--grid-n", "-3"), ("--trials", "-5")])
-def test_verify_lemmas_rejects_a_negative_count_before_any_suite(capsys, monkeypatch,
+def test_verify_lemmas_rejects_a_negative_count_before_any_suite(capsys, no_lemma_suite,
                                                                  option, value):
-    def no_suite(*args):
-        raise AssertionError("a suite started")
-
-    for name in LEMMA_SUITES:
-        monkeypatch.setattr(lemmas, name, no_suite)
     code = main(["verify-lemmas", option, value])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err == f"error: {option} must be >= 0, got {value}\n"
 
 
-def test_verify_lemmas_rejects_zero_workers_before_any_suite(capsys, monkeypatch):
-    def no_suite(*args):
-        raise AssertionError("a suite started")
-
-    for name in LEMMA_SUITES:
-        monkeypatch.setattr(lemmas, name, no_suite)
+def test_verify_lemmas_rejects_zero_workers_before_any_suite(capsys, monkeypatch,
+                                                              no_lemma_suite):
     monkeypatch.setenv("ALPHAX_THREADS", "0")
     code = main(["verify-lemmas", "--grid-n", "6", "--max-n", "3", "--trials", "10"])
     out, err = capsys.readouterr()
