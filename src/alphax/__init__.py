@@ -65,7 +65,6 @@ from .spectral import (
     alpha_index,
     alpha_indices,
     alpha_matrix,
-    certify_top,
     certify_tops,
     f_inequality,
     jacobi_eigh,
@@ -74,7 +73,6 @@ from .spectral import (
     power_iteration,
     quotient_matrix,
     screen_alpha_indices,
-    signless_laplacian_index,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

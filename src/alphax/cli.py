@@ -44,10 +44,10 @@ or check failure was found, 2 usage or resource errors, among them a
 worker process that died before it sent its results, and a stdout that
 could not be written.  Reports are byte-deterministic: fixed column order
 and 12-significant-digit floats; wall-clock timings go to stderr only.
-Run as python -m alphax.cli, the process flushes stdout and stderr once
-main() has returned and leaves through os._exit, as its forked workers
-do: interpreter shutdown would free every object one by one, and after a
-fork each freed page takes a copy-on-write fault.
+Run as python -m alphax.cli or as alphax (cli.run), the process flushes
+stdout and stderr once main() has returned and leaves through os._exit,
+as its forked workers do: interpreter shutdown would free every object
+one by one, and after a fork each freed page takes a copy-on-write fault.
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ from .enumeration import (
 )
 from .graph6 import Graph6ParseError, iter_graph6_file, parse_graph6, write_graph6
 from .graphs import (
+    MAX_VERTICES,
     CapacityError,
     Graph,
     complement,
@@ -91,7 +92,7 @@ from .graphs import (
     quadrangle_book,
 )
 from .minors import DEFAULT_NODE_CAP, SearchLimitError, has_minor, minor_closure_oracle
-from .spectral import ConvergenceError, InvariantError, alpha_indices, signless_laplacian_index
+from .spectral import ConvergenceError, InvariantError, alpha_indices
 
 THEOREM_COLUMNS = ["graph6", "n", "alpha", "family", "rho", "residual",
                    "minor_free", "matches_construction", "unique", "ties"]
@@ -206,10 +207,12 @@ def cmd_alpha_index(args) -> int:
     if args.signless_laplacian:
         header.append("q")
     rows = []
+    half = [0.5] if args.signless_laplacian else []  # for q = 2 rho_{1/2}, solved first
     for g in graphs:
         g6 = write_graph6(g)
-        q = [_fmt(signless_laplacian_index(g, tol=args.tol))] if args.signless_laplacian else []
-        for a, r in zip(alphas, alpha_indices([g] * len(alphas), alphas, tol=args.tol)):
+        results = alpha_indices([g] * len(half + alphas), half + alphas, tol=args.tol)
+        q = [_fmt(2.0 * r.rho) for r in results[:len(half)]]
+        for a, r in zip(alphas, results[len(half):]):
             rows.append([g6, str(g.n), _fmt(a), _fmt(r.rho), _fmt(r.residual)] + q)
     _write_csv(args.out, header, rows)
     return 0
@@ -476,6 +479,8 @@ def cmd_verify_lemmas(args) -> int:
     for option, value in (("--grid-n", args.grid_n), ("--trials", args.trials)):
         if value < 0:
             raise _UsageError(f"{option} must be >= 0, got {value}")
+    if args.grid_n > MAX_VERTICES:
+        raise _UsageError(f"--grid-n must be <= {MAX_VERTICES}, got {args.grid_n}")
     workers = _worker_count()
     # the grid's orders split as verify-theorem's items do, part i of k
     # taking orders[i::k]; then signless, intersection and the level unit
@@ -623,8 +628,13 @@ def _exit(code: int) -> None:
     os._exit(code)
 
 
-if __name__ == "__main__":
-    # move the objects of the imports to the permanent generation, which no
-    # collection traverses; not in main(), which tests call in one process
+def run() -> None:
+    """python -m alphax.cli and the alphax command: main(), then _exit.
+    gc.freeze() moves the objects of the imports to the permanent
+    generation, which no collection traverses; tests call main() alone."""
     gc.freeze()
     _exit(main())
+
+
+if __name__ == "__main__":
+    run()

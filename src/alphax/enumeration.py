@@ -299,30 +299,28 @@ def _certified_near_top(free: Sequence[Graph], alpha: float
     empty, that can lie within TIE_TOL of their maximum, in the order of
     free.
 
-    One batched screen_alpha_indices call estimates and bounds the index
-    of every graph.  The graph with the largest estimate is certified
-    first, and its rho is at most the maximum.  A graph whose bound is
-    below that rho - TIE_TOL - DEFAULT_TOL cannot reach the tie band,
-    since a certified rho lies at most the bracket width DEFAULT_TOL
-    above the index, and the others are certified in one alpha_indices
-    call.  The graph with the largest estimate is kept whatever its
-    bound, so its bound is checked too."""
-    estimates, bounds = screen_alpha_indices(free, alpha)
-    best = int(np.argmax(estimates))
-    (top,) = alpha_indices([free[best]], [alpha])
-    floor = top.rho - TIE_TOL - DEFAULT_TOL
-    keep = ~(bounds < floor)  # a NaN bound keeps its graph
-    keep[best] = False
-    rest = np.flatnonzero(keep).tolist()
-    solved = dict(zip(rest, alpha_indices([free[i] for i in rest], [alpha] * len(rest))))
-    solved[best] = top
-    results = []
-    for i in sorted(solved):
-        r = solved[i]
-        if not bounds[i] >= r.lower:
-            raise InvariantError(f"screen bound {float(bounds[i])!r} of {write_graph6(free[i])} "
+    One batched screen_alpha_indices call brackets every index,
+    lower_i <= rho_i <= upper_i, and one alpha_indices call certifies
+    the graphs whose upper is not below the floor lower_b - TIE_TOL -
+    2 DEFAULT_TOL, b having the largest lower, and b whatever its upper.
+    A certified rho lies at most the bracket width DEFAULT_TOL above the
+    index, so a dropped graph j would be certified below lower_b -
+    TIE_TOL - DEFAULT_TOL <= rho_b - TIE_TOL, as each kept i is checked
+    to have lower_i <= rho_i + DEFAULT_TOL: no dropped graph could reach
+    the tie band.  Each upper_i is checked against its certified lower."""
+    lower, upper = screen_alpha_indices(free, alpha)
+    best = int(np.argmax(lower))
+    keep = ~(upper < lower[best] - TIE_TOL - 2 * DEFAULT_TOL)  # a NaN bound keeps its graph
+    keep[best] = True
+    graphs = [free[i] for i in np.flatnonzero(keep)]
+    results = list(zip(graphs, alpha_indices(graphs, [alpha] * len(graphs))))
+    for (g, r), low, up in zip(results, lower[keep], upper[keep]):
+        if not up >= r.lower:
+            raise InvariantError(f"screen bound {float(up)!r} of {write_graph6(g)} "
                                  f"at alpha={alpha} is below its certified index {r.lower!r}")
-        results.append((free[i], r))
+        if not low <= r.rho + DEFAULT_TOL:
+            raise InvariantError(f"screen lower bound {float(low)!r} of {write_graph6(g)} "
+                                 f"at alpha={alpha} is above its certified index {r.rho!r}")
     return results
 
 

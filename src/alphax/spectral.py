@@ -16,21 +16,22 @@ Bauer-Fike applied to the whole computed decomposition from above, which
 bounds every eigenvalue of the matrix, including any the solver missed.
 Every dot product and norm of the certificate is one BLAS ddot per
 member (a stacked (1 x N)(N x 1) matmul), so a member's bracket is
-bit-equal to the one a single solve gives.  ``alpha_index`` and
-``certify_top`` are batches of one: there is one certificate path.
-Other solves whose vector is not needed go through
-``numpy.linalg.eigvalsh``.
+bit-equal to the one a single solve gives.  ``alpha_index`` is the one
+batch of one: there is one certificate path.  Other solves whose vector
+is not needed go through ``numpy.linalg.eigvalsh``.
 
-``screen_alpha_indices`` bounds many indices at once, so that a search
+``screen_alpha_indices`` brackets many indices at once, so that a search
 certifies only the graphs that can come near its maximum.  It stacks
-the A_alpha matrices of equal-order graphs into one batched ``eigh``
-call and bounds each index from above by Collatz-Wielandt: for a
-nonnegative M and any positive x, rho(M) <= max_i (Mx)_i / x_i.  x is
-the absolute top vector, raised to at least 1e-8 of its largest entry
-(disconnected graphs have zero entries), so the bound is tight for a
-connected graph and valid for any.  Each computed ratio has relative
-error at most (n + 2) eps, which 2 (n + 2) eps |M|_F covers, as the
-ratio only matters where it is below 2 |M|_F >= 2 rho(M).
+the A_alpha matrices of equal-order graphs into batched ``eigh`` calls
+and tests each M with one positive vector x, the absolute top vector
+raised to at least 1e-8 of its largest entry (disconnected graphs have
+zero entries): rho(M) <= max_i (Mx)_i / x_i (Collatz-Wielandt, M >= 0)
+and rho(M) >= x.Mx / x.x (Courant-Fischer), both tight for a connected
+graph.  M and x are nonnegative, so no sum cancels: a computed ratio has
+relative error at most (n + 1) u and the Rayleigh quotient (3n + 1) u,
+u = eps / 2.  The ratio matters only below 2 |M|_F >= 2 rho(M), and the
+quotient is at most rho(M) <= |M|_F, so one slack 2 (n + 2) eps |M|_F
+makes both bounds rigorous.
 
 ``jacobi_eigh`` (cyclic Jacobi) and ``power_iteration`` are kept only as
 test oracles: they share no code with LAPACK, so agreement with them is
@@ -283,11 +284,6 @@ def certify_tops(m: np.ndarray, w: Sequence[np.ndarray], v: Sequence[np.ndarray]
         rho.tolist(), x, residual.tolist(), lower.tolist(), upper.tolist())]
 
 
-def certify_top(m: np.ndarray, w: np.ndarray, v: np.ndarray, tol: float) -> SpectralResult:
-    """certify_tops of the one decomposition m ~ v diag(w) v^T."""
-    return certify_tops(m[None], (w,), (v,), tol)[0]
-
-
 def alpha_indices(graphs: Sequence[Graph], alphas: Sequence[float],
                   tol: float = DEFAULT_TOL) -> list[SpectralResult]:
     """Largest eigenvalue of A_alpha of graphs[i] at alphas[i], for graphs
@@ -316,10 +312,10 @@ def alpha_index(g: Graph, alpha: float, tol: float = DEFAULT_TOL) -> SpectralRes
 
 
 def screen_alpha_indices(graphs: Sequence[Graph], alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Uncertified estimates and rigorous upper bounds of the A_alpha
-    indices of graphs of one order, from batched ``numpy.linalg.eigh``
-    calls (see the module docstring).  Returns two arrays, one entry per
-    graph; a NaN bound bounds nothing."""
+    """Rigorous lower and upper bounds of the A_alpha indices of graphs
+    of one order, from batched ``numpy.linalg.eigh`` calls (see the
+    module docstring).  Returns two arrays, one entry per graph; a NaN
+    bound bounds nothing."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0,1], got {alpha}")
     if not graphs:
@@ -327,20 +323,15 @@ def screen_alpha_indices(graphs: Sequence[Graph], alpha: float) -> tuple[np.ndar
     n = graphs[0].n
     if n < 1 or any(g.n != n for g in graphs):
         raise ValueError("screened graphs must share one order of at least one vertex")
-    estimates, bounds = [], []
-    for m, w, v in _solves(graphs, (alpha,) * len(graphs)):
+    lowers, uppers = [], []
+    for m, _, v in _solves(graphs, (alpha,) * len(graphs)):
         x = np.abs(v[:, :, -1])
         x = np.maximum(x, _SCREEN_FLOOR * x.max(axis=1, keepdims=True))
-        ratio = (np.matmul(m, x[:, :, None])[:, :, 0] / x).max(axis=1)
+        mx = np.matmul(m, x[:, :, None])[:, :, 0]
         slack = 2.0 * (n + 2) * _EPS * np.sqrt((m * m).sum(axis=(1, 2)))
-        estimates.append(w[:, -1])
-        bounds.append(ratio + slack)
-    return np.concatenate(estimates), np.concatenate(bounds)
-
-
-def signless_laplacian_index(g: Graph, tol: float = DEFAULT_TOL) -> float:
-    """Largest eigenvalue of D+A = 2*A_{1/2}, as twice the certified rho_{1/2}."""
-    return 2.0 * alpha_index(g, 0.5, tol).rho
+        lowers.append((x * mx).sum(axis=1) / (x * x).sum(axis=1) - slack)
+        uppers.append((mx / x).max(axis=1) + slack)
+    return np.concatenate(lowers), np.concatenate(uppers)
 
 
 # -- closed forms -------------------------------------------------------

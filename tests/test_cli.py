@@ -124,17 +124,20 @@ def test_alpha_index_uncertifiable_tolerance_is_usage_error(capsys, tmp_path):
 
 
 def test_alpha_index_signless_once_per_graph(capsys, monkeypatch):
+    # q comes from the one alpha_indices call each graph makes
     calls = []
-    original = cli.signless_laplacian_index
+    original = cli.alpha_indices
 
-    def counted(g, tol):
-        calls.append(g)
-        return original(g, tol=tol)
+    def counted(graphs, alphas, tol):
+        calls.append(graphs[0])
+        return original(graphs, alphas, tol=tol)
 
-    monkeypatch.setattr(cli, "signless_laplacian_index", counted)
-    code, out = run(capsys, "alpha-index", "--g6", "Dhc", "--g6", "C~",
-                    "--alpha", "0.1,0.5,0.9", "--signless-laplacian")
-    assert code == 0 and len(calls) == 2
+    monkeypatch.setattr(cli, "alpha_indices", counted)
+    for signless in ([], ["--signless-laplacian"]):
+        calls.clear()
+        code, out = run(capsys, "alpha-index", "--g6", "Dhc", "--g6", "C~",
+                        "--alpha", "0.1,0.5,0.9", *signless)
+        assert code == 0 and len(calls) == 2
     q = [line.split(",")[-1] for line in out.strip().splitlines()[1:]]
     assert q == ["4"] * 3 + ["6"] * 3
 
@@ -764,6 +767,17 @@ def test_verify_lemmas_rejects_a_negative_count_before_any_suite(capsys, no_lemm
     assert err == f"error: {option} must be >= 0, got {value}\n"
 
 
+def test_verify_lemmas_rejects_a_grid_past_the_vertex_capacity_before_any_suite(
+        capsys, monkeypatch, no_lemma_suite):
+    code = main(["verify-lemmas", "--grid-n", "70"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: --grid-n must be <= {graphs.MAX_VERTICES}, got 70\n"
+    monkeypatch.setenv("ALPHAX_THREADS", "1")  # the suites run in this process
+    with pytest.raises(AssertionError, match="a suite started"):
+        main(["verify-lemmas", "--grid-n", str(graphs.MAX_VERTICES)])
+
+
 def test_verify_lemmas_rejects_zero_workers_before_any_suite(capsys, monkeypatch,
                                                               no_lemma_suite):
     monkeypatch.setenv("ALPHAX_THREADS", "0")
@@ -935,12 +949,18 @@ def test_verify_lemmas_reports_a_suite_without_checks_as_skipped(capsys, monkeyp
                                         "extremal-at-half")]
 
 
-def _cli_process(argv, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
-    """python -m alphax.cli argv run to its end, with stdout block-buffered
-    as on any pipe (PYTHONUNBUFFERED unset)."""
+# the process entries: python -m alphax.cli, and the body of the alphax
+# console script, which pyproject.toml points at cli.run
+ENTRIES = (["-m", "alphax.cli"], ["-c", "from alphax.cli import run; run()"])
+
+
+def _cli_process(argv, stdout=subprocess.PIPE, entry=ENTRIES[0]
+                 ) -> subprocess.CompletedProcess:
+    """python -m alphax.cli argv, or another entry, run to its end, with
+    stdout block-buffered as on any pipe (PYTHONUNBUFFERED unset)."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
-    return subprocess.run([sys.executable, "-m", "alphax.cli", *argv], env=env, stdout=stdout,
+    return subprocess.run([sys.executable, *entry, *argv], env=env, stdout=stdout,
                           stderr=subprocess.PIPE, text=True, timeout=120)
 
 
@@ -951,9 +971,10 @@ def _cli_process(argv, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     (["alpha-index", "--g6", "D?\x01"], 2, "", "error: "),
 ], ids=["pass", "counterexample", "usage"])
 def test_cli_process_passes_its_exit_code_through(argv, code, out, err):
-    proc = _cli_process(argv)
-    assert (proc.returncode, proc.stdout) == (code, out)
-    assert proc.stderr.startswith(err) and "Traceback" not in proc.stderr
+    for entry in ENTRIES:
+        proc = _cli_process(argv, entry=entry)
+        assert (proc.returncode, proc.stdout) == (code, out)
+        assert proc.stderr.startswith(err) and "Traceback" not in proc.stderr
 
 
 def test_cli_process_writes_a_large_csv_to_its_pipe_complete(tmp_path):
@@ -970,14 +991,15 @@ def test_cli_process_on_a_closed_pipe_exits_2_with_one_error_line(tmp_path, larg
     # a one-row CSV stays in stdout's buffer until the final flush; the
     # rows of the 1044 graphs of order 7 overflow it while main() writes
     source = ["--graphs", _level_file(tmp_path, 7)] if large else ["--g6", "C~"]
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        proc = _cli_process(["alpha-index", *source], stdout=write)
-    finally:
-        os.close(write)
-    assert proc.returncode == 2
-    assert proc.stderr == "error: [Errno 32] Broken pipe\n"
+    for entry in ENTRIES:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = _cli_process(["alpha-index", *source], stdout=write, entry=entry)
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: [Errno 32] Broken pipe\n"
 
 
 @pytest.mark.parametrize("preset", [None, "3"])

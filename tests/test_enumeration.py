@@ -328,6 +328,41 @@ def test_a_broken_bound_on_the_best_estimate_is_caught(monkeypatch):
         search_extremal(6, 0.5, Family("fs", 2))
 
 
+def test_a_broken_lower_bound_on_the_screen_is_caught(monkeypatch):
+    # every lower bound above its index raises the floor past the band;
+    # the lower bound of the best graph is checked, so no smaller band
+    # comes back
+    screen = enumeration.screen_alpha_indices
+
+    def raised(graphs, alpha):
+        lower, upper = screen(graphs, alpha)
+        return lower + 1, upper
+
+    monkeypatch.setattr(enumeration, "screen_alpha_indices", raised)
+    with pytest.raises(InvariantError, match=r"screen lower bound .* at alpha=0.5 is above"):
+        search_extremal(6, 0.5, Family("fs", 2))
+
+
+def test_each_tie_band_is_screened_and_certified_in_one_call(monkeypatch):
+    # one screen and one alpha_indices call per (n, alpha), and one more
+    # call per order for the construction's bound
+    calls = {"screen": 0, "certify": 0}
+    screen, certify = enumeration.screen_alpha_indices, enumeration.alpha_indices
+
+    def counted(key, fn):
+        def call(*args):
+            calls[key] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(enumeration, "screen_alpha_indices", counted("screen", screen))
+    monkeypatch.setattr(enumeration, "alpha_indices", counted("certify", certify))
+    fam = Family("fs", 2)
+    for n in range(3, 9):
+        merge_reports([search_part(n, fam)], (0.1, 0.3, 0.5, 0.7, 0.9))
+    assert calls == {"screen": 30, "certify": 36}
+
+
 def _parts(n, fam, count):
     return [search_part(n, fam, _level_part(n, i, count)) for i in range(count)]
 

@@ -1,7 +1,8 @@
 """Source-level checks: every module parses at the oldest Python that
-pyproject.toml admits, the package states its runtime invariants as
-raised errors, which python -O cannot strip, not as assert statements,
-and importing the CLI loads no process-pool machinery."""
+pyproject.toml admits, its console script enters the CLI through run(),
+the package states its runtime invariants as raised errors, which
+python -O cannot strip, not as assert statements, and importing the CLI
+loads no process-pool machinery."""
 
 import ast
 import os
@@ -22,6 +23,14 @@ def test_sources_parse_at_the_required_python_floor():
     assert ROOT / "src" / "alphax" / "cli.py" in paths
     for path in paths:
         ast.parse(path.read_text(), filename=str(path), feature_version=version)
+
+
+def test_console_script_enters_through_run():
+    # cli.run, like python -m alphax.cli, flushes and leaves through
+    # os._exit; main() alone would skip both
+    script = re.search(r'^alphax = "([\w.:]+)"$', (ROOT / "pyproject.toml").read_text(),
+                       re.MULTILINE)
+    assert script and script[1] == "alphax.cli:run"
 
 
 def test_package_has_no_assert_statement():

@@ -12,7 +12,6 @@ from alphax import (
     alpha_index,
     alpha_indices,
     alpha_matrix,
-    certify_top,
     certify_tops,
     disjoint_union,
     enumerate_graphs,
@@ -30,7 +29,6 @@ from alphax import (
     power_iteration,
     quotient_matrix,
     screen_alpha_indices,
-    signless_laplacian_index,
 )
 from alphax import spectral
 from conftest import random_graph
@@ -146,7 +144,7 @@ def test_alpha_index_agrees_with_independent_solvers(rng):
 
 
 def test_screen_bounds_every_certified_index(rng):
-    # Collatz-Wielandt bounds, one batch per order; edgeless and
+    # Collatz-Wielandt and Rayleigh bounds, one batch per order; edgeless and
     # disconnected graphs give top vectors with zero entries
     by_order: dict[int, list[Graph]] = {}
     for i in range(2000):
@@ -164,19 +162,21 @@ def test_screen_bounds_every_certified_index(rng):
     disconnected = 0
     for n, graphs in sorted(by_order.items()):
         for a in (0.1, 0.5, 0.9):
-            estimates, bounds = screen_alpha_indices(graphs, a)
-            for g, estimate, bound in zip(graphs, estimates, bounds, strict=True):
+            lowers, uppers = screen_alpha_indices(graphs, a)
+            for g, lower, upper in zip(graphs, lowers, uppers, strict=True):
                 r = alpha_index(g, a)
-                assert bound >= r.lower
-                assert abs(estimate - r.rho) <= 1e-9
+                assert upper >= r.lower
+                assert lower <= r.upper
+                assert r.rho - lower <= 1e-9
         disconnected += sum(not g.is_connected() for g in graphs)
     assert disconnected > 200
     # tight on a connected graph, valid (if loose) where the vector vanishes
-    (bound,) = screen_alpha_indices([make_complete(5)], 0.5)[1]
-    assert 4.0 <= bound <= 4.0 + 1e-12
-    (bound,) = screen_alpha_indices([disjoint_union(make_complete(4),
-                                                    make_complete_bipartite(1, 5))], 0.0)[1]
-    assert bound >= 3.0
+    (lower,), (upper,) = screen_alpha_indices([make_complete(5)], 0.5)
+    assert 4.0 - 1e-12 <= lower <= 4.0 <= upper <= 4.0 + 1e-12
+    (lower,), (upper,) = screen_alpha_indices([disjoint_union(make_complete(4),
+                                                              make_complete_bipartite(1, 5))],
+                                              0.0)
+    assert 3.0 - 1e-12 <= lower <= 3.0 <= upper
     assert [len(x) for x in screen_alpha_indices([], 0.5)] == [0, 0]
     with pytest.raises(ValueError):
         screen_alpha_indices([make_path(3), make_path(4)], 0.5)
@@ -202,11 +202,11 @@ def test_certificate_rejects_corrupted_decompositions(rng):
     g = random_graph(12, 0.5, rng)
     m = alpha_matrix(g, 0.3)
     w, v = np.linalg.eigh(m)
-    r = certify_top(m, w, v, 1e-10)  # positive control
+    r = certify_tops(m[None], [w], [v], 1e-10)[0]  # positive control
     assert r.lower <= r.rho <= r.upper
     for ww, vv in _corruptions(w, v, rng):
         with pytest.raises(ConvergenceError):
-            certify_top(m, ww, vv, 1e-10)
+            certify_tops(m[None], [ww], [vv], 1e-10)[0]
     # each corruption planted in one member of an otherwise valid batch
     ms = spectral._alpha_matrices([random_graph(12, 0.5, rng) for _ in range(5)], [0.3] * 5)
     ws, vs = np.linalg.eigh(ms)
@@ -322,10 +322,10 @@ def test_vertex_deletion_interlacing():
 
 
 def test_signless_laplacian_values():
-    assert signless_laplacian_index(make_empty(4)) == 0.0
-    assert abs(signless_laplacian_index(make_complete(2)) - 2.0) < 2e-10
-    assert abs(signless_laplacian_index(make_cycle(4)) - 4.0) < 2e-10
-    assert abs(signless_laplacian_index(make_complete_bipartite(1, 3)) - 4.0) < 2e-10
+    assert 2 * alpha_index(make_empty(4), 0.5).rho == 0.0
+    assert abs(2 * alpha_index(make_complete(2), 0.5).rho - 2.0) < 2e-10
+    assert abs(2 * alpha_index(make_cycle(4), 0.5).rho - 4.0) < 2e-10
+    assert abs(2 * alpha_index(make_complete_bipartite(1, 3), 0.5).rho - 4.0) < 2e-10
 
 
 def test_join_quotient_index_hand_values():
