@@ -22,7 +22,7 @@ search, and none changes which children are kept:
   a class is never skipped.
 
 Counts are pinned to the published sequences in the tests, and the
-representatives of levels 1..8 to a digest.
+representatives of levels 1..8, and of the family levels, to digests.
 
 A search reads the graphs of one order n, a generated level or a graph6
 file, as a plain tuple.  A caller splits them into parts by one rule,
@@ -47,16 +47,18 @@ A family's levels are hereditary.  Minor-free classes are closed under
 vertex deletion, and each child is its canonical parent plus the new
 vertex n - 1 (McKay, "Isomorph-free exhaustive generation", J.
 Algorithms 1998), so every minor-free graph of order n is a child of a
-minor-free graph of order n - 1.  Level n of a family is therefore built
-from the minor-free graphs of its level n - 1 alone: each child is
-searched once, when its level is built, and only in the host pieces
-that hold its new vertex (is_minor_free's ``anchor``); only the free
-children are kept.  The children of parents that contain the pattern
-are never built.  The levels are cached per (family, n), family None
-being the level of all graphs, and the parts of a family's level are
-split over its minor-free parents.  A report on a generated level counts
-its graphs from the pinned A000088 table, not from the graphs built.  A
-graph6 file has no parents, and each of its graphs is searched whole.
+minor-free graph of order n - 1.  One step, search_part, walks from a
+level to the next: it builds the children of some minor-free parents,
+searches each once, in the host pieces that hold its new vertex
+(is_minor_free's ``anchor``), and keeps the free ones.  The children of
+parents that contain the pattern are never built.  A whole level n is
+that step over the whole level n - 1 (parent_level), and its SearchPart
+is cached per (family, n), family None being the level of all graphs;
+the parts of a family's level are the same step over shares of its
+minor-free parents, and are not cached.  A report on a generated level
+counts its graphs from the pinned A000088 table, not from the graphs
+built.  A graph6 file has no parents, and each of its graphs is
+searched whole.
 """
 
 from __future__ import annotations
@@ -79,9 +81,9 @@ MAX_GENERATED_ORDER = 9
 # the number of graphs on n unlabelled vertices, n = 0..MAX_GENERATED_ORDER
 A000088 = (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
 
-# per (family, n): the children of the family's level n - 1 kept in level
-# n, in parent order, and how many children were built
-_LEVELS: dict[tuple[Family | None, int], tuple[tuple[Graph, ...], int]] = {}
+# per (family, n): the family's whole level n, search_part's step over
+# its level n - 1; family None is the level of all graphs
+_LEVELS: dict[tuple[Family | None, int], SearchPart] = {}
 
 
 @dataclass(frozen=True)
@@ -165,18 +167,59 @@ def _brood(parent: Graph) -> tuple[Graph, ...]:
     return tuple(accepted.values())
 
 
-def _kept_children(parents: Sequence[Graph], family: Family | None
-                   ) -> tuple[tuple[Graph, ...], int]:
-    """The minor-free children of parents, in parent order, and how many
-    children they have.  The parents are minor-free, so each child is
-    searched only at its new vertex; family None keeps every child."""
-    kept: list[Graph] = []
-    built = 0
+@dataclass(frozen=True)
+class SearchPart:
+    """The minor-free graphs of order n, or of a part of them, for
+    merge_reports; the level cache holds one per whole level, family None
+    keeping every graph.  ``searched`` counts the graphs whose minor
+    verdict the part searched: every graph of a file part, and every
+    child built for a generated part.  ``free`` holds the minor-free
+    graphs in parent or file order; nothing in a part is screened or
+    certified."""
+
+    n: int
+    family: Family | None
+    searched: int
+    free: tuple[Graph, ...]
+
+
+def search_part(n: int, family: Family | None, graphs: Sequence[Graph] | None = None,
+                parents: Sequence[Graph] | None = None) -> SearchPart:
+    """The minor-free graphs of order n among ``graphs``, among the
+    children of ``parents``, or of the family's whole generated level n
+    when both are None.
+
+    The one step of the walk: build the children of ``parents``, graphs
+    of the family's level n - 1, with _brood, search each at its new
+    vertex n - 1, and keep the free ones in parent order (family None
+    keeps them all); every child built counts as searched.  A floor that
+    drops children by a spectral bound (ROADMAP D17) would filter them
+    here, before their search.  ``parents`` may be part i of k of
+    parent_level(n, family), parents i, i + k, ..., and then no level is
+    built; the whole level n is the step over parent_level(n, family),
+    taken once and cached per (family, n).  Each graph of ``graphs`` is
+    searched whole, once.  No spectral call is made here, so the searches
+    sum to the same total however the graphs are split."""
+    if graphs is not None and parents is not None:
+        raise ValueError("pass graphs or the parents of a generated part, not both")
+    if graphs is not None:
+        return SearchPart(n, family, len(graphs),
+                          tuple(g for g in graphs if is_minor_free(g, family)))
+    if parents is None:
+        level = _LEVELS.get((family, n))
+        if level is None:
+            level = _LEVELS[family, n] = search_part(n, family, parents=parent_level(n, family))
+        return level
+    _check_order(n)
+    if any(p.n != n - 1 for p in parents):
+        raise ValueError(f"the parents of order-{n} graphs have order {n - 1}")
+    free: list[Graph] = []
+    searched = 0
     for children in map(_brood, parents):
-        built += len(children)
-        kept.extend(children if family is None else
-                    (c for c in children if is_minor_free(c, family, anchor=c.n - 1)))
-    return tuple(kept), built
+        searched += len(children)
+        free.extend(children if family is None else
+                    (c for c in children if is_minor_free(c, family, anchor=n - 1)))
+    return SearchPart(n, family, searched, tuple(free))
 
 
 def parent_level(n: int, family: Family | None) -> tuple[Graph, ...]:
@@ -189,12 +232,9 @@ def parent_level(n: int, family: Family | None) -> tuple[Graph, ...]:
 
 def _generate_level(n: int, family: Family | None = None) -> tuple[Graph, ...]:
     """The family-minor-free graphs of order n, one per isomorphism class:
-    the minor-free children of the family's level n - 1.  Family None
-    keeps every class."""
-    level = _LEVELS.get((family, n))
-    if level is None:
-        level = _LEVELS[family, n] = _kept_children(parent_level(n, family), family)
-    return level[0]
+    the graphs kept by the cached step search_part(n, family).  Family
+    None keeps every class."""
+    return search_part(n, family).free
 
 
 def _check_order(n: int) -> None:
@@ -211,7 +251,6 @@ def enumerate_graphs(n: int, family: Family | None = None) -> tuple[Graph, ...]:
     """One representative per isomorphism class of order n, generated by
     canonical augmentation; with ``family``, only the family-minor-free
     classes, each a child of a minor-free graph of order n - 1."""
-    _check_order(n)
     return _generate_level(n, family)
 
 
@@ -247,20 +286,6 @@ def _near_max(results: Sequence[tuple[Graph, SpectralResult]]) -> tuple[TieEntry
             for g, r in results if r.rho >= top - TIE_TOL]
     best = {e.graph6: e for e in sorted(band, key=lambda e: (e.rho, -e.residual))}
     return tuple(sorted(best.values(), key=lambda e: e.graph6))
-
-
-@dataclass(frozen=True)
-class SearchPart:
-    """The minor-free graphs of order n, or of a part of them, for
-    merge_reports.  ``searched`` counts the graphs whose minor verdict the
-    part searched: every graph of a file part, and every child built for a
-    generated part.  ``free`` holds the minor-free graphs; nothing in a
-    part is screened or certified."""
-
-    n: int
-    family: Family
-    searched: int
-    free: tuple[Graph, ...]
 
 
 @dataclass(frozen=True)
@@ -322,36 +347,6 @@ def _certified_near_top(free: Sequence[Graph], alpha: float
             raise InvariantError(f"screen lower bound {float(low)!r} of {write_graph6(g)} "
                                  f"at alpha={alpha} is above its certified index {r.rho!r}")
     return results
-
-
-def search_part(n: int, family: Family, graphs: Sequence[Graph] | None = None,
-                parents: Sequence[Graph] | None = None) -> SearchPart:
-    """The minor-free graphs of order n among ``graphs``, among the
-    children of ``parents``, or of the family's whole generated level n
-    when both are None.
-
-    ``parents`` are graphs of the family's level n - 1, such as part i of
-    k of parent_level(n, family), parents i, i + k, ...; their minor-free
-    children are built here, and no level is.  A generated part holds only
-    minor-free graphs, each searched at its new vertex when it was built;
-    the children of parents that contain the pattern are never built, and
-    every child of a minor-free parent counts as searched.  Each graph of
-    ``graphs`` is searched whole, once.  No spectral call is made here, so
-    the searches sum to the same total however the graphs are split."""
-    if graphs is not None and parents is not None:
-        raise ValueError("pass graphs or the parents of a generated part, not both")
-    if graphs is not None:
-        return SearchPart(n, family, len(graphs),
-                          tuple(g for g in graphs if is_minor_free(g, family)))
-    _check_order(n)
-    if parents is None:
-        _generate_level(n, family)
-        free, searched = _LEVELS[family, n]
-    elif any(p.n != n - 1 for p in parents):
-        raise ValueError(f"the parents of order-{n} graphs have order {n - 1}")
-    else:
-        free, searched = _kept_children(parents, family)
-    return SearchPart(n, family, searched, free)
 
 
 def merge_reports(parts: Sequence[SearchPart], alphas: Sequence[float],

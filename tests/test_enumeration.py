@@ -10,16 +10,21 @@ from alphax import (
     Graph,
     Graph6ParseError,
     InvariantError,
+    SearchPart,
     alpha_index,
     canonical_form,
     canonical_graph,
+    disjoint_union,
     enumerate_graphs,
     f_inequality,
     has_minor,
     is_minor_free,
+    join,
     join_quotient_index,
+    make_complete,
     make_complete_bipartite,
     make_path,
+    matching_graph,
     merge_reports,
     minor_closure_oracle,
     parse_graph6,
@@ -103,14 +108,28 @@ def test_parent_twin_swap_pretest_is_sound():
     assert checked == 6402
 
 
-def test_generated_levels_are_pinned():
-    # the labelled representatives of levels 1..8, so no prune can change
-    # which graph stands for a class
+LEVEL_DIGESTS = {
+    None: "13d36078a1ca2c68691573e2888e726954faabc8d26fea569ccf00d653abccb6",
+    "fs(1)": "69fb08ef50a454c9f403ef18e249b81fefeca3834adfe258b877fa55c6ef6c6a",
+    "qt(1)": "1ff491c296706d69ddec4ab0cb680830083390f2d1142235a0c2a40d6b2d2324",
+    "fs(2)": "ec83bceec505902ad73cfc637e5b20edab0b18b2dac0bfdf891d34580d2d56e0",
+    "qt(2)": "b077130bc3cadf4afc57dec7feeebbdd2d1e6ab7e7da69d831b54091125f6fbd",
+}
+
+
+@pytest.mark.parametrize("family", LEVEL_DIGESTS, ids=str)
+def test_generated_levels_are_pinned(family):
+    # the labelled representatives of levels 1..8 of all graphs, and of a
+    # family's levels whose counts MINOR_FREE pins, in level order, so
+    # neither a prune nor a change to the walk can change which graph
+    # stands for a class, or the parent order that items[i::k] splits
+    fam = None if family is None else Family.parse(family)
+    top = 8 if family is None else len(MINOR_FREE[family])
     digest = hashlib.sha256()
-    for n in range(1, 9):
-        for g in enumerate_graphs(n):
+    for n in range(1, top + 1):
+        for g in enumerate_graphs(n, fam):
             digest.update(f"{g.n}:{g.rows}\n".encode())
-    assert digest.hexdigest() == "13d36078a1ca2c68691573e2888e726954faabc8d26fea569ccf00d653abccb6"
+    assert digest.hexdigest() == LEVEL_DIGESTS[family]
 
 
 def test_no_duplicate_classes():
@@ -137,7 +156,7 @@ def _level_part(n, index, count, family=None):
     """Part index of count of the family's level n: the kept children of
     parents index, index + count, ... of level n - 1, built from them alone."""
     parents = enumeration.parent_level(n, family)[index::count]
-    return enumeration._kept_children(parents, family)[0]
+    return search_part(n, family, parents=parents).free
 
 
 def test_shards_partition_the_stream(monkeypatch):
@@ -147,7 +166,8 @@ def test_shards_partition_the_stream(monkeypatch):
     # the level is the broods of its parents in parent order, and part i
     # holds the broods of parents i, i + 3, ..., in the same order
     broods = [enumeration._brood(p) for p in enumeration.parent_level(6, None)]
-    assert enumeration._LEVELS[None, 6] == (full, len(full)) == (sum(broods, ()), len(full))
+    assert (enumeration._LEVELS[None, 6] == SearchPart(6, None, len(full), full)
+            == SearchPart(6, None, len(full), sum(broods, ())))
     assert parts == [sum(broods[i::3], ()) for i in range(3)]
     # and a part is built without level 6
     monkeypatch.setattr(enumeration, "_LEVELS",
@@ -459,21 +479,35 @@ def test_is_minor_free_matches_the_closure_oracle():
             assert is_minor_free(g, fam) == (not minor_closure_oracle(g, pattern)), (fam, g)
 
 
-# minor-free counts of generated levels 1..8 (fs(1): forests, A005195,
-# to n = 9, the first level above the full levels the tests build)
+# minor-free counts of generated levels 1..8 (fs(1): forests, A005195),
+# and to n = 9, the first level above the full levels the tests build,
+# for the three families whose level 9 is cheap
 MINOR_FREE = {
     "fs(1)": [1, 2, 3, 6, 10, 20, 37, 76, 153],
-    "qt(1)": [1, 2, 4, 8, 17, 40, 96, 245],
-    "fs(2)": [1, 2, 4, 11, 28, 83, 243, 748],
+    "qt(1)": [1, 2, 4, 8, 17, 40, 96, 245, 662],
+    "fs(2)": [1, 2, 4, 11, 28, 83, 243, 748, 2290],
     "qt(2)": [1, 2, 4, 11, 34, 156, 678, 3210],
+}
+# the children built, and so searched, for each of those levels: the
+# children of the minor-free graphs one order below
+BUILT = {
+    "fs(1)": [1, 2, 4, 7, 11, 21, 38, 77, 154],
+    "qt(1)": [1, 2, 4, 11, 19, 45, 105, 263, 700],
+    "fs(2)": [1, 2, 4, 11, 34, 103, 289, 860, 2501],
+    "qt(2)": [1, 2, 4, 11, 34, 156, 1044, 4313],
 }
 
 
 @pytest.mark.parametrize("family", MINOR_FREE)
 def test_minor_free_level_counts_are_pinned(family):
     fam = Family.parse(family)
-    counts = [len(enumerate_graphs(n, family=fam)) for n in range(1, len(MINOR_FREE[family]) + 1)]
+    orders = range(1, len(MINOR_FREE[family]) + 1)
+    counts = [len(enumerate_graphs(n, family=fam)) for n in orders]
     assert counts == MINOR_FREE[family]
+    # each level is the walk's step over the level below
+    parts = [search_part(n, fam) for n in orders]
+    assert [len(p.free) for p in parts] == MINOR_FREE[family]
+    assert [p.searched for p in parts] == BUILT[family]
 
 
 @pytest.mark.parametrize("family", ["fs(1)", "fs(2)", "fs(3)", "qt(1)", "qt(2)", "qt(3)"])
@@ -497,6 +531,21 @@ def test_free_levels_match_linear_time_oracles():
         assert enumerate_graphs(n, family=Family("fs", 1)) == tuple(filter(_is_forest, level))
         assert enumerate_graphs(n, family=Family("qt", 1)) == tuple(
             filter(_is_triangle_cactus, level))
+
+
+def test_qt2_competitor_beats_the_construction_below_high_alpha():
+    # positive control for matches_construction at orders the suite
+    # builds: for qt(2) at n = 7 and 8, K_1 ∨ (K_5 ∪ M_{n-6}) beats the
+    # construction K_2 ∨ M_{n-2} until alpha reaches 0.9 and 0.7
+    fam = Family("qt", 2)
+    alphas = (0.1, 0.3, 0.5, 0.7, 0.9)
+    for n, g6, wins_from in ((7, "F~~{?", 0.9), (8, "G~~{CC", 0.7)):
+        k5_and_matching = disjoint_union(make_complete(5), matching_graph(n - 6))
+        assert canonical_form(join(make_complete(1), k5_and_matching)) == g6
+        for r in merge_reports([search_part(n, fam)], alphas):
+            wins = r.alpha >= wins_from
+            assert r.argmax_graph6 == (r.construction_graph6 if wins else g6)
+            assert r.matches_construction == wins and r.unique
 
 
 def test_free_levels_build_only_the_children_of_free_parents(monkeypatch):
