@@ -63,7 +63,6 @@ import pickle
 import sys
 import time
 
-from . import lemmas
 from .enumeration import (
     MAX_GENERATED_ORDER,
     Family,
@@ -463,6 +462,8 @@ def _level_unit(max_n: int) -> tuple:
     one unit, since a process builds each level once: structure and
     corollary, each timed, and the density lines, which give the edge
     count of the densest minor-free graph of each order 2..max_n."""
+    from . import lemmas
+
     suites = _timed(lemmas.structure, max_n), _timed(lemmas.corollary, max_n)
     density = []
     if max_n >= 2:  # the profile starts at n = 2
@@ -474,6 +475,9 @@ def _level_unit(max_n: int) -> tuple:
 
 
 def cmd_verify_lemmas(args) -> int:
+    # imported here, not at the top, so that no other command pays for it
+    from . import lemmas
+
     if not 1 <= args.max_n <= MAX_GENERATED_ORDER:
         raise _UsageError(f"need 1 <= --max-n <= {MAX_GENERATED_ORDER}, got {args.max_n}")
     for option, value in (("--grid-n", args.grid_n), ("--trials", args.trials)):

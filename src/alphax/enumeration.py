@@ -49,7 +49,7 @@ vertex n - 1 (McKay, "Isomorph-free exhaustive generation", J.
 Algorithms 1998), so every minor-free graph of order n is a child of a
 minor-free graph of order n - 1.  One step, search_part, walks from a
 level to the next: it builds the children of some minor-free parents,
-searches each once, in the host pieces that hold its new vertex
+searches each once, for the models that use its new vertex
 (is_minor_free's ``anchor``), and keeps the free ones.  The children of
 parents that contain the pattern are never built.  A whole level n is
 that step over the whole level n - 1 (parent_level), and its SearchPart
@@ -64,8 +64,8 @@ searched whole.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,19 +86,23 @@ A000088 = (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
 _LEVELS: dict[tuple[Family | None, int], SearchPart] = {}
 
 
-@dataclass(frozen=True)
-class Family:
-    """A forbidden-minor family: fs(s) forbids s intersecting triangles,
-    qt(t) forbids t intersecting quadrangles."""
-
+class _FamilyFields(NamedTuple):
     kind: str
     param: int
 
-    def __post_init__(self):
-        if self.kind not in ("fs", "qt"):
-            raise ValueError(f"family kind must be 'fs' or 'qt', got {self.kind!r}")
-        if self.param < 1:
-            raise ValueError(f"family parameter must be >= 1, got {self.param}")
+
+class Family(_FamilyFields):
+    """A forbidden-minor family: fs(s) forbids s intersecting triangles,
+    qt(t) forbids t intersecting quadrangles."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, param: int):
+        if kind not in ("fs", "qt"):
+            raise ValueError(f"family kind must be 'fs' or 'qt', got {kind!r}")
+        if param < 1:
+            raise ValueError(f"family parameter must be >= 1, got {param}")
+        return super().__new__(cls, kind, param)
 
     def __str__(self) -> str:
         return f"{self.kind}({self.param})"
@@ -112,7 +116,7 @@ class Family:
                 return Family(kind, int(param))
         raise ValueError(f"cannot parse family {text!r}; expected like 'fs(1)'")
 
-    @cache  # built once per family; Family is frozen, so hashable
+    @cache  # built once per family; Family is a tuple, so hashable
     def pattern(self) -> Graph:
         if self.kind == "fs":
             return friendship(self.param)
@@ -127,10 +131,12 @@ class Family:
 def is_minor_free(g: Graph, family: Family, anchor: int | None = None) -> bool:
     """The family predicate, and the one entry to the minor search.
     ``anchor=v`` passes has_minor's precondition on to it: g - v is
-    minor-free, so only the pieces of g that hold v are searched, and the
-    verdict is the one an unanchored search gives.  Nothing is cached: a
-    generated child is searched once, when its level is built, and the
-    construction only when merge_reports's bound would fail."""
+    minor-free, so every model uses v, only the pieces of g that hold v
+    are searched, with v pinned as a root once per orbit of the
+    pattern's automorphisms, and the verdict is the one an unanchored
+    search gives.  Nothing is cached: a generated child is searched
+    once, when its level is built, and the construction only when
+    merge_reports's bound would fail."""
     return not has_minor(g, family.pattern(), anchor=anchor).contains
 
 
@@ -167,8 +173,7 @@ def _brood(parent: Graph) -> tuple[Graph, ...]:
     return tuple(accepted.values())
 
 
-@dataclass(frozen=True)
-class SearchPart:
+class SearchPart(NamedTuple):
     """The minor-free graphs of order n, or of a part of them, for
     merge_reports; the level cache holds one per whole level, family None
     keeping every graph.  ``searched`` counts the graphs whose minor
@@ -267,8 +272,7 @@ def stream_from_graph6_file(path: str, n: int) -> tuple[Graph, ...]:
 # -- extremal search ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TieEntry:
+class TieEntry(NamedTuple):
     graph6: str  # canonically labeled encoding
     rho: float
     residual: float
@@ -288,8 +292,7 @@ def _near_max(results: Sequence[tuple[Graph, SpectralResult]]) -> tuple[TieEntry
     return tuple(sorted(best.values(), key=lambda e: e.graph6))
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     """Outcome of one exhaustive (n, alpha, family) extremal search; each
     graph6 in it is canonical, so equal strings mean isomorphic graphs.
     ``certified`` counts the certified A_alpha solves of the tie band,

@@ -21,8 +21,22 @@ alone, by a plan built once per pattern:
   realize H form one connected subgraph of G.
 - size: a piece with fewer vertices or edges than H cannot hold it.
 - anchor: when the caller knows G - v to be H-minor-free (G is a
-  generated child and v its new vertex), only the pieces holding v are
-  searched.
+  generated child and v its new vertex), every model in G uses v, so
+  only the pieces holding v are searched, and v is pinned: a piece is
+  searched once per orbit representative x of Aut(H) on H's vertices
+  (one run for K_3 and C_4, two for F_s and three for Q_t, s, t >= 2),
+  each run embedding x first with v as its only first root, and with
+  lex pairs only from the automorphisms and twin swaps that fix x.
+  This loses no model.  Let the root of a branch set be v if the set
+  holds v and its least vertex otherwise, a function of the set.  An
+  automorphism of H carries any model to one with v in B_x, for the
+  representative x of the orbit of v's H-vertex.  The models that
+  Stab(x) relates to that one all keep v in B_x, and the one among them
+  with the lex-least root tuple meets every pair the run keeps (the
+  Aut(H) argument below, within Stab(x)).  The search finds a model
+  from any choice of roots, since each missing H-edge x_i x_j is
+  realized by a path inside the union of B_i and B_j, and such a path
+  never needs v before v is placed: v is in B_x from the first step.
 - Aut(H): only root tuples that are lex-minimal in their orbit are
   explored.  Roots are distinct, so each automorphism checked comes down
   to one pair of positions whose roots must ascend.  The automorphisms
@@ -36,15 +50,16 @@ alone, by a plan built once per pattern:
   representative, and a pattern automorphism, which keeps position 0,
   brings the model into the form the lex-min constraints admit.
   For vertex-transitive patterns (K_3, C_4) the pattern automorphism may
-  move the first root again, and the combination is unsound.
+  move the first root again, and the combination is unsound.  Under an
+  anchor the reduction is off: the first root is v, and a host
+  automorphism would move it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .canonical import canonical_form
 from .graphs import Graph, bits, component_masks_within, mask_of, twin_masks
@@ -67,8 +82,7 @@ class SearchLimitError(RuntimeError):
         return f"minor search exceeded {self.cap} nodes"
 
 
-@dataclass(frozen=True)
-class MinorModel:
+class MinorModel(NamedTuple):
     """Branch sets indexed by H-vertex; a certificate of containment."""
 
     branch_sets: tuple[frozenset[int], ...]
@@ -77,19 +91,19 @@ class MinorModel:
         return {str(i): sorted(s) for i, s in enumerate(self.branch_sets)}
 
 
-@dataclass(frozen=True)
-class MinorVerdict:
+class MinorVerdict(NamedTuple):
     contains: bool
     model: MinorModel | None
     nodes_explored: int
 
 
-def _embedding_order(h: Graph) -> list[int]:
-    """Descending degree, ties broken by adjacency to already-ordered vertices."""
+def _embedding_order(h: Graph, first: int | None = None) -> list[int]:
+    """Descending degree, ties broken by adjacency to already-ordered
+    vertices; ``first``, when given, is placed first."""
     degs = h.degrees()
-    order: list[int] = []
-    placed = 0
-    for _ in range(h.n):
+    order: list[int] = [] if first is None else [first]
+    placed = 0 if first is None else 1 << first
+    for _ in range(h.n - len(order)):
         best = None
         best_key = None
         for v in range(h.n):
@@ -133,6 +147,22 @@ def _automorphisms(h: Graph) -> Iterator[list[int]]:
                 image[v] = -1
 
     yield from extend(0, 0)
+
+
+def _orbit_mask(rows, perms) -> int:
+    """The least vertex of each orbit of the group that perms, vertex
+    permutations of the graph with these rows, generate.  The orbits are
+    the components of the graph joining each vertex to its images; fewer
+    perms only split them, so each true orbit still holds a chosen vertex."""
+    moves = [0] * len(rows)
+    for sigma in perms:
+        for v, w in enumerate(sigma):
+            moves[v] |= 1 << w
+            moves[w] |= 1 << v
+    mask = 0
+    for orbit in component_masks_within(moves, (1 << len(rows)) - 1):
+        mask |= orbit & -orbit
+    return mask
 
 
 # -- host pieces ----------------------------------------------------------
@@ -187,8 +217,7 @@ def _blocks(rows, mask: int) -> list[int]:
 # -- pattern plan ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _PatternPlan:
+class _PatternPlan(NamedTuple):
     """Everything the search needs from the pattern, in embedding order."""
 
     order: tuple[int, ...]
@@ -197,13 +226,18 @@ class _PatternPlan:
     min_degree_2: bool
     connected: bool
     biconnected: bool
-    fixes_first: bool  # every automorphism of H fixes position 0
+    fixes_first: bool  # every automorphism behind lex_pairs fixes position 0
+    # one H-vertex per orbit of those automorphisms; an unpinned plan's
+    # are the first vertices of the anchored runs
+    orbit_firsts: tuple[int, ...]
 
 
 @lru_cache(maxsize=64)
-def _pattern_plan(h: Graph) -> _PatternPlan:
+def _pattern_plan(h: Graph, first: int | None = None) -> _PatternPlan:
+    """The plan of h, embedding ``first`` first when it is given, with
+    lex pairs only from the automorphisms and twin swaps that fix it."""
     k = h.n
-    order = _embedding_order(h)
+    order = _embedding_order(h, first)
     pos_of = {v: i for i, v in enumerate(order)}
     earlier = tuple(tuple(pos_of[u] for u in bits(h.rows[v]) if pos_of[u] < i)
                     for i, v in enumerate(order))
@@ -214,10 +248,15 @@ def _pattern_plan(h: Graph) -> _PatternPlan:
     # a < root tau[a] at tau's first moved position a.  As tau fixes the
     # positions before a, tau[a] > a, and the pair is checked at position
     # tau[a], where both roots are first assigned.  The twin swaps are
-    # added by hand: the automorphism listing may stop before them.
+    # added by hand: the automorphism listing may stop before them.  A
+    # pinned first vertex sits at position 0, so a twin swap fixes it
+    # exactly when neither of its positions is 0.
+    autos = [sigma for sigma in islice(_automorphisms(h), 10_000)
+             if first is None or sigma[first] == first]
     twins = twin_masks(h.rows)
-    pairs = {(a, b) for a, b in combinations(range(k), 2) if twins[order[a]] >> order[b] & 1}
-    for sigma in islice(_automorphisms(h), 10_000):
+    pairs = {(a, b) for a, b in combinations(range(k), 2)
+             if twins[order[a]] >> order[b] & 1 and (first is None or a)}
+    for sigma in autos:
         tau = [pos_of[sigma[v]] for v in order]
         a = next((j for j in range(k) if tau[j] != j), k)
         if a < k:
@@ -235,7 +274,10 @@ def _pattern_plan(h: Graph) -> _PatternPlan:
         min_degree_2=min(h.degrees()) >= 2,
         connected=connected,
         biconnected=k >= 3 and connected and _blocks(h.rows, full) == [full],
-        fixes_first=next(_automorphisms(h))[order[0]] == order[0],
+        # exact on a listing that stops early: its first automorphism moves
+        # the first-ordered vertex unless every automorphism fixes it
+        fixes_first=all(sigma[order[0]] == order[0] for sigma in autos),
+        orbit_firsts=tuple(bits(_orbit_mask(h.rows, autos))),
     )
 
 
@@ -261,11 +303,13 @@ def has_minor(g: Graph, h: Graph, node_cap: int = DEFAULT_NODE_CAP,
     nodes_explored sums.
 
     ``anchor=v`` searches only the pieces that hold vertex v, and none
-    when v is outside the 2-core.  Precondition, which the caller must
-    guarantee: g - v is h-minor-free.  A model that the reductions
-    confine to a piece without v would be a model in g - v, so under
-    the precondition only the pieces holding v can hold one.  Without
-    it the verdict may be a false "free".
+    when v is outside the 2-core, and in each only the models that use
+    v: one run per orbit of Aut(h) on h's vertices, with v pinned as the
+    first root (the module docstring's anchor).  Precondition, which the
+    caller must guarantee: g - v is h-minor-free.  Then every model in g
+    uses v, since one without v would be a model in g - v, so a model
+    lies in a piece holding v and is found there with v pinned.
+    Without the precondition the verdict may be a false "free".
     """
     if h.n > MAX_MINOR_ORDER:
         raise ValueError(f"minor pattern order {h.n} exceeds limit {MAX_MINOR_ORDER}")
@@ -276,6 +320,8 @@ def has_minor(g: Graph, h: Graph, node_cap: int = DEFAULT_NODE_CAP,
         return MinorVerdict(False, None, 0)
 
     plan = _pattern_plan(h)
+    # under an anchor, one run per Aut(H)-orbit x, the anchor pinned as x's root
+    plans = [plan] if anchor is None else [_pattern_plan(h, x) for x in plan.orbit_firsts]
     nodes = 0
     for mask in _host_pieces(g, plan):
         if anchor is not None and not mask >> anchor & 1:
@@ -286,17 +332,19 @@ def has_minor(g: Graph, h: Graph, node_cap: int = DEFAULT_NODE_CAP,
         if sum((g.rows[v] & mask).bit_count() for v in keep) < 2 * h_edges:
             continue
         piece = g if mask == g.vertex_mask() else g.induced(keep)
-        branch, nodes = _search(piece, plan, nodes, node_cap)
-        if branch is not None:
-            sets = [frozenset()] * h.n
-            for i, v in enumerate(plan.order):
-                sets[v] = frozenset(keep[x] for x in bits(branch[i]))
-            return MinorVerdict(True, MinorModel(tuple(sets)), nodes)
+        root = None if anchor is None else keep.index(anchor)
+        for run in plans:
+            branch, nodes = _search(piece, run, nodes, node_cap, root)
+            if branch is not None:
+                sets = [frozenset()] * h.n
+                for i, v in enumerate(run.order):
+                    sets[v] = frozenset(keep[x] for x in bits(branch[i]))
+                return MinorVerdict(True, MinorModel(tuple(sets)), nodes)
     return MinorVerdict(False, None, nodes)
 
 
-def _search(g: Graph, plan: _PatternPlan, nodes: int,
-            node_cap: int) -> tuple[list[int] | None, int]:
+def _search(g: Graph, plan: _PatternPlan, nodes: int, node_cap: int,
+            first_root: int | None = None) -> tuple[list[int] | None, int]:
     """Search g for a model of the planned pattern, counting on from nodes.
 
     H-vertices are assigned single-vertex branch sets (roots) in embedding
@@ -304,7 +352,8 @@ def _search(g: Graph, plan: _PatternPlan, nodes: int,
     assigned sets is not yet realized.  A missing edge is realized by a
     simple connector path through unused vertices, whose prefix joins one
     side and suffix the other, so total growth is bounded by the vertex
-    slack |V(G)| - |V(H)|.  Returns the branch masks by position, or None,
+    slack |V(G)| - |V(H)|.  ``first_root``, when given, is the only root
+    tried at position 0.  Returns the branch masks by position, or None,
     and the node count.
     """
     k = len(plan.order)
@@ -315,20 +364,15 @@ def _search(g: Graph, plan: _PatternPlan, nodes: int,
     nbr = [0] * k  # neighborhood mask of each branch set
     roots = [0] * k
 
-    # Host-side symmetry: the first root only needs one representative per
-    # orbit of the group the discovered Aut(G) elements generate (sound only
-    # when Aut(H) fixes it).  The orbits are the components of the graph
-    # joining each v to its images; the lowest vertex stands for each.
-    first_root_mask = full
-    if plan.fixes_first and g.n >= HOST_ORBIT_ORDER:
-        moves = [0] * g.n
-        for sigma in islice(_automorphisms(g), 3000):
-            for v, w in enumerate(sigma):
-                moves[v] |= 1 << w
-                moves[w] |= 1 << v
-        first_root_mask = 0
-        for orbit in component_masks_within(moves, full):
-            first_root_mask |= orbit & -orbit
+    # Host-side symmetry: unless pinned, the first root only needs one
+    # representative per orbit of the group the discovered Aut(G) elements
+    # generate (sound only when Aut(H) fixes it).
+    if first_root is not None:
+        first_root_mask = 1 << first_root
+    elif plan.fixes_first and g.n >= HOST_ORBIT_ORDER:
+        first_root_mask = _orbit_mask(rows, islice(_automorphisms(g), 3000))
+    else:
+        first_root_mask = full
 
     def bump() -> None:
         nonlocal nodes
@@ -515,14 +559,12 @@ def minor_closure_oracle(g: Graph, h: Graph) -> bool:
 # -- structural lemma checks ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureViolation:
+class StructureViolation(NamedTuple):
     kind: str
     vertices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     ok: bool
     violations: tuple[StructureViolation, ...]
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -185,8 +185,7 @@ def _alpha_matrices(graphs: Sequence[Graph], alphas: Sequence[float]) -> np.ndar
     return m
 
 
-@dataclass(frozen=True)
-class SpectralResult:
+class SpectralResult(NamedTuple):
     """Largest eigenvalue with a certified unit eigenvector and a bracket
     lower <= lambda_max <= upper."""
 
@@ -370,8 +369,7 @@ def f_inequality(rho: float, n: int, s: int, alpha: float) -> bool:
     return rho * (rho + 1.0 - alpha * n) >= (1.0 - alpha) * (n - s) * s
 
 
-@dataclass(frozen=True)
-class NikiforovBounds:
+class NikiforovBounds(NamedTuple):
     basic: float
     strong: float | None
     threshold: float
@@ -405,8 +403,7 @@ class NonEquitablePartitionError(ValueError):
     """Partition is not equitable; names a violating vertex pair."""
 
 
-@dataclass(frozen=True)
-class QuotientMatrix:
+class QuotientMatrix(NamedTuple):
     """Cross-degree matrix of an equitable vertex partition."""
 
     cells: tuple[tuple[int, ...], ...]

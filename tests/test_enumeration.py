@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 
@@ -261,7 +260,7 @@ def test_argmax_among_ties_ignores_float_order(monkeypatch):
     planted = {"D~_": 3.1861406616346, "D}o": 3.1861406616345}
     original = enumeration.alpha_indices
     monkeypatch.setattr(enumeration, "alpha_indices", lambda gs, alphas: [
-        dataclasses.replace(r, rho=planted[write_graph6(canonical_graph(g))])
+        r._replace(rho=planted[write_graph6(canonical_graph(g))])
         for g, r in zip(gs, original(gs, alphas))])
     parts = [search_part(5, Family("fs", 2), (parse_graph6(g6),)) for g6 in planted]
     for ordered in (parts, parts[::-1]):
@@ -452,7 +451,7 @@ def test_merge_searches_the_construction_only_when_its_bound_fails(monkeypatch):
     # a construction whose index is above the maximum is searched, and
     # one that contains the pattern bounds nothing; the level's own copy
     # of it keeps its index
-    planted = dataclasses.replace(alpha_index(fam.construction(6), 0.5), rho=report.max_rho + 1.0)
+    planted = alpha_index(fam.construction(6), 0.5)._replace(rho=report.max_rho + 1.0)
     level = {id(g) for p in parts for g in p.free}
     monkeypatch.setattr(enumeration, "alpha_indices", lambda gs, alphas: [
         alpha_index(g, alpha) if id(g) in level else planted for g, alpha in zip(gs, alphas)])

@@ -2,8 +2,6 @@
 suite checks replaced by a wrong one, the suite must count violations
 and name the first counterexample."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -47,7 +45,7 @@ def test_one_walk_of_the_grid_feeds_both_tallies(monkeypatch, grid_n):
 
 def _above_rho(original):
     # the index of a graph on n vertices is at most its maximum degree n - 1
-    return lambda n, k, a: dataclasses.replace(original(n, k, a), basic=float(n))
+    return lambda n, k, a: original(n, k, a)._replace(basic=float(n))
 
 
 def _planted_violation(original):

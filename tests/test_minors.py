@@ -27,7 +27,8 @@ from alphax import (
     validate_model,
     write_graph6,
 )
-from alphax import minors
+from alphax import enumeration, minors
+from alphax.enumeration import parent_level
 from alphax.graphs import MAX_VERTICES, disjoint_union
 from conftest import random_graph
 
@@ -417,3 +418,94 @@ def test_host_orbit_reduction_agrees_with_plain_search(monkeypatch):
     assert verdicts == plain
     assert len(verdicts) >= 200
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+# -- the pinned anchor ------------------------------------------------------
+
+
+def test_one_anchored_run_per_orbit_of_the_pattern():
+    patterns = (friendship(1), quadrangle_book(1), friendship(2), friendship(3),
+                quadrangle_book(2), quadrangle_book(3))
+    assert [len(minors._pattern_plan(h).orbit_firsts) for h in patterns] == [1, 1, 2, 2, 3, 3]
+
+
+@pytest.mark.parametrize("h", [friendship(2), friendship(3), quadrangle_book(2),
+                               quadrangle_book(3)])
+def test_pinned_plan_keeps_only_pairs_of_automorphisms_fixing_its_first_vertex(h):
+    autos = list(minors._automorphisms(h))
+    for x in minors._pattern_plan(h).orbit_firsts:
+        plan = minors._pattern_plan(h, x)
+        assert plan.order[0] == x
+        pairs = [pair for at in plan.lex_pairs for pair in at]
+        assert pairs  # every pinned run of these patterns breaks some symmetry
+        for a, b in pairs:
+            # twin swaps are automorphisms too
+            assert any(s[x] == x and s[plan.order[a]] == plan.order[b] for s in autos), (x, a, b)
+    # F_2 pinned at a petal vertex: of its 8 automorphisms only the swap
+    # of the other triangle's two petal vertices fixes it
+    assert minors._pattern_plan(friendship(2), 1).lex_pairs == ((), (), (), (), ((3, 4),))
+
+
+@pytest.mark.parametrize("h", [friendship(1), quadrangle_book(1), friendship(2),
+                               friendship(3), quadrangle_book(2), quadrangle_book(3)])
+def test_anchored_search_finds_the_pattern_anchored_at_each_of_its_vertices(h):
+    # H itself, relabelled so that x is the last vertex: the one model puts
+    # the anchor in x's orbit, so every orbit's run is needed somewhere
+    last = h.n - 1
+    for x in range(h.n):
+        perm = list(range(h.n))
+        perm[x], perm[last] = last, x
+        g = h.relabel(perm)
+        v = has_minor(g, h, anchor=last)
+        assert v.contains and validate_model(g, h, v.model), (write_graph6(h), x)
+        assert frozenset({last}) in v.model.branch_sets
+
+
+@pytest.mark.parametrize("h, edges", [
+    # the centre of F_2 split into the edge 0-5, vertex 5 keeping one triangle
+    (friendship(2), [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 5)]),
+    # the centre of Q_2 split into the edge 0-7, vertex 7 keeping one quadrangle
+    (quadrangle_book(2), [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (4, 7), (6, 7),
+                          (0, 7)]),
+])
+def test_anchored_search_finds_the_anchor_inside_a_two_vertex_branch_set(h, edges):
+    # positive control: the anchor can only sit in the centre's branch set
+    # {0, v}, where it is the pinned root but not the least vertex
+    g = Graph(len({u for e in edges for u in e}), edges)
+    anchor = g.n - 1
+    assert not has_minor(g.induced(range(anchor)), h).contains
+    v = has_minor(g, h, anchor=anchor)
+    assert v.contains and validate_model(g, h, v.model)
+    assert v.model.branch_sets[0] == frozenset({0, anchor})
+
+
+@pytest.mark.parametrize("h, edges", [
+    # F_2 with one triangle lengthened to the 4-cycle 0-3-5-4
+    (friendship(2), [(0, 1), (0, 2), (1, 2), (0, 3), (3, 5), (5, 4), (4, 0)]),
+    # Q_2 with one quadrangle lengthened to the 5-cycle 0-4-5-7-6
+    (quadrangle_book(2), [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 7), (7, 6),
+                          (6, 0)]),
+])
+def test_anchored_search_finds_the_anchor_outside_the_centre(h, edges):
+    # positive control: no model puts the anchor in the centre's branch
+    # set, so the run pinning it at the centre finds nothing and another
+    # orbit's run must; models put it alone or with a cycle neighbour
+    g = Graph(len({u for e in edges for u in e}), edges)
+    anchor = g.n - 1
+    assert not has_minor(g.induced(range(anchor)), h).contains
+    v = has_minor(g, h, anchor=anchor)
+    assert v.contains and validate_model(g, h, v.model)
+    assert anchor not in v.model.branch_sets[0]
+    assert len(next(s for s in v.model.branch_sets if anchor in s)) <= 2
+
+
+@pytest.mark.parametrize("family, total", [("fs(2)", 22_412), ("qt(2)", 51_717)])
+def test_anchored_search_tree_sizes_on_the_family_levels(family, total):
+    # pinned node totals of the searches that build the family's levels
+    # 1..7, each child searched at its new vertex: a search that stops
+    # pinning the anchor, or breaks less symmetry, shows here
+    fam = Family.parse(family)
+    h = fam.pattern()
+    assert sum(has_minor(c, h, anchor=n - 1).nodes_explored
+               for n in range(1, 8) for p in parent_level(n, fam)
+               for c in enumeration._brood(p)) == total

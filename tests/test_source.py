@@ -2,7 +2,7 @@
 pyproject.toml admits, its console script enters the CLI through run(),
 the package states its runtime invariants as raised errors, which
 python -O cannot strip, not as assert statements, and importing the CLI
-loads no process-pool machinery."""
+loads no process-pool machinery, no dataclasses and no lemma suites."""
 
 import ast
 import os
@@ -48,6 +48,17 @@ def test_cli_import_loads_no_process_pool_machinery():
                                                        os.environ.get("PYTHONPATH", "")]))
     machinery = "sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules))"
     out = subprocess.run([sys.executable, "-c", f"import sys, alphax.cli; print({machinery})"],
+                         env=env, capture_output=True, text=True, check=True, timeout=120).stdout
+    assert out == "[]\n"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_the_lemma_suites():
+    # the records are NamedTuples, since @dataclass generates its methods
+    # with exec at every import, and only verify-lemmas imports its suites
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    loaded = "sorted({'dataclasses', 'alphax.lemmas'} & set(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", f"import sys, alphax.cli; print({loaded})"],
                          env=env, capture_output=True, text=True, check=True, timeout=120).stdout
     assert out == "[]\n"
 
