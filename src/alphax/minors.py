@@ -7,8 +7,10 @@ H-edge must be realized by a G-edge between the corresponding sets.  The
 search is exhaustive (correctness over speed at desk scale).  Its prunes
 are sound ones: leftover-vertex counting, reachability of still-untouched
 neighbor sets, and symmetry breaking.  It runs only on the parts of G
-that can hold the pattern.  Each reduction is decided from the pattern
-alone, by a plan built once per pattern:
+that can hold the pattern, each a vertex mask over G's rows searched in
+place, so anchors, host orbits and models are all in G's labels.  Each
+reduction is decided from the pattern alone, by a plan built once per
+pattern:
 
 - 2-core, when H has minimum degree >= 2: a leaf of G alone would give
   its H-vertex degree <= 1, and inside a larger branch set it touches no
@@ -44,11 +46,12 @@ alone, by a plan built once per pattern:
   neighborhoods agree outside the pair), so the branch sets of twins
   are taken in ascending order of their roots.
 - Aut(G): the first root ranges over one vertex per discovered orbit of
-  the piece, but only when every automorphism of H fixes the first
-  embedding position (the centre of F_s and Q_t, s, t >= 2).  Then a
-  host automorphism moves any model's first root onto its orbit's
-  representative, and a pattern automorphism, which keeps position 0,
-  brings the model into the form the lex-min constraints admit.
+  the piece's automorphisms, which fix every vertex outside it, but
+  only when every automorphism of H fixes the first embedding position
+  (the centre of F_s and Q_t, s, t >= 2).  Then a host automorphism
+  moves any model's first root onto its orbit's representative, and a
+  pattern automorphism, which keeps position 0, brings the model into
+  the form the lex-min constraints admit.
   For vertex-transitive patterns (K_3, C_4) the pattern automorphism may
   move the first root again, and the combination is unsound.  Under an
   anchor the reduction is off: the first root is v, and a host
@@ -66,7 +69,7 @@ from .graphs import Graph, bits, component_masks_within, mask_of, twin_masks
 
 DEFAULT_NODE_CAP = 100_000_000
 MAX_MINOR_ORDER = 12
-# hosts below this order are searched without their Aut(G) orbits: the
+# pieces below this order are searched without their Aut(G) orbits: the
 # search tree is too small to repay the automorphism set-up
 HOST_ORBIT_ORDER = 10
 
@@ -97,19 +100,17 @@ class MinorVerdict(NamedTuple):
     nodes_explored: int
 
 
-def _embedding_order(h: Graph, first: int | None = None) -> list[int]:
-    """Descending degree, ties broken by adjacency to already-ordered
-    vertices; ``first``, when given, is placed first."""
-    degs = h.degrees()
+def _embedding_order(rows, mask: int, first: int | None = None) -> list[int]:
+    """The vertices of mask by descending degree within mask, ties broken
+    by adjacency to already-ordered vertices; ``first`` is placed first."""
+    degs = [(r & mask).bit_count() for r in rows]
     order: list[int] = [] if first is None else [first]
     placed = 0 if first is None else 1 << first
-    for _ in range(h.n - len(order)):
+    for _ in range(mask.bit_count() - len(order)):
         best = None
         best_key = None
-        for v in range(h.n):
-            if placed >> v & 1:
-                continue
-            key = (degs[v], (h.rows[v] & placed).bit_count(), -v)
+        for v in bits(mask & ~placed):
+            key = (degs[v], (rows[v] & placed).bit_count(), -v)
             if best_key is None or key > best_key:
                 best, best_key = v, key
         order.append(best)
@@ -117,34 +118,34 @@ def _embedding_order(h: Graph, first: int | None = None) -> list[int]:
     return order
 
 
-def _automorphisms(h: Graph) -> Iterator[list[int]]:
-    """All automorphisms of h (as vertex permutations), generated lazily.
+def _automorphisms(rows, mask: int) -> Iterator[list[int]]:
+    """All automorphisms of the graph induced on mask, generated lazily as
+    permutations of all of rows' vertices that fix those outside mask.
 
     Backtracking over degree-compatible images in embedding order.  The
     first-ordered vertex tries itself as its image last, so the first
     automorphism yielded moves it unless every automorphism fixes it.
-    Any subset of Aut(h) yields sound symmetry pruning, so callers may
-    stop early at the cost of speed only.
+    Any subset of the automorphisms yields sound symmetry pruning, so
+    callers may stop early at the cost of speed only.
     """
-    n = h.n
-    degs = h.degrees()
-    order = _embedding_order(h)
-    image = [-1] * n
+    degs = [(r & mask).bit_count() for r in rows]
+    order = _embedding_order(rows, mask)
+    members = list(bits(mask))
+    image = list(range(len(rows)))
 
     def extend(i: int, used: int) -> Iterator[list[int]]:
-        if i == n:
+        if i == len(order):
             yield image.copy()
             return
         v = order[i]
-        targets = range(n) if i else [w for w in range(n) if w != v] + [v]
+        targets = members if i else [w for w in members if w != v] + [v]
         for w in targets:
             if used >> w & 1 or degs[w] != degs[v]:
                 continue
-            if all((h.rows[v] >> order[j] & 1) == (h.rows[w] >> image[order[j]] & 1)
+            if all((rows[v] >> order[j] & 1) == (rows[w] >> image[order[j]] & 1)
                    for j in range(i)):
                 image[v] = w
                 yield from extend(i + 1, used | 1 << w)
-                image[v] = -1
 
     yield from extend(0, 0)
 
@@ -237,7 +238,8 @@ def _pattern_plan(h: Graph, first: int | None = None) -> _PatternPlan:
     """The plan of h, embedding ``first`` first when it is given, with
     lex pairs only from the automorphisms and twin swaps that fix it."""
     k = h.n
-    order = _embedding_order(h, first)
+    full = h.vertex_mask()
+    order = _embedding_order(h.rows, full, first)
     pos_of = {v: i for i, v in enumerate(order)}
     earlier = tuple(tuple(pos_of[u] for u in bits(h.rows[v]) if pos_of[u] < i)
                     for i, v in enumerate(order))
@@ -251,7 +253,7 @@ def _pattern_plan(h: Graph, first: int | None = None) -> _PatternPlan:
     # added by hand: the automorphism listing may stop before them.  A
     # pinned first vertex sits at position 0, so a twin swap fixes it
     # exactly when neither of its positions is 0.
-    autos = [sigma for sigma in islice(_automorphisms(h), 10_000)
+    autos = [sigma for sigma in islice(_automorphisms(h.rows, full), 10_000)
              if first is None or sigma[first] == first]
     twins = twin_masks(h.rows)
     pairs = {(a, b) for a, b in combinations(range(k), 2)
@@ -265,7 +267,6 @@ def _pattern_plan(h: Graph, first: int | None = None) -> _PatternPlan:
     for a, b in sorted(pairs):
         lex_pairs[b].append((a, b))
 
-    full = h.vertex_mask()
     connected = h.is_connected()
     return _PatternPlan(
         order=tuple(order),
@@ -297,20 +298,22 @@ def has_minor(g: Graph, h: Graph, node_cap: int = DEFAULT_NODE_CAP,
               anchor: int | None = None) -> MinorVerdict:
     """Exact test whether h is a minor of g, with a validating certificate.
 
-    Each piece of g that is large enough (see the module docstring) is
-    searched in turn, and a model found in one is mapped back to g's
-    labels.  node_cap bounds the nodes explored over all pieces, which
-    nodes_explored sums.
+    Each piece of g that is large enough (see the module docstring), a
+    vertex mask over g's rows, is searched in turn in g's own labels, so
+    a model found there is one of g.  node_cap bounds the nodes explored
+    over all pieces, which nodes_explored sums.
 
-    ``anchor=v`` searches only the pieces that hold vertex v, and none
-    when v is outside the 2-core, and in each only the models that use
-    v: one run per orbit of Aut(h) on h's vertices, with v pinned as the
-    first root (the module docstring's anchor).  Precondition, which the
-    caller must guarantee: g - v is h-minor-free.  Then every model in g
-    uses v, since one without v would be a model in g - v, so a model
-    lies in a piece holding v and is found there with v pinned.
-    Without the precondition the verdict may be a false "free".
+    ``anchor=v``, a vertex of g, searches only the pieces that hold v,
+    and none when v is outside the 2-core, and in each only the models
+    that use v: one run per orbit of Aut(h) on h's vertices, with v
+    pinned as the first root (the module docstring's anchor).  Caller's
+    precondition: g - v is h-minor-free.  Then every model in g uses v,
+    since one without v would be a model in g - v, so a model lies in a
+    piece holding v and is found there with v pinned.  Without the
+    precondition the verdict may be a false "free".
     """
+    if anchor is not None and not 0 <= anchor < g.n:
+        raise ValueError(f"anchor {anchor} is not a vertex of a graph of order {g.n}")
     if h.n > MAX_MINOR_ORDER:
         raise ValueError(f"minor pattern order {h.n} exceeds limit {MAX_MINOR_ORDER}")
     if h.n == 0:
@@ -326,51 +329,47 @@ def has_minor(g: Graph, h: Graph, node_cap: int = DEFAULT_NODE_CAP,
     for mask in _host_pieces(g, plan):
         if anchor is not None and not mask >> anchor & 1:
             continue
-        keep = list(bits(mask))
-        if len(keep) < h.n:
+        if mask.bit_count() < h.n:
             continue
-        if sum((g.rows[v] & mask).bit_count() for v in keep) < 2 * h_edges:
+        if sum((g.rows[v] & mask).bit_count() for v in bits(mask)) < 2 * h_edges:
             continue
-        piece = g if mask == g.vertex_mask() else g.induced(keep)
-        root = None if anchor is None else keep.index(anchor)
         for run in plans:
-            branch, nodes = _search(piece, run, nodes, node_cap, root)
+            branch, nodes = _search(g.rows, mask, run, nodes, node_cap, anchor)
             if branch is not None:
                 sets = [frozenset()] * h.n
                 for i, v in enumerate(run.order):
-                    sets[v] = frozenset(keep[x] for x in bits(branch[i]))
+                    sets[v] = frozenset(bits(branch[i]))
                 return MinorVerdict(True, MinorModel(tuple(sets)), nodes)
     return MinorVerdict(False, None, nodes)
 
 
-def _search(g: Graph, plan: _PatternPlan, nodes: int, node_cap: int,
+def _search(rows, full: int, plan: _PatternPlan, nodes: int, node_cap: int,
             first_root: int | None = None) -> tuple[list[int] | None, int]:
-    """Search g for a model of the planned pattern, counting on from nodes.
+    """Search the piece full, a vertex mask over the host's rows, for a
+    model of the planned pattern, counting on from nodes.
 
     H-vertices are assigned single-vertex branch sets (roots) in embedding
     order; branch sets grow lazily, only when an H-edge between two
     assigned sets is not yet realized.  A missing edge is realized by a
-    simple connector path through unused vertices, whose prefix joins one
-    side and suffix the other, so total growth is bounded by the vertex
-    slack |V(G)| - |V(H)|.  ``first_root``, when given, is the only root
-    tried at position 0.  Returns the branch masks by position, or None,
-    and the node count.
+    simple connector path through unused vertices of full, whose prefix
+    joins one side and suffix the other, so total growth is bounded by the
+    vertex slack |full| - |V(H)|.  ``first_root``, when given, is the only
+    root tried at position 0.  All vertices are host labels.  Returns the
+    branch masks by position, or None, and the node count.
     """
     k = len(plan.order)
     earlier, lex_pairs = plan.earlier, plan.lex_pairs
-    rows = g.rows
-    full = g.vertex_mask()
     branch = [0] * k
     nbr = [0] * k  # neighborhood mask of each branch set
     roots = [0] * k
 
     # Host-side symmetry: unless pinned, the first root only needs one
-    # representative per orbit of the group the discovered Aut(G) elements
-    # generate (sound only when Aut(H) fixes it).
+    # representative per orbit of the group the discovered automorphisms of
+    # the piece generate (sound only when Aut(H) fixes it).
     if first_root is not None:
         first_root_mask = 1 << first_root
-    elif plan.fixes_first and g.n >= HOST_ORBIT_ORDER:
-        first_root_mask = _orbit_mask(rows, islice(_automorphisms(g), 3000))
+    elif plan.fixes_first and full.bit_count() >= HOST_ORBIT_ORDER:
+        first_root_mask = _orbit_mask(rows, islice(_automorphisms(rows, full), 3000))
     else:
         first_root_mask = full
 
@@ -505,7 +504,7 @@ def subgraph_contains(g: Graph, h: Graph) -> bool:
         return False
     if h.n == 0:
         return True
-    order = _embedding_order(h)
+    order = _embedding_order(h.rows, h.vertex_mask())
     pos_of = {v: i for i, v in enumerate(order)}
     earlier = [[pos_of[u] for u in bits(h.rows[v]) if pos_of[u] < i]
                for i, v in enumerate(order)]

@@ -29,7 +29,7 @@ from alphax import (
 )
 from alphax import enumeration, minors
 from alphax.enumeration import parent_level
-from alphax.graphs import MAX_VERTICES, disjoint_union
+from alphax.graphs import MAX_VERTICES, bits, disjoint_union
 from conftest import random_graph
 
 PATTERNS = [
@@ -420,7 +420,67 @@ def test_host_orbit_reduction_agrees_with_plain_search(monkeypatch):
     assert 0 < sum(verdicts) < len(verdicts)
 
 
+def test_a_piece_is_ordered_and_permuted_as_its_induced_copy():
+    # the search works on a piece in the host's labels; its root order and
+    # host orbits, and so its node counts, are those of the induced copy
+    rng = random.Random(17)
+    shapes = [_circulant(8, (1, 3)), _prism(4), make_complete_bipartite(2, 4), make_cycle(7)]
+    shapes += [random_graph(rng.randrange(4, 9), 0.5, rng) for _ in range(8)]
+    symmetric = 0
+    for shape in shapes:
+        n = shape.n + rng.randrange(1, 5)
+        labels = rng.sample(range(n), n)  # the shape on labels[:shape.n]
+        edges = [(labels[u], labels[v]) for u, v in shape.edges()]
+        edges += [tuple(rng.sample(range(n), 2)) for _ in range(n)]
+        g = Graph(n, {(min(e), max(e)) for e in edges})
+        piece = sum(1 << v for v in labels[:shape.n])
+        keep = list(bits(piece))
+        copy = g.induced(keep)
+        full = copy.vertex_mask()
+        for first in (None, rng.randrange(len(keep))):
+            order = minors._embedding_order(copy.rows, full, first)
+            host_first = None if first is None else keep[first]
+            assert minors._embedding_order(g.rows, piece, host_first) == [keep[v] for v in order]
+        expected = []
+        for sigma in minors._automorphisms(copy.rows, full):
+            perm = list(range(n))  # every vertex outside the piece fixed
+            for v, w in enumerate(sigma):
+                perm[keep[v]] = keep[w]
+            expected.append(perm)
+        assert list(minors._automorphisms(g.rows, piece)) == expected, write_graph6(g)
+        symmetric += len(expected) > 1
+    assert symmetric >= 4
+
+
 # -- the pinned anchor ------------------------------------------------------
+
+
+@pytest.mark.parametrize("anchor", [-1, 5, 6])
+def test_an_anchor_outside_the_host_is_rejected(anchor):
+    # checked before the early returns, whatever the pattern
+    for h in (make_empty(0), make_complete(3), make_complete(6)):
+        with pytest.raises(ValueError, match="anchor"):
+            has_minor(make_cycle(5), h, anchor=anchor)
+
+
+@pytest.mark.parametrize("h", [make_complete(4), friendship(2)])
+def test_a_pattern_in_a_higher_labelled_piece_is_found_in_host_labels(monkeypatch, h):
+    # a 7-cycle on 0..6 is searched first and holds no model; a copy of h
+    # on labels among 7..13, with pendants 8 and 11 outside the 2-core, is
+    # a block for K_4 and a component for F_2, searched in place
+    spots = (7, 9, 10, 12, 13)[-h.n:]
+    edges = [(i, (i + 1) % 7) for i in range(7)] + [(0, 11), (8, spots[0])]
+    g = Graph(14, edges + [(spots[u], spots[v]) for u, v in h.edges()])
+
+    def no_copy(*args):
+        raise AssertionError("has_minor copied a piece")
+
+    monkeypatch.setattr(Graph, "induced", no_copy)
+    for anchor in (None, *spots):  # g - v is h-minor-free for v in spots
+        v = has_minor(g, h, anchor=anchor)
+        assert v.contains and validate_model(g, h, v.model), anchor
+        used = frozenset().union(*v.model.branch_sets)
+        assert used <= set(spots) and (anchor is None or anchor in used)
 
 
 def test_one_anchored_run_per_orbit_of_the_pattern():
@@ -432,7 +492,7 @@ def test_one_anchored_run_per_orbit_of_the_pattern():
 @pytest.mark.parametrize("h", [friendship(2), friendship(3), quadrangle_book(2),
                                quadrangle_book(3)])
 def test_pinned_plan_keeps_only_pairs_of_automorphisms_fixing_its_first_vertex(h):
-    autos = list(minors._automorphisms(h))
+    autos = list(minors._automorphisms(h.rows, h.vertex_mask()))
     for x in minors._pattern_plan(h).orbit_firsts:
         plan = minors._pattern_plan(h, x)
         assert plan.order[0] == x
